@@ -33,7 +33,6 @@ from . import data as D
 from . import fedgan as fg
 from .dp import DpConfig
 from .forest import predict_scores, train_forest
-from .kernels import nearest_neighbor_distances
 from .nn import forward as nn_forward
 from .rng import RngStream
 
@@ -51,6 +50,7 @@ __all__ = [
     "auc",
     "find_vulnerable_outlier",
     "find_vulnerable_nn",
+    "nearest_neighbor_distances",
 ]
 
 FEATURE_KINDS = ("naive", "correlation")
@@ -58,9 +58,16 @@ FEATURE_KINDS = ("naive", "correlation")
 
 def thread_count() -> int:
     raw = os.environ.get("VFSYNTH_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    message = f"VFSYNTH_THREADS must be a positive integer, got {raw!r}"
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if count < 1:
+        raise ValueError(message)
+    return count
 
 
 @dataclass(frozen=True)
@@ -409,6 +416,45 @@ def find_vulnerable_outlier(ds: D.TabularDataset):
     best = int(np.max(counts))
     ties = np.nonzero(counts == best)[0]
     return int(ties[0]), counts, ties.tolist()
+
+
+def _cosine_matrix(block):
+    norms = np.linalg.norm(block, axis=1)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    unit = block / safe[:, None]
+    cos = unit @ unit.T
+    # zero-vector convention: cos = 1 against another zero vector, else 0
+    cos[zero, :] = 0.0
+    cos[:, zero] = 0.0
+    both = np.outer(zero, zero)
+    cos[both] = 1.0
+    return cos
+
+
+def nearest_neighbor_distances(
+    cat: np.ndarray, cont: np.ndarray, w_cat: float, w_cont: float
+) -> np.ndarray:
+    """Per-record distance to the nearest other record.
+
+    The metric is ``1 - w_cat*cos(cat_i, cat_j) - w_cont*cos(cont_i, cont_j)``
+    with the zero-vector guard: cosine 1 against another all-zero vector,
+    0 against anything else.
+    """
+    cat = np.ascontiguousarray(cat, dtype=np.float64)
+    cont = np.ascontiguousarray(cont, dtype=np.float64)
+    n = cat.shape[0] if cat.size else cont.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 records")
+    if cat.shape[1] == 0 and cont.shape[1] == 0:
+        raise ValueError("need at least one attribute block")
+    dist = np.ones((n, n))
+    if cat.shape[1] > 0:
+        dist -= w_cat * _cosine_matrix(cat)
+    if cont.shape[1] > 0:
+        dist -= w_cont * _cosine_matrix(cont)
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
 
 
 def find_vulnerable_nn(ds: D.TabularDataset) -> int:

@@ -40,7 +40,7 @@ from . import nn
 from .data import DataError, EncodedDataset, Encoder, VerticalSplit, subsample_batch
 from .dp import DpConfig, apply_mechanism
 from .metrics import frechet_distance, stats_from_matrix
-from .nn import AdamState, GradSet, Mlp, Tape
+from .nn import AdamState, GradSet, Mlp
 from .rng import RngStream
 
 __all__ = [
@@ -240,12 +240,6 @@ class FeatureGradDown:
 
 
 @dataclass(frozen=True)
-class SyntheticPartUp:
-    party: int
-    part: np.ndarray
-
-
-@dataclass(frozen=True)
 class BackboneGradUp:
     party: int
     grads: GradSet
@@ -271,11 +265,6 @@ def _check_message_shape(msg, width: int, batch: int) -> None:
 # ---------------------------------------------------------------------------
 # roles
 # ---------------------------------------------------------------------------
-
-def _tape_slice(tape: Tape, n_layers: int) -> Tape:
-    """Restrict a stacked-network tape to its first ``n_layers`` layers."""
-    return Tape(tape.inputs[:n_layers], tape.pre[:n_layers], tape.inputs[n_layers])
-
 
 class Party:
     """One data holder. Sees only its own column view and its own streams."""
@@ -364,7 +353,7 @@ class Party:
             -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
         )
         total = grads_r.add_(grads_s).add_(grads_p)
-        return loss, total, tape_r, tape_s
+        return loss, total
 
     def feature_pass(self, x, x_tilde):
         """Forward the first discriminator part on real and synthetic rows."""
@@ -614,7 +603,7 @@ class Trainer:
                 x = p.view[idx]
                 x_tilde, _, _ = p.synth_batch(z)
                 if self.variant == VFLGAN:
-                    loss_i, grads_i, _, _ = p.local_disc_terms(x, x_tilde)
+                    loss_i, grads_i = p.local_disc_terms(x, x_tilde)
                     d1_g, d2_g = nn.split_grads(
                         grads_i, [len(p.d1.layers), len(p.d2.layers)]
                     )
@@ -638,7 +627,7 @@ class Trainer:
             for p in self.parties:
                 x = p.view[idx]
                 x_tilde, _, _ = p.synth_batch(z)
-                loss_i, grads_i, _, _ = p.local_disc_terms(x, x_tilde)
+                loss_i, grads_i = p.local_disc_terms(x, x_tilde)
                 losses[f"d{p.index + 1}"] = loss_i
                 p.apply_critic_update(grads_i, self.dp)
         return losses

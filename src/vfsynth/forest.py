@@ -1,4 +1,4 @@
-"""Decision-forest classifier built on the gini split-search kernel.
+"""Decision-forest classifier with an exact gini split search.
 
 Bagged binary trees with per-node feature subsampling (sqrt of the feature
 count), grown to purity unless a depth cap is given. Prediction is a majority
@@ -14,10 +14,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import best_split
 from .rng import RngStream
 
-__all__ = ["Tree", "Forest", "train_forest", "predict", "predict_scores"]
+__all__ = ["Tree", "Forest", "best_split", "train_forest", "predict", "predict_scores"]
+
+
+def best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
+    """Best gini split over the given feature columns.
+
+    Returns ``(feature_index, threshold)`` or ``None`` when no feature admits
+    a split (all candidate columns constant). ``x`` is (n, k) float64, ``y``
+    is (n,) int64 class codes.
+    """
+    n, k = x.shape
+    onehot = np.zeros((n, n_classes), dtype=np.int64)
+    onehot[np.arange(n), y] = 1
+    best_score = np.inf
+    best_feat = -1
+    best_thresh = 0.0
+    for j in range(k):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        cum = np.cumsum(onehot[order], axis=0)
+        total = cum[-1]
+        nl = np.arange(1, n, dtype=np.int64)
+        ssl = np.sum(cum[:-1] ** 2, axis=1)
+        ssr = np.sum((total[None, :] - cum[:-1]) ** 2, axis=1)
+        nr = n - nl
+        score = (nl - ssl / nl) + (nr - ssr / nr)
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        score = np.where(valid, score, np.inf)
+        i = int(np.argmin(score))
+        if score[i] < best_score:
+            best_score = float(score[i])
+            best_feat = j
+            best_thresh = 0.5 * (xs[i] + xs[i + 1])
+    if best_feat < 0:
+        return None
+    return best_feat, float(best_thresh)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,53 @@ class TestVulnerableNn:
             assert got == best_i
 
 
+def brute_force_nn_distances(cat, cont, w_cat, w_cont):
+    def cos(a, b):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0.0 and nb == 0.0:
+            return 1.0
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        return float(a @ b / (na * nb))
+
+    n = cat.shape[0] if cat.shape[1] else cont.shape[0]
+    out = np.full(n, np.inf)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            dist = 1.0
+            if cat.shape[1]:
+                dist -= w_cat * cos(cat[i], cat[j])
+            if cont.shape[1]:
+                dist -= w_cont * cos(cont[i], cont[j])
+            out[i] = min(out[i], dist)
+    return out
+
+
+class TestNearestNeighborDistances:
+    def test_matches_brute_force(self):
+        rng = RngStream(7, "nn")
+        cat = np.eye(4)[rng.integers(0, 4, size=30)]
+        cont = rng.normal(30, 3)
+        got = A.nearest_neighbor_distances(cat, cont, 0.4, 0.6)
+        want = brute_force_nn_distances(cat, cont, 0.4, 0.6)
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_identical_records_have_zero_distance(self):
+        cont = np.tile(np.array([[1.0, 2.0]]), (3, 1))
+        dist = A.nearest_neighbor_distances(np.zeros((3, 0)), cont, 0.0, 1.0)
+        assert np.allclose(dist, 0.0, atol=1e-15)
+
+    def test_zero_vector_guard(self):
+        cont = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        dist = A.nearest_neighbor_distances(np.zeros((3, 0)), cont, 0.0, 1.0)
+        # two zero rows: cosine 1 with each other -> distance 0
+        assert dist[0] == pytest.approx(0.0)
+        # the nonzero row sees cosine 0 against both -> distance 1
+        assert dist[2] == pytest.approx(1.0)
+
+
 def tiny_audit_cfg(**kw):
     gan = fg.GanConfig(
         latent_dim=4,
@@ -346,3 +395,19 @@ class TestAuditConfig:
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):
             tiny_audit_cfg(feature_kinds=("histogram",))
+
+
+class TestThreadCount:
+    def test_unset_defaults_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("VFSYNTH_THREADS", raising=False)
+        assert A.thread_count() == (os.cpu_count() or 1)
+
+    def test_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("VFSYNTH_THREADS", " 3 ")
+        assert A.thread_count() == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_rejects_bad_value(self, monkeypatch, raw):
+        monkeypatch.setenv("VFSYNTH_THREADS", raw)
+        with pytest.raises(ValueError, match=f"VFSYNTH_THREADS.*'{raw}'"):
+            A.thread_count()

@@ -98,12 +98,26 @@ class TestTrainBasics:
         orig = fg.Party.local_disc_terms
 
         def poisoned(self, x, xt):
-            loss, grads, tr, ts = orig(self, x, xt)
-            return math.nan, grads, tr, ts
+            _, grads = orig(self, x, xt)
+            return math.nan, grads
 
         monkeypatch.setattr(fg.Party, "local_disc_terms", poisoned)
         with pytest.raises(fg.TrainingDiverged, match="epoch 1.*role d1"):
             trainer.run_epoch()
+
+    def test_non_finite_quality_sample_logs_nan(self, monkeypatch):
+        parts = toy_partitioned()
+        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(3))
+        orig = fg.generate_from
+
+        def poisoned(*args):
+            sample = orig(*args)
+            sample.matrix[0, 0] = np.inf
+            return sample
+
+        monkeypatch.setattr(fg, "generate_from", poisoned)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(trainer._quality_fd(1))
 
     def test_discriminator_step_leaves_generators_untouched(self):
         parts = toy_partitioned()

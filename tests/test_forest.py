@@ -13,6 +13,58 @@ def blobs(rng, n_per=60, sep=4.0):
     return x, y
 
 
+def brute_force_best_split(x, y, n_classes):
+    """Independent O(n^2) split search used as the oracle."""
+    n, k = x.shape
+    best = (np.inf, None, None)
+    for j in range(k):
+        for t in np.unique(x[:, j])[:-1]:
+            left = y[x[:, j] <= t]
+            right = y[x[:, j] > t]
+            score = 0.0
+            for side in (left, right):
+                counts = np.bincount(side, minlength=n_classes)
+                score += len(side) * (1.0 - np.sum((counts / len(side)) ** 2))
+            if score < best[0] - 1e-12:
+                best = (score, j, t)
+    return best
+
+
+class TestBestSplit:
+    def test_matches_brute_force_feature_choice(self):
+        rng = RngStream(5, "split")
+        for trial in range(20):
+            n = int(rng.integers(10, 60))
+            k = int(rng.integers(1, 5))
+            x = np.round(rng.normal(n, k), 1)  # rounded so ties occur
+            y = rng.integers(0, 3, size=n)
+            got = F.best_split(x, y, 3)
+            score, feat, thr = brute_force_best_split(x, y, 3)
+            if got is None:
+                assert feat is None
+                continue
+            gj, gt = got
+            # same feature and same impurity value as the oracle's best
+            left = y[x[:, gj] <= gt]
+            right = y[x[:, gj] > gt]
+            gscore = sum(
+                len(s) * (1.0 - np.sum((np.bincount(s, minlength=3) / len(s)) ** 2))
+                for s in (left, right)
+            )
+            assert gscore == pytest.approx(score, abs=1e-9)
+
+    def test_constant_features_yield_none(self):
+        x = np.ones((10, 2))
+        y = np.array([0, 1] * 5)
+        assert F.best_split(x, y, 2) is None
+
+    def test_perfect_split(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 0, 1, 1])
+        j, t = F.best_split(x, y, 2)
+        assert j == 0 and 1.0 < t < 2.0
+
+
 class TestForest:
     def test_separable_blobs_high_accuracy(self):
         rng = RngStream(1, "blobs")

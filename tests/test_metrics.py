@@ -98,6 +98,19 @@ class TestFrechetDistance:
         with pytest.raises(ValueError):
             M.frechet_distance(s1, s2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_stats_rejected(self, bad):
+        rng = RngStream(12, "fd")
+        m = rng.normal(40, 3)
+        poisoned = m.copy()
+        poisoned[5, 1] = bad
+        with np.errstate(invalid="ignore"):
+            s_bad = M.stats_from_matrix(poisoned)
+        s_ok = M.stats_from_matrix(m)
+        for a, b in ((s_ok, s_bad), (s_bad, s_ok)):
+            with pytest.raises(ValueError):
+                M.frechet_distance(a, b)
+
 
 class TestF1:
     def test_macro_f1_bounds_and_balanced_equality(self):
