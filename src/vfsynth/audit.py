@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,9 +209,21 @@ _MATRIX_EXTRACTORS = {"naive": naive_features_matrix, "correlation": corr_featur
 # shadow ensembles
 # ---------------------------------------------------------------------------
 
-def _world_datasets(ds: D.TabularDataset, target_index: int):
-    without = D.leave_one_out(ds, target_index)
-    return {0: without, 1: ds}
+def _worlds(ds: D.TabularDataset, target_index: int, cfg: AuditConfig):
+    """World -> (dataset, config): world 0 leaves the target out.
+
+    A DP config keeps its noise multiplier in both worlds but takes the
+    world's own sampling rate, batch / world rows; calibrated for the
+    smaller world, the same noise then meets the target in each.
+    """
+    out = {}
+    for world, world_ds in ((0, D.leave_one_out(ds, target_index)), (1, ds)):
+        world_cfg = cfg
+        if cfg.dp is not None:
+            rate = cfg.gan.batch_size / world_ds.n_rows
+            world_cfg = replace(cfg, dp=replace(cfg.dp, sampling_rate=rate))
+        out[world] = (world_ds, world_cfg)
+    return out
 
 
 def _run_jobs(args_list, fn):
@@ -266,11 +278,11 @@ def train_shadows_assd(
     """Shadow generators per world; features of their synthetic outputs."""
     if not 0 <= target_index < ds.n_rows:
         raise D.DataError(f"target index {target_index} out of range")
-    worlds = _world_datasets(ds, target_index)
+    worlds = _worlds(ds, target_index, cfg)
     synth_rows = cfg.synthetic_rows or ds.n_rows
     jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
     rows = _run_jobs(
-        [(worlds[w], split, cfg, rng, w, m, synth_rows) for w, m in jobs],
+        [(worlds[w][0], split, worlds[w][1], rng, w, m, synth_rows) for w, m in jobs],
         _assd_job,
     )
     features = {
@@ -294,10 +306,10 @@ def train_shadows_asif(
         raise ValueError("intermediate-feature auditing needs a split-critic variant")
     if not 0 <= target_index < ds.n_rows:
         raise D.DataError(f"target index {target_index} out of range")
-    worlds = _world_datasets(ds, target_index)
+    worlds = _worlds(ds, target_index, cfg)
     jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
     rows = _run_jobs(
-        [(worlds[w], ds, split, cfg, rng, w, m) for w, m in jobs],
+        [(worlds[w][0], ds, split, worlds[w][1], rng, w, m) for w, m in jobs],
         _asif_job,
     )
     features = {

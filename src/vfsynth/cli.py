@@ -115,6 +115,9 @@ def _load_partitioned(cfg: RunConfig):
 def _resolve_dp(cfg: RunConfig, n_rows: int):
     if cfg.dp is None:
         return None, None
+    if cfg.gan.batch_size > n_rows:
+        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {n_rows} rows "
+                       "the DP noise is calibrated for")
     gamma = cfg.gan.batch_size / n_rows
     steps = cfg.gan.epochs * cfg.gan.disc_steps
     sigma = dpmod.calibrate(cfg.dp.epsilon, cfg.dp.delta, gamma, steps)
@@ -341,7 +344,8 @@ def cmd_audit(args) -> int:
             raise CliError(f"audit.rows={spec.rows} exceeds dataset size {ds.n_rows}")
         ds = D.subset(ds, np.arange(spec.rows))
     target = _select_target(ds, spec, args.select, args.target)
-    dp_cfg, dp_report = _resolve_dp(cfg, ds.n_rows)
+    # one sigma, calibrated for the n-1 rows of the leave-one-out world
+    dp_cfg, dp_report = _resolve_dp(cfg, ds.n_rows - 1)
     acfg = au.AuditConfig(
         shadows=spec.shadows,
         repeats=spec.repeats,

@@ -4,15 +4,22 @@ Four variants share one scheduler:
 
 * ``vflgan`` — per-party generators and two-part discriminators plus a
   server-side shared critic consuming the concatenation of the parties'
-  intermediate features. Party i's first discriminator part receives both
-  its local loss gradient and the server loss gradient flowing down through
-  the feature message.
+  intermediate features. In each discriminator step party i runs D_i^1 once
+  on the real and once on the synthetic rows and sends the features up;
+  D_i^2's WGAN cotangents on those features plus lambda_server times the
+  server's feature gradients go back through D_i^1 once per row set, and
+  the sum real + synthetic + gradient penalty (taken on the stacked critic)
+  is D_i^1's gradient. The generator step likewise runs D_i^1 once on x~
+  and backpropagates the sum of the server and D_i^2 cotangents.
 * ``vflgan_base`` — ablation without the second discriminator parts: parties
   learn only through the shared critic.
 * ``vertigan`` — horizontal-style baseline: local WGAN-GP per party with a
   generator backbone kept bit-identical across parties by summing backbone
   gradients at the server.
 * ``central`` — single-party WGAN-GP on the full column set (upper bound).
+
+The last two draw one critic and split it after the feature layer, so all
+four variants step their critics through the same code, minus the server.
 
 One epoch is ``disc_steps`` discriminator iterations followed by one
 generator iteration; the minibatch is resampled every discriminator
@@ -102,7 +109,6 @@ class GanConfig:
         positive = (
             self.latent_dim,
             self.feature_dim,
-            self.lambda_gp + 1,  # lambda_gp >= 0
             self.eta_g,
             self.eta_d,
             self.eta_server,
@@ -112,6 +118,12 @@ class GanConfig:
         )
         if any(v <= 0 for v in positive) or self.epochs < 0:
             raise ValueError("GanConfig values out of range")
+        if self.lambda_gp < 0:
+            raise ValueError(f"lambda_gp must be >= 0, got {self.lambda_gp}")
+        if self.fd_sample_cap < 2:
+            # the Frechet distance needs two rows; fewer would disable the
+            # best-checkpoint selection without saying so
+            raise ValueError(f"fd_sample_cap must be >= 2, got {self.fd_sample_cap}")
         if self.numeric_activation not in ("identity", "tanh"):
             raise ValueError("numeric_activation must be 'identity' or 'tanh'")
 
@@ -225,17 +237,19 @@ class OutputHead:
 # protocol messages
 # ---------------------------------------------------------------------------
 
+# generator-step messages carry no real-row array (``real``/``d_real`` None)
+
 @dataclass(frozen=True)
 class FeatureUp:
     party: int
-    real: np.ndarray  # D_i^1(x_i)
+    real: np.ndarray | None  # D_i^1(x_i)
     synth: np.ndarray  # D_i^1(x~_i)
 
 
 @dataclass(frozen=True)
 class FeatureGradDown:
     party: int
-    d_real: np.ndarray  # d L_server / d f_i
+    d_real: np.ndarray | None  # d L_server / d f_i
     d_synth: np.ndarray  # d L_server / d f~_i
 
 
@@ -267,13 +281,17 @@ def _check_message_shape(msg, width: int, batch: int) -> None:
 # ---------------------------------------------------------------------------
 
 class Party:
-    """One data holder. Sees only its own column view and its own streams."""
+    """One data holder. Sees only its own column view and its own streams.
+
+    Every variant holds its critic as a first part ``d1`` (whose output is
+    the intermediate feature) and an optional second part ``d2`` that maps
+    the features to a score; ``d2`` is None only for ``vflgan_base``.
+    """
 
     def __init__(self, index, view, blocks, cfg, variant, rng):
         self.index = index
         self.view = view
         self.cfg = cfg
-        self.variant = variant
         self.head = OutputHead(blocks, cfg.gumbel_temperature, cfg.numeric_activation)
         self.gumbel = rng.child("gumbel", index)
         self.beta = rng.child("beta", index)
@@ -287,16 +305,12 @@ class Party:
                 rng.child("init", "d1", index),
                 out_activation="leaky_relu",
             )
-            self.adam_d1 = AdamState.for_mlp(self.d1)
+            self.d2 = None
             if variant == VFLGAN:
                 self.d2 = nn.init_mlp(
                     [cfg.feature_dim, *cfg.disc_part2_hidden, 1],
                     rng.child("init", "d2", index),
                 )
-                self.adam_d2 = AdamState.for_mlp(self.d2)
-            else:
-                self.d2 = None
-                self.adam_d2 = None
         else:  # vertigan / central: plain critic, generator = backbone + head
             # the backbone draws from a stream shared by every party, so all
             # parties start (and stay) with bit-identical backbone parameters
@@ -314,76 +328,82 @@ class Party:
                 self.g = nn.init_mlp(
                     [cfg.latent_dim, width], rng.child("init", "gh", index)
                 )
-            self.d = nn.init_mlp(
+            # one draw for the whole critic, split at the feature layer
+            critic = nn.init_mlp(
                 [width, *cfg.disc_part1_hidden, cfg.feature_dim,
                  *cfg.disc_part2_hidden, 1],
                 rng.child("init", "d", index),
             )
-            self.adam_d = AdamState.for_mlp(self.d)
+            cut = len(cfg.disc_part1_hidden) + 1
+            self.d1 = Mlp(critic.layers[:cut])
+            self.d2 = Mlp(critic.layers[cut:])
         self.adam_g = AdamState.for_mlp(self.g)
+        self.adam_d1 = AdamState.for_mlp(self.d1)
+        self.adam_d2 = None if self.d2 is None else AdamState.for_mlp(self.d2)
         self.n_backbone = len(cfg.gen_hidden)  # shared layers in vertigan
 
     # -- generation --------------------------------------------------------
 
     def synth_batch(self, z: np.ndarray):
         logits, tape = nn.forward(self.g, z)
-        out = self.head.forward(logits, self.gumbel)
-        return out, logits, tape
+        return self.head.forward(logits, self.gumbel), tape
 
     # -- discriminator side -------------------------------------------------
 
-    def critic(self) -> Mlp:
-        if self.variant == VFLGAN:
-            return nn.stack(self.d1, self.d2)
-        if self.variant == VFLGAN_BASE:
-            raise ProtocolFault("base variant has no local critic")
-        return self.d
+    def critic_forward(self, x, x_tilde):
+        """Run D_i^1 once on the real and once on the synthetic rows.
 
-    def local_disc_terms(self, x, x_tilde):
-        """Local WGAN-GP loss and parameter gradients of the full critic."""
-        critic = self.critic()
-        batch = x.shape[0]
-        out_r, tape_r = nn.forward(critic, x)
-        out_s, tape_s = nn.forward(critic, x_tilde)
-        grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / batch))
-        grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / batch))
-        x_hat = nn.interpolate(x, x_tilde, self.beta)
-        penalty, grads_p = nn.gradient_penalty(critic, x_hat, self.cfg.lambda_gp)
-        loss = (
-            -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
-        )
-        total = grads_r.add_(grads_s).add_(grads_p)
-        return loss, total
+        Returns the features ``(f_i, f~_i)``; the tapes stay with the party
+        until :meth:`critic_update`.
+        """
+        self._rows = (x, x_tilde)
+        self._tapes = (nn.forward(self.d1, x)[1], nn.forward(self.d1, x_tilde)[1])
+        return self._tapes[0].output, self._tapes[1].output
 
-    def feature_pass(self, x, x_tilde):
-        """Forward the first discriminator part on real and synthetic rows."""
-        f_r, self._tape_f_real = nn.forward(self.d1, x)
-        f_s, self._tape_f_synth = nn.forward(self.d1, x_tilde)
-        return FeatureUp(self.index, f_r, f_s)
+    def critic_update(self, reply: FeatureGradDown | None,
+                      dp: DpConfig | None) -> dict[str, float]:
+        """One Adam step on both critic parts from the last forward pass.
 
-    def server_grad_contribution(self, msg: FeatureGradDown) -> GradSet:
-        """Backpropagate the server-loss feature gradients into D_i^1."""
-        g_r, _ = nn.backward(self.d1, self._tape_f_real, msg.d_real)
-        g_s, _ = nn.backward(self.d1, self._tape_f_synth, msg.d_synth)
-        return g_r.add_(g_s).scale_(self.cfg.lambda_server)
-
-    def apply_disc_update(self, d1_grads: GradSet | None, d2_grads: GradSet | None,
-                          dp: DpConfig | None):
-        if d1_grads is not None:
-            if dp is not None:
-                apply_mechanism(d1_grads, 0, dp.sigma, dp.clip, self.dpnoise)
-            self.d1, self.adam_d1 = nn.adam_step(
-                self.d1, d1_grads, self.adam_d1, self.cfg.eta_d
+        D_i^2's WGAN terms and the server's lambda-scaled feature gradients
+        are summed on the features, then go back through D_i^1 once per row
+        set; the gradient penalty is taken on the stacked critic. Returns
+        the local loss keyed by role (``d<i+1>``), empty without D_i^2.
+        """
+        x, x_tilde = self._rows
+        tape_r, tape_s = self._tapes
+        losses = {}
+        cot_r = cot_s = None  # loss cotangents on the features
+        if self.d2 is not None:
+            w = 1.0 / x.shape[0]
+            out_r, t2_r = nn.forward(self.d2, tape_r.output)
+            out_s, t2_s = nn.forward(self.d2, tape_s.output)
+            d2_grads, cot_r = nn.backward(self.d2, t2_r, np.full_like(out_r, -w))
+            d2_synth, cot_s = nn.backward(self.d2, t2_s, np.full_like(out_s, w))
+            x_hat = nn.interpolate(x, x_tilde, self.beta)
+            penalty, grads_p = nn.gradient_penalty(
+                nn.stack(self.d1, self.d2), x_hat, self.cfg.lambda_gp
             )
-        if d2_grads is not None and self.d2 is not None:
+            losses[f"d{self.index + 1}"] = (
+                -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
+            )
+        if reply is not None:
+            lam = self.cfg.lambda_server
+            up_r, up_s = lam * reply.d_real, lam * reply.d_synth
+            cot_r = up_r if cot_r is None else cot_r + up_r
+            cot_s = up_s if cot_s is None else cot_s + up_s
+        d1_grads, _ = nn.backward(self.d1, tape_r, cot_r)
+        d1_grads.add_(nn.backward(self.d1, tape_s, cot_s)[0])
+        if self.d2 is not None:
+            sizes = [len(self.d1.layers), len(self.d2.layers)]
+            p1, p2 = nn.split_grads(grads_p, sizes)
+            d1_grads.add_(p1)
             self.d2, self.adam_d2 = nn.adam_step(
-                self.d2, d2_grads, self.adam_d2, self.cfg.eta_d
+                self.d2, d2_grads.add_(d2_synth).add_(p2), self.adam_d2, self.cfg.eta_d
             )
-
-    def apply_critic_update(self, grads: GradSet, dp: DpConfig | None):
         if dp is not None:
-            apply_mechanism(grads, 0, dp.sigma, dp.clip, self.dpnoise)
-        self.d, self.adam_d = nn.adam_step(self.d, grads, self.adam_d, self.cfg.eta_d)
+            apply_mechanism(d1_grads, 0, dp.sigma, dp.clip, self.dpnoise)
+        self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grads, self.adam_d1, self.cfg.eta_d)
+        return losses
 
     def apply_gen_update(self, grads: GradSet):
         self.g, self.adam_g = nn.adam_step(self.g, grads, self.adam_g, self.cfg.eta_g)
@@ -442,7 +462,7 @@ class Server:
         _, d_ft = nn.backward(self.ds, tape, np.full_like(out, scale))
         loss = -self.cfg.lambda_gen_server * float(np.mean(out))
         return loss, [
-            FeatureGradDown(i, np.zeros_like(d), d)
+            FeatureGradDown(i, None, d)
             for i, d in enumerate(self._split(d_ft))
         ]
 
@@ -595,41 +615,20 @@ class Trainer:
         idx = subsample_batch(self.n_rows, cfg.batch_size, self.batch_stream)
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
         losses: dict[str, float] = {}
-
-        if self.variant in (VFLGAN, VFLGAN_BASE):
-            features = []
-            local: dict[int, tuple] = {}
-            for p in self.parties:
-                x = p.view[idx]
-                x_tilde, _, _ = p.synth_batch(z)
-                if self.variant == VFLGAN:
-                    loss_i, grads_i = p.local_disc_terms(x, x_tilde)
-                    d1_g, d2_g = nn.split_grads(
-                        grads_i, [len(p.d1.layers), len(p.d2.layers)]
-                    )
-                    local[p.index] = (d1_g, d2_g)
-                    losses[f"d{p.index + 1}"] = loss_i
-                else:
-                    local[p.index] = (None, None)
-                msg = p.feature_pass(x, x_tilde)
+        features = [
+            p.critic_forward(p.view[idx], p.synth_batch(z)[0]) for p in self.parties
+        ]
+        replies = [None] * len(self.parties)
+        if self.server is not None:
+            up = [FeatureUp(p.index, *f) for p, f in zip(self.parties, features)]
+            for msg in up:
                 _check_message_shape(msg, cfg.feature_dim, cfg.batch_size)
-                features.append(msg)
-            loss_s, server_grads, down = self.server.disc_step(features)
-            losses["ds"] = loss_s
-            for p, msg in zip(self.parties, down):
+            losses["ds"], server_grads, replies = self.server.disc_step(up)
+            for msg in replies:
                 _check_message_shape(msg, cfg.feature_dim, cfg.batch_size)
-                flow = p.server_grad_contribution(msg)
-                d1_g, d2_g = local[p.index]
-                d1_total = flow if d1_g is None else d1_g.add_(flow)
-                p.apply_disc_update(d1_total, d2_g, self.dp)
             self.server.apply_update(server_grads)
-        else:  # vertigan / central: local WGAN-GP critics
-            for p in self.parties:
-                x = p.view[idx]
-                x_tilde, _, _ = p.synth_batch(z)
-                loss_i, grads_i = p.local_disc_terms(x, x_tilde)
-                losses[f"d{p.index + 1}"] = loss_i
-                p.apply_critic_update(grads_i, self.dp)
+        for p, reply in zip(self.parties, replies):
+            losses.update(p.critic_update(reply, self.dp))
         return losses
 
     # -- one generator iteration --------------------------------------------
@@ -637,68 +636,51 @@ class Trainer:
     def generator_step(self) -> dict[str, float]:
         cfg = self.cfg
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
-        losses: dict[str, float] = {}
-
-        if self.variant in (VFLGAN, VFLGAN_BASE):
-            features, caches = [], {}
-            for p in self.parties:
-                x_tilde, logits, tape_g = p.synth_batch(z)
-                f_t, tape_f = nn.forward(p.d1, x_tilde)
-                caches[p.index] = (x_tilde, logits, tape_g, tape_f)
-                features.append(FeatureUp(p.index, np.zeros_like(f_t), f_t))
-            loss_server, down = self.server.gen_scores(features)
-            total = loss_server
-            for p, msg in zip(self.parties, down):
-                x_tilde, logits, tape_g, tape_f = caches[p.index]
-                _, d_xt = nn.backward(p.d1, tape_f, msg.d_synth)
-                if self.variant == VFLGAN:
-                    critic = p.critic()
-                    out, tape_c = nn.forward(critic, x_tilde)
-                    _, d_local = nn.backward(
-                        critic, tape_c, np.full_like(out, -1.0 / cfg.batch_size)
-                    )
-                    d_xt = d_xt + d_local
-                    total += -float(np.mean(out))
-                d_logits = p.head.backward(x_tilde, d_xt)
-                g_grads, _ = nn.backward(p.g, tape_g, d_logits)
-                p.apply_gen_update(g_grads)
-        else:
-            total = 0.0
-            backbone_msgs, head_grads = [], {}
-            for p in self.parties:
-                x_tilde, logits, tape_g = p.synth_batch(z)
-                critic = p.critic()
-                out, tape_c = nn.forward(critic, x_tilde)
-                _, d_xt = nn.backward(
-                    critic, tape_c, np.full_like(out, -1.0 / cfg.batch_size)
+        passes = []
+        for p in self.parties:
+            x_tilde, tape_g = p.synth_batch(z)
+            passes.append((x_tilde, tape_g, nn.forward(p.d1, x_tilde)[1]))
+        total = 0.0
+        replies = [None] * len(self.parties)
+        if self.server is not None:
+            total, replies = self.server.gen_scores(
+                [FeatureUp(p.index, None, tape_f.output)
+                 for p, (_, _, tape_f) in zip(self.parties, passes)]
+            )
+        grads = []
+        for p, (x_tilde, tape_g, tape_f), reply in zip(self.parties, passes, replies):
+            # server and local cotangents are summed on the features
+            cot = None if reply is None else reply.d_synth
+            if p.d2 is not None:
+                out, tape_c = nn.forward(p.d2, tape_f.output)
+                _, d_local = nn.backward(
+                    p.d2, tape_c, np.full_like(out, -1.0 / cfg.batch_size)
                 )
+                cot = d_local if cot is None else cot + d_local
                 total += -float(np.mean(out))
-                d_logits = p.head.backward(x_tilde, d_xt)
-                g_grads, _ = nn.backward(p.g, tape_g, d_logits)
-                bb, head = nn.split_grads(
-                    g_grads, [p.n_backbone, len(p.g.layers) - p.n_backbone]
-                )
-                backbone_msgs.append(BackboneGradUp(p.index, bb))
-                head_grads[p.index] = (bb, head)
-            if self.variant == VERTIGAN and len(self.parties) > 1:
-                summed = GradSet(
-                    [np.sum([m.grads.dw[i] for m in backbone_msgs], axis=0)
-                     for i in range(len(backbone_msgs[0].grads.dw))],
-                    [np.sum([m.grads.db[i] for m in backbone_msgs], axis=0)
-                     for i in range(len(backbone_msgs[0].grads.db))],
-                )
-                down = BackboneGradDown(summed)
-                for p in self.parties:
-                    _, head = head_grads[p.index]
-                    p.apply_gen_update(GradSet(down.grads.dw + head.dw,
-                                               down.grads.db + head.db))
-                self._check_backbone_equality()
-            else:
-                for p in self.parties:
-                    bb, head = head_grads[p.index]
-                    p.apply_gen_update(GradSet(bb.dw + head.dw, bb.db + head.db))
-        losses["g"] = total
-        return losses
+            _, d_xt = nn.backward(p.d1, tape_f, cot)
+            g_grads, _ = nn.backward(p.g, tape_g, p.head.backward(x_tilde, d_xt))
+            grads.append(g_grads)
+        shared = self.variant == VERTIGAN and len(self.parties) > 1
+        if shared:
+            grads = self._sum_backbones(grads)
+        for p, g in zip(self.parties, grads):
+            p.apply_gen_update(g)
+        if shared:
+            self._check_backbone_equality()
+        return {"g": total}
+
+    def _sum_backbones(self, grads: list[GradSet]) -> list[GradSet]:
+        """Vertigan: every party applies the server's sum of backbone grads."""
+        n = self.parties[0].n_backbone
+        up = [BackboneGradUp(p.index, GradSet(g.dw[:n], g.db[:n]))
+              for p, g in zip(self.parties, grads)]
+        down = BackboneGradDown(GradSet(
+            [np.sum([m.grads.dw[i] for m in up], axis=0) for i in range(n)],
+            [np.sum([m.grads.db[i] for m in up], axis=0) for i in range(n)],
+        ))
+        return [GradSet(down.grads.dw + g.dw[n:], down.grads.db + g.db[n:])
+                for g in grads]
 
     def _check_backbone_equality(self) -> None:
         ref = self.parties[0]
@@ -759,11 +741,7 @@ class Trainer:
     def run(self) -> TrainedModel:
         for _ in range(self.cfg.epochs):
             self.run_epoch()
-        d1_parts = (
-            [p.d1 for p in self.parties]
-            if self.variant in (VFLGAN, VFLGAN_BASE)
-            else None
-        )
+        d1_parts = None if self.server is None else [p.d1 for p in self.parties]
         return TrainedModel(
             self.variant,
             self.cfg,

@@ -6,6 +6,7 @@ import yaml
 
 from vfsynth import checkpoint as ck
 from vfsynth import data as d
+from vfsynth.dp import budget_report
 from vfsynth import nn
 from vfsynth.cli import main
 from vfsynth.config import ConfigError, load_config
@@ -299,6 +300,46 @@ class TestAuditCommand:
         assert "assd" in rep["results"]
         assert 0.0 <= rep["results"]["assd"]["naive"]["auc_mean"] <= 1.0
         assert (tmp_path / "aud" / "features_assd_naive.csv").exists()
+
+    def test_audit_with_dp(self, tmp_path):
+        # sigma is calibrated for the n-1 rows of the leave-one-out world;
+        # each world trains at its own sampling rate with that sigma
+        cfg_path = toy_config(
+            tmp_path,
+            n=24,
+            extra={
+                "audit": {
+                    "modes": ["assd"], "shadows": 4, "repeats": 1,
+                    "feature_kinds": ["naive"], "select": "nn",
+                    "train_count": 2, "test_count": 2,
+                },
+                "gan": {
+                    "latent_dim": 4, "gen_hidden": [8],
+                    "disc_part1_hidden": [8], "feature_dim": 4,
+                    "disc_part2_hidden": [8], "server_hidden": [8],
+                    "batch_size": 8, "disc_steps": 1, "epochs": 2,
+                },
+                "dp": {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0},
+            },
+        )
+        rc = main(["audit", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "aud")])
+        assert rc == 0
+        rep = yaml.safe_load((tmp_path / "aud" / "audit_report.yaml").read_text())
+        assert rep["dp_enabled"] is True
+        want = budget_report(rep["dp"]["sigma"], 8 / 23, 2, 1e-3)
+        assert rep["dp"]["epsilon_external"] == want.epsilon_external
+        assert rep["dp"]["epsilon_external"] <= 10.0
+
+    def test_audit_dp_batch_larger_than_loo_world_rejected(self, tmp_path, capsys):
+        cfg_path = toy_config(
+            tmp_path, n=8,
+            extra={"audit": {"modes": ["assd"], "shadows": 2, "target": 0},
+                   "dp": {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}},
+        )
+        rc = main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")])
+        assert rc == 1
+        assert "exceeds the 7 rows" in capsys.readouterr().err
 
     def test_select_nn_deterministic(self, tmp_path):
         cfg_path = toy_config(

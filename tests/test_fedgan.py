@@ -95,13 +95,12 @@ class TestTrainBasics:
     def test_nan_loss_aborts_with_epoch_and_role(self, monkeypatch):
         parts = toy_partitioned()
         trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(3))
-        orig = fg.Party.local_disc_terms
+        orig = fg.Party.critic_update
 
-        def poisoned(self, x, xt):
-            _, grads = orig(self, x, xt)
-            return math.nan, grads
+        def poisoned(self, reply, dp):
+            return {role: math.nan for role in orig(self, reply, dp)}
 
-        monkeypatch.setattr(fg.Party, "local_disc_terms", poisoned)
+        monkeypatch.setattr(fg.Party, "critic_update", poisoned)
         with pytest.raises(fg.TrainingDiverged, match="epoch 1.*role d1"):
             trainer.run_epoch()
 
@@ -126,6 +125,20 @@ class TestTrainBasics:
         trainer.discriminator_step()
         for p, b in zip(trainer.parties, before):
             assert same_params(params_of(p.g), b)
+
+
+class TestGanConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lambda_gp", -0.5), ("lambda_gp", -1e-9), ("fd_sample_cap", 1), ("fd_sample_cap", 0)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = small_cfg(lambda_gp=0.0, fd_sample_cap=2)
+        assert cfg.lambda_gp == 0.0 and cfg.fd_sample_cap == 2
 
 
 class TestMonolithEquivalence:
@@ -199,6 +212,34 @@ class TestServerCoupling:
         trainer.discriminator_step()
         assert same_params(params_of(trainer.parties[0].d1), params_of(d1_new))
         assert same_params(params_of(trainer.parties[0].d2), params_of(d2_new))
+
+    def test_generator_step_messages_carry_no_real_rows(self, monkeypatch):
+        parts = toy_partitioned()
+        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(31))
+        orig = trainer.server.gen_scores
+        seen = []
+
+        def spy(features):
+            loss, down = orig(features)
+            seen.extend((m.real, m.synth) for m in features)
+            seen.extend((m.d_real, m.d_synth) for m in down)
+            return loss, down
+
+        monkeypatch.setattr(trainer.server, "gen_scores", spy)
+        trainer.generator_step()
+        assert len(seen) == 2 * len(trainer.parties)
+        for real, synth in seen:
+            assert real is None
+            assert synth.shape == (8, 6)
+
+    @pytest.mark.parametrize("variant", [fg.VERTIGAN, fg.CENTRAL])
+    def test_serverless_variants_build_no_feature_messages(self, variant, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("feature message built without a server")
+
+        monkeypatch.setattr(fg, "FeatureUp", refuse)
+        monkeypatch.setattr(fg, "FeatureGradDown", refuse)
+        fg.Trainer(variant, toy_partitioned(), small_cfg(), None, RngStream(32)).run_epoch()
 
     def test_constant_critics_freeze_generators(self):
         parts = toy_partitioned(n=8, seed=8)
@@ -307,11 +348,12 @@ class TestVertigan:
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
         trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(19, "v"))
         for layer_holder in (trainer.parties[1],):
-            zeroed = [
-                nn.Layer(np.zeros_like(l.w), np.zeros_like(l.b), l.activation, l.slope)
-                for l in layer_holder.d.layers
-            ]
-            layer_holder.d = nn.Mlp(tuple(zeroed))
+            for part in ("d1", "d2"):
+                zeroed = [
+                    nn.Layer(np.zeros_like(l.w), np.zeros_like(l.b), l.activation, l.slope)
+                    for l in getattr(layer_holder, part).layers
+                ]
+                setattr(layer_holder, part, nn.Mlp(tuple(zeroed)))
 
         # inline replica of party 0's generator gradients
         root = RngStream(19, "v")
@@ -319,7 +361,7 @@ class TestVertigan:
         g_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation, l.slope)
                               for l in p0.g.layers))
         d_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation, l.slope)
-                              for l in p0.d.layers))
+                              for l in nn.stack(p0.d1, p0.d2).layers))
         gumbel = root.child("gumbel", 0)
         zs = root.child("z")
         z = zs.normal(8, cfg.latent_dim)
@@ -341,6 +383,46 @@ class TestVertigan:
         got = params_of(trainer.parties[0].g)[:nb]
         want = params_of(expect)[:nb]
         assert same_params(got, want)
+
+    def test_critic_step_matches_inline_wgan_gp(self):
+        # the d1/d2 halves must step exactly like one monolithic WGAN-GP
+        # critic drawn from the same stream, replicated inline
+        parts = toy_partitioned(n=8, seed=12)
+        cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
+        trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(33, "vc"))
+        root = RngStream(33, "vc")
+        i = 1  # the party with the categorical block
+        width = parts.party_width(i)
+        critic = nn.init_mlp(
+            [width, *cfg.disc_part1_hidden, cfg.feature_dim, *cfg.disc_part2_hidden, 1],
+            root.child("init", "d", i),
+        )
+        g = nn.stack(
+            nn.init_mlp([cfg.latent_dim, *cfg.gen_hidden], root.child("init", "gb"),
+                        out_activation="leaky_relu"),
+            nn.init_mlp([cfg.gen_hidden[-1], width], root.child("init", "gh", i)),
+        )
+        idx = root.child("batch").subsample(8, 8)
+        z = root.child("z").normal(8, cfg.latent_dim)
+        head = fg.OutputHead(parts.blocks[i], cfg.gumbel_temperature, "identity")
+        xt = head.forward(nn.forward(g, z)[0], root.child("gumbel", i))
+        x = parts.views[i][idx]
+        out_r, tape_r = nn.forward(critic, x)
+        out_s, tape_s = nn.forward(critic, xt)
+        grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / 8))
+        grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / 8))
+        x_hat = nn.interpolate(x, xt, root.child("beta", i))
+        _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
+        want, _ = nn.adam_step(
+            critic, grads_r.add_(grads_s).add_(grads_p),
+            nn.AdamState.for_mlp(critic), cfg.eta_d,
+        )
+
+        trainer.discriminator_step()
+        p = trainer.parties[i]
+        assert len(p.d1.layers) == len(cfg.disc_part1_hidden) + 1
+        assert p.d1.out_width == cfg.feature_dim
+        assert same_params(params_of(nn.stack(p.d1, p.d2)), params_of(want))
 
     def test_single_party_vertigan_equals_central(self):
         # one party holding all columns: the HFL sum degenerates and the run

@@ -4,7 +4,9 @@ Re-derives the same child streams as the protocol engine and performs the
 whole computation inline with nn primitives only: no Party/Server objects,
 no protocol messages. Used as the independent oracle for the
 protocol-vs-monolith equivalence tests. Gradient accumulation order mirrors
-the engine exactly so agreement is bitwise.
+the engine exactly so agreement is bitwise: D_i^1 runs once per row set, and
+the D_i^2 and lambda-scaled server cotangents are summed on the features
+before the single backward pass through D_i^1.
 """
 
 import numpy as np
@@ -62,37 +64,21 @@ class MonolithVflgan:
     def run_epoch(self):
         cfg = self.cfg
         b = cfg.batch_size
+        lam = cfg.lambda_server
         for _ in range(cfg.disc_steps):
             idx = self.batch.subsample(self.n, b)
             z = self.z.normal(b, cfg.latent_dim)
-            xs, xts = [], []
-            local = []
-            f_parts, ft_parts, tapes_fr, tapes_fs = [], [], [], []
+            xs, xts, tapes_fr, tapes_fs = [], [], [], []
             for i in range(self.m):
-                x = self.views[i][idx]
                 logits, _ = nn.forward(self.g[i], z)
                 xt = self.heads[i].forward(logits, self.gumbel[i])
+                x = self.views[i][idx]
                 xs.append(x)
                 xts.append(xt)
-                critic = nn.stack(self.d1[i], self.d2[i])
-                out_r, tape_r = nn.forward(critic, x)
-                out_s, tape_s = nn.forward(critic, xt)
-                grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / b))
-                grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / b))
-                x_hat = nn.interpolate(x, xt, self.beta[i])
-                _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
-                total = grads_r.add_(grads_s).add_(grads_p)
-                local.append(
-                    nn.split_grads(total, [len(self.d1[i].layers), len(self.d2[i].layers)])
-                )
-                fr, t1 = nn.forward(self.d1[i], x)
-                fs, t2 = nn.forward(self.d1[i], xt)
-                f_parts.append(fr)
-                ft_parts.append(fs)
-                tapes_fr.append(t1)
-                tapes_fs.append(t2)
-            f = np.hstack(f_parts)
-            ft = np.hstack(ft_parts)
+                tapes_fr.append(nn.forward(self.d1[i], x)[1])
+                tapes_fs.append(nn.forward(self.d1[i], xt)[1])
+            f = np.hstack([t.output for t in tapes_fr])
+            ft = np.hstack([t.output for t in tapes_fs])
             out_r, tape_r = nn.forward(self.ds, f)
             out_s, tape_s = nn.forward(self.ds, ft)
             grads_r, d_f = nn.backward(self.ds, tape_r, np.full_like(out_r, -1.0 / b))
@@ -100,42 +86,48 @@ class MonolithVflgan:
             f_hat = nn.interpolate(f, ft, self.beta_server)
             _, grads_p = nn.gradient_penalty(self.ds, f_hat, cfg.lambda_gp)
             ds_grads = grads_r.add_(grads_s).add_(grads_p)
+            self.ds, self.adam_ds = nn.adam_step(
+                self.ds, ds_grads, self.adam_ds, cfg.eta_server
+            )
             for i, sl in enumerate(self._feature_slices()):
-                g_r, _ = nn.backward(self.d1[i], tapes_fr[i], d_f[:, sl])
-                g_s, _ = nn.backward(self.d1[i], tapes_fs[i], d_ft[:, sl])
-                flow = g_r.add_(g_s).scale_(cfg.lambda_server)
-                d1_total = local[i][0].add_(flow)
+                # D_i^2 on the features, then the summed cotangents through D_i^1
+                out_r, tape_r = nn.forward(self.d2[i], tapes_fr[i].output)
+                out_s, tape_s = nn.forward(self.d2[i], tapes_fs[i].output)
+                d2_r, cot_r = nn.backward(self.d2[i], tape_r, np.full_like(out_r, -1.0 / b))
+                d2_s, cot_s = nn.backward(self.d2[i], tape_s, np.full_like(out_s, 1.0 / b))
+                x_hat = nn.interpolate(xs[i], xts[i], self.beta[i])
+                critic = nn.stack(self.d1[i], self.d2[i])
+                _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
+                p1, p2 = nn.split_grads(
+                    grads_p, [len(self.d1[i].layers), len(self.d2[i].layers)]
+                )
+                cot_r = cot_r + lam * d_f[:, sl]
+                cot_s = cot_s + lam * d_ft[:, sl]
+                d1_total, _ = nn.backward(self.d1[i], tapes_fr[i], cot_r)
+                d1_total.add_(nn.backward(self.d1[i], tapes_fs[i], cot_s)[0]).add_(p1)
                 self.d1[i], self.adam_d1[i] = nn.adam_step(
                     self.d1[i], d1_total, self.adam_d1[i], cfg.eta_d
                 )
                 self.d2[i], self.adam_d2[i] = nn.adam_step(
-                    self.d2[i], local[i][1], self.adam_d2[i], cfg.eta_d
+                    self.d2[i], d2_r.add_(d2_s).add_(p2), self.adam_d2[i], cfg.eta_d
                 )
-            self.ds, self.adam_ds = nn.adam_step(
-                self.ds, ds_grads, self.adam_ds, cfg.eta_server
-            )
         # generator iteration
         z = self.z.normal(b, cfg.latent_dim)
-        xts, logits_list, tapes_g, ft_parts, tapes_f = [], [], [], [], []
+        xts, tapes_g, tapes_f = [], [], []
         for i in range(self.m):
             logits, tape_g = nn.forward(self.g[i], z)
             xt = self.heads[i].forward(logits, self.gumbel[i])
-            f_t, tape_f = nn.forward(self.d1[i], xt)
             xts.append(xt)
-            logits_list.append(logits)
             tapes_g.append(tape_g)
-            ft_parts.append(f_t)
-            tapes_f.append(tape_f)
-        ft = np.hstack(ft_parts)
+            tapes_f.append(nn.forward(self.d1[i], xt)[1])
+        ft = np.hstack([t.output for t in tapes_f])
         out, tape = nn.forward(self.ds, ft)
         scale = -cfg.lambda_gen_server / b
         _, d_ft = nn.backward(self.ds, tape, np.full_like(out, scale))
         for i, sl in enumerate(self._feature_slices()):
-            _, d_xt = nn.backward(self.d1[i], tapes_f[i], d_ft[:, sl])
-            critic = nn.stack(self.d1[i], self.d2[i])
-            out_c, tape_c = nn.forward(critic, xts[i])
-            _, d_local = nn.backward(critic, tape_c, np.full_like(out_c, -1.0 / b))
-            d_xt = d_xt + d_local
+            out_c, tape_c = nn.forward(self.d2[i], tapes_f[i].output)
+            _, d_local = nn.backward(self.d2[i], tape_c, np.full_like(out_c, -1.0 / b))
+            _, d_xt = nn.backward(self.d1[i], tapes_f[i], d_ft[:, sl] + d_local)
             d_logits = self.heads[i].backward(xts[i], d_xt)
             g_grads, _ = nn.backward(self.g[i], tapes_g[i], d_logits)
             self.g[i], self.adam_g[i] = nn.adam_step(
