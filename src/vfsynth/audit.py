@@ -260,8 +260,7 @@ def _asif_job(args):
         cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m)
     )
     # the FULL dataset, encoded with the world's encoder, through D_i^1
-    full = D.encode(full_ds, enc)
-    views = [full.matrix[:, cols] for cols in split.column_spans(enc)]
+    views = fg.partition(D.encode(full_ds, enc), split).views
     feats = np.hstack(
         [nn_forward(d1, v)[0] for d1, v in zip(model.d1_parts, views)]
     )

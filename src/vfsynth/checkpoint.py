@@ -21,14 +21,16 @@ import struct
 
 import numpy as np
 
-from .nn import ACTIVATIONS, Layer, Mlp
+from .nn import Layer, Mlp
 
 __all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint"]
 
 MAGIC = b"VFSYNCK1"
 VERSION = 1
 
-_ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
+# 1 and 3 were relu and tanh; renumbering would change every checkpoint's bytes
+_ACT_CODE = {"identity": 0, "leaky_relu": 2}
+_ACT_NAME = {code: name for name, code in _ACT_CODE.items()}
 
 
 class CheckpointError(RuntimeError):
@@ -95,13 +97,13 @@ def read_checkpoint(path) -> dict[str, Mlp]:
     for name, layer_specs in specs:
         layers = []
         for code, slope, w_in, w_out in layer_specs:
-            if code >= len(ACTIVATIONS):
+            if code not in _ACT_NAME:
                 raise CheckpointError(f"{path}: unknown activation code {code}")
             w = np.frombuffer(r.take(8 * w_in * w_out), dtype="<f8").reshape(
                 w_in, w_out
             ).copy()
             b = np.frombuffer(r.take(8 * w_out), dtype="<f8").copy()
-            layers.append(Layer(w, b, ACTIVATIONS[code], slope))
+            layers.append(Layer(w, b, _ACT_NAME[code], slope))
         models[name] = Mlp(tuple(layers))
     if r.at != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after payload")

@@ -150,17 +150,10 @@ def _write_encoder(run_dir: Path, enc: D.Encoder) -> None:
 def _read_encoder(run_dir: Path, schema: D.Schema) -> D.Encoder:
     with open(run_dir / "encoder.yaml", "r", encoding="utf-8") as f:
         body = yaml.safe_load(f)
-    spans, at = [], 0
-    for attr in schema.attributes:
-        width = len(attr.categories) if attr.kind == "categorical" else 1
-        spans.append((at, width))
-        at += width
     return D.Encoder(
         schema,
         tuple(float(v) for v in body["mu"]),
         tuple(float(v) for v in body["sigma"]),
-        tuple(spans),
-        at,
     )
 
 
@@ -245,6 +238,7 @@ def cmd_generate(args) -> int:
     manifest = _read_manifest(run_dir)
     if manifest.get("status") != "completed":
         raise CliError(f"run {run_dir} did not complete (status: {manifest.get('status')})")
+    _verify_digest(run_dir, manifest, "config.yaml")
     cfg = load_config(run_dir / "config.yaml")
     which = "best" if args.best else "final"
     rel = f"checkpoints/{which}.ckpt"

@@ -49,6 +49,11 @@ class DpTarget:
             raise ConfigError("dp section values out of range")
 
 
+# integer audit settings and their least value; shadows and repeats are required
+_AUDIT_INTS = {"shadows": 2, "repeats": 1, "target": 0, "rows": 1,
+               "synthetic_rows": 1, "train_count": 1, "test_count": 1}
+
+
 @dataclass(frozen=True)
 class AuditSpec:
     modes: tuple[str, ...] = ("assd",)
@@ -63,6 +68,14 @@ class AuditSpec:
     test_count: int | None = None
 
     def __post_init__(self):
+        for name, least in _AUDIT_INTS.items():
+            v = getattr(self, name)
+            if v is None and name not in ("shadows", "repeats"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"audit.{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ConfigError(f"audit.{name} must be at least {least}, got {v}")
         for m in self.modes:
             if m not in ("assd", "asif"):
                 raise ConfigError(f"unknown audit mode {m!r}")
@@ -70,8 +83,6 @@ class AuditSpec:
             raise ConfigError("select must be 'outlier' or 'nn'")
         if self.target is None and self.select is None:
             raise ConfigError("audit needs an explicit target or a select rule")
-        if self.shadows < 2:
-            raise ConfigError("audit needs at least 2 shadows per world")
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,8 @@ def load_config(path) -> RunConfig:
         a = doc["audit"]
         audit = AuditSpec(
             modes=tuple(a.get("modes", ("assd",))),
-            shadows=int(a.get("shadows", 20)),
-            repeats=int(a.get("repeats", 5)),
+            shadows=a.get("shadows", 20),
+            repeats=a.get("repeats", 5),
             feature_kinds=tuple(a.get("feature_kinds", FEATURE_KINDS)),
             target=a.get("target"),
             select=a.get("select"),

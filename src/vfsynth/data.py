@@ -32,7 +32,6 @@ __all__ = [
     "fit_encoder",
     "encode",
     "decode",
-    "vertical_split",
     "subsample_batch",
     "leave_one_out",
     "subset",
@@ -222,16 +221,30 @@ def leave_one_out(ds: TabularDataset, target_index: int) -> TabularDataset:
 class Encoder:
     """Column layout and standardization parameters for one schema.
 
-    ``spans[i]`` is the (start, width) of attribute i in the encoded matrix;
-    numeric attributes carry (mu, sigma) with sigma the population standard
-    deviation.
+    ``spans[i]`` is the (start, width) of attribute i in the encoded matrix,
+    laid out here from the schema alone: one column per numeric attribute,
+    one per category. Numeric attributes carry (mu, sigma) with sigma the
+    population standard deviation.
     """
 
     schema: Schema
     mu: tuple[float, ...]
     sigma: tuple[float, ...]
-    spans: tuple[tuple[int, int], ...]
-    width: int
+    spans: tuple[tuple[int, int], ...] = field(init=False)
+    width: int = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.schema.attributes)
+        if len(self.mu) != n or len(self.sigma) != n:
+            raise DataError(f"encoder has {len(self.mu)} means and "
+                            f"{len(self.sigma)} deviations for {n} attributes")
+        spans, at = [], 0
+        for attr in self.schema.attributes:
+            width = len(attr.categories) if attr.kind == "categorical" else 1
+            spans.append((at, width))
+            at += width
+        object.__setattr__(self, "spans", tuple(spans))
+        object.__setattr__(self, "width", at)
 
     def span_columns(self, attr_index: int) -> np.ndarray:
         start, width = self.spans[attr_index]
@@ -239,26 +252,19 @@ class Encoder:
 
 
 def fit_encoder(ds: TabularDataset) -> Encoder:
-    mu, sigma, spans = [], [], []
-    at = 0
+    mu, sigma = [], []
     for attr, col in zip(ds.schema.attributes, ds.columns):
         if attr.is_numeric:
             if len(np.unique(col)) < 2:
                 raise DataError(
                     f"attribute {attr.name!r} is constant; cannot standardize"
                 )
-            m = float(np.mean(col))
-            s = float(np.std(col))  # population form
-            mu.append(m)
-            sigma.append(s)
-            spans.append((at, 1))
-            at += 1
+            mu.append(float(np.mean(col)))
+            sigma.append(float(np.std(col)))  # population form
         else:
             mu.append(0.0)
             sigma.append(0.0)
-            spans.append((at, len(attr.categories)))
-            at += len(attr.categories)
-    return Encoder(ds.schema, tuple(mu), tuple(sigma), tuple(spans), at)
+    return Encoder(ds.schema, tuple(mu), tuple(sigma))
 
 
 def encode(ds: TabularDataset, enc: Encoder) -> "EncodedDataset":
@@ -363,12 +369,6 @@ class VerticalSplit:
             cols = np.concatenate([enc.span_columns(i) for i in party])
             out.append(cols)
         return out
-
-
-def vertical_split(enc_ds: EncodedDataset, split: VerticalSplit) -> list[np.ndarray]:
-    """Per-party column views of the encoded matrix."""
-    split.validate_against(enc_ds.encoder.schema)
-    return [enc_ds.matrix[:, cols] for cols in split.column_spans(enc_ds.encoder)]
 
 
 def subsample_batch(n: int, batch: int, rng: RngStream) -> np.ndarray:

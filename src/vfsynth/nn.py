@@ -1,13 +1,12 @@
 """Dense-network primitives with exact first- and second-order gradients.
 
-Networks are plain stacks of affine layers and pointwise activations. Besides
-the usual forward/backward passes this module provides the second-order path
-needed by the WGAN gradient-penalty term: the penalty is a function of the
-input gradient of the critic, so its parameter gradient requires
-differentiating through the recorded reverse pass (double backprop). Only
-dense + pointwise layers are supported, which keeps that path closed-form:
-relu/leaky-relu have zero second derivative away from the kink, tanh has
-``phi'' = -2 tanh (1 - tanh^2)``.
+Networks are plain stacks of affine layers, each followed by an identity or
+leaky-ReLU activation. Besides the usual forward/backward passes this module
+provides the second-order path needed by the WGAN gradient-penalty term: the
+penalty is a function of the input gradient of the critic, so its parameter
+gradient requires differentiating through the recorded reverse pass (double
+backprop). Both activations are piecewise linear, so ``phi'' = 0`` (taken as
+0 at the kink) and that path needs no curvature pass.
 
 Matrices are float64 ndarrays with rows as batch samples; layer weights have
 shape (in, out) so a layer computes ``h @ W + b``.
@@ -15,7 +14,7 @@ shape (in, out) so a layer computes ``h @ W + b``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,12 @@ __all__ = [
     "split_grads",
 ]
 
-ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh")
+ACTIVATIONS = ("identity", "leaky_relu")
+
+# Adam moment decay rates and denominator guard (WGAN-GP settings)
+_BETA1 = 0.5
+_BETA2 = 0.9
+_EPS = 1e-8
 
 # guard inside the sqrt of the gradient norm; keeps the penalty differentiable
 # at zero-gradient rows and stays far below all test tolerances
@@ -78,9 +82,6 @@ class Mlp:
     def out_width(self) -> int:
         return self.layers[-1].w.shape[1]
 
-    def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
-
 
 @dataclass
 class GradSet:
@@ -96,16 +97,10 @@ class GradSet:
             [np.zeros_like(l.b) for l in mlp.layers],
         )
 
-    def add_(self, other: "GradSet", scale: float = 1.0) -> "GradSet":
+    def add_(self, other: "GradSet") -> "GradSet":
         for i in range(len(self.dw)):
-            self.dw[i] += scale * other.dw[i]
-            self.db[i] += scale * other.db[i]
-        return self
-
-    def scale_(self, scale: float) -> "GradSet":
-        for i in range(len(self.dw)):
-            self.dw[i] *= scale
-            self.db[i] *= scale
+            self.dw[i] += other.dw[i]
+            self.db[i] += other.db[i]
         return self
 
 
@@ -121,40 +116,22 @@ class Tape:
 def _act(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return a
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    if kind == "leaky_relu":
-        return np.where(a > 0.0, a, slope * a)
-    return np.tanh(a)
+    return np.where(a > 0.0, a, slope * a)
 
 
 def _act_deriv(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return np.ones_like(a)
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
-    if kind == "leaky_relu":
-        return np.where(a > 0.0, 1.0, slope)
-    t = np.tanh(a)
-    return 1.0 - t * t
-
-
-def _act_second_deriv(kind: str, slope: float, a: np.ndarray) -> np.ndarray | None:
-    # zero for the piecewise-linear activations (taken as 0 at the kink)
-    if kind in ("identity", "relu", "leaky_relu"):
-        return None
-    t = np.tanh(a)
-    return -2.0 * t * (1.0 - t * t)
+    return np.where(a > 0.0, 1.0, slope)
 
 
 def init_mlp(
-    widths: list[int],
-    rng: RngStream,
-    hidden_activation: str = "leaky_relu",
-    out_activation: str = "identity",
-    slope: float = 0.2,
+    widths: list[int], rng: RngStream, out_activation: str = "identity"
 ) -> Mlp:
-    """He-scaled random MLP: widths = [in, hidden..., out]."""
+    """He-scaled random MLP: widths = [in, hidden..., out].
+
+    Hidden layers are leaky-ReLU; the last layer uses ``out_activation``.
+    """
     if len(widths) < 2 or any(w <= 0 for w in widths):
         raise ValueError(f"invalid widths {widths}")
     layers = []
@@ -162,8 +139,8 @@ def init_mlp(
         fan_in, fan_out = widths[i], widths[i + 1]
         w = rng.normal(fan_in, fan_out) * np.sqrt(2.0 / fan_in)
         b = np.zeros(fan_out)
-        act = out_activation if i == len(widths) - 2 else hidden_activation
-        layers.append(Layer(w, b, act, slope))
+        act = out_activation if i == len(widths) - 2 else "leaky_relu"
+        layers.append(Layer(w, b, act))
     return Mlp(tuple(layers))
 
 
@@ -215,6 +192,7 @@ def gradient_penalty(
 
     The parameter gradient differentiates through the reverse pass that
     produced the input gradient (double backprop over the taped layers).
+    With ``phi'' = 0`` the biases receive no gradient.
     """
     if lambda_gp < 0:
         raise ValueError("lambda_gp must be >= 0")
@@ -226,13 +204,11 @@ def gradient_penalty(
     out, tape = forward(disc, x_hat)
 
     # reverse pass, recording the per-layer cotangents it produces
-    deltas = [None] * n_layers  # deltas[l] feeds layer l (cotangent on h_l)
     gs = [None] * n_layers  # cotangent on the pre-activation a_l
     phi1 = [None] * n_layers
     delta = np.ones_like(out)
     for l in range(n_layers - 1, -1, -1):
         layer = disc.layers[l]
-        deltas[l] = delta
         phi1[l] = _act_deriv(layer.activation, layer.slope, tape.pre[l])
         gs[l] = delta * phi1[l]
         delta = gs[l] @ layer.w.T
@@ -247,31 +223,12 @@ def gradient_penalty(
     grads = GradSet.zeros_like(disc)
 
     # differentiate the reverse pass (walk it in forward order)
-    p = v  # cotangent on delta_{l-1}
-    e = [None] * n_layers  # cotangent on a_l arriving through phi'
+    p = v  # cotangent on the reverse pass's output of layer l
     for l in range(n_layers):
         layer = disc.layers[l]
-        q = p @ layer.w  # cotangent on gs[l]
         grads.dw[l] += p.T @ gs[l]
-        phi2 = _act_second_deriv(layer.activation, layer.slope, tape.pre[l])
-        if phi2 is not None:
-            e[l] = q * deltas[l] * phi2
-        p = q * phi1[l]  # cotangent on deltas[l]
+        p = (p @ layer.w) * phi1[l]
     # p is now the cotangent on the constant seed vector: discard
-
-    # propagate the a_l cotangents back through the forward pass
-    r = None  # cotangent on h_l
-    for l in range(n_layers - 1, -1, -1):
-        layer = disc.layers[l]
-        t = r * phi1[l] if r is not None else None
-        if e[l] is not None:
-            t = e[l] if t is None else t + e[l]
-        if t is None:
-            r = None
-            continue
-        grads.dw[l] += tape.inputs[l].T @ t
-        grads.db[l] += t.sum(axis=0)
-        r = t @ layer.w.T
     return penalty, grads
 
 
@@ -321,19 +278,14 @@ class AdamState:
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.5
-    beta2: float = 0.9
-    eps: float = 1e-8
 
     @staticmethod
-    def for_mlp(mlp: Mlp, beta1: float = 0.5, beta2: float = 0.9) -> "AdamState":
+    def for_mlp(mlp: Mlp) -> "AdamState":
         return AdamState(
             [np.zeros_like(l.w) for l in mlp.layers],
             [np.zeros_like(l.w) for l in mlp.layers],
             [np.zeros_like(l.b) for l in mlp.layers],
             [np.zeros_like(l.b) for l in mlp.layers],
-            beta1=beta1,
-            beta2=beta2,
         )
 
 
@@ -344,7 +296,7 @@ def adam_step(
     if len(grads.dw) != len(mlp.layers):
         raise ValueError("gradient set does not match the network")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     new_layers = []
@@ -353,8 +305,8 @@ def adam_step(
         state.v_w[i] = b2 * state.v_w[i] + (1.0 - b2) * grads.dw[i] ** 2
         state.m_b[i] = b1 * state.m_b[i] + (1.0 - b1) * grads.db[i]
         state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.db[i] ** 2
-        w = layer.w - eta * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + state.eps)
-        b = layer.b - eta * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + state.eps)
+        w = layer.w - eta * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + _EPS)
+        b = layer.b - eta * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + _EPS)
         new_layers.append(Layer(w, b, layer.activation, layer.slope))
     return Mlp(tuple(new_layers)), state
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestCheckpointFormat:
         rng = RngStream(1)
         models = {
             "g0": nn.init_mlp([3, 5, 2], rng.child(0)),
-            "g1": nn.init_mlp([3, 4, 7], rng.child(1), hidden_activation="tanh"),
+            "g1": nn.init_mlp([3, 4, 7], rng.child(1), out_activation="leaky_relu"),
         }
         p = tmp_path / "m.ckpt"
         ck.write_checkpoint(p, models)
@@ -90,6 +91,29 @@ class TestCheckpointFormat:
         ck.write_checkpoint(p1, models)
         ck.write_checkpoint(p2, models)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pinned_bytes(self, tmp_path):
+        # activation codes: identity 0, leaky_relu 2
+        hidden = nn.Layer(np.ones((1, 2)), np.zeros(2), "leaky_relu")
+        out = nn.Layer(np.full((2, 1), 3.0), np.full(1, 0.5))
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, {"g0": nn.Mlp((hidden, out))})
+        want = (b"VFSYNCK1" + struct.pack("<IIH", 1, 1, 2) + b"g0"
+                + struct.pack("<I", 2)
+                + struct.pack("<BdII", 2, 0.2, 1, 2)
+                + struct.pack("<BdII", 0, 0.2, 2, 1)
+                + np.array([1.0, 1.0, 0.0, 0.0, 3.0, 3.0, 0.5], "<f8").tobytes())
+        assert p.read_bytes() == want
+
+    @pytest.mark.parametrize("code", [1, 3])
+    def test_retired_activation_codes_rejected(self, tmp_path, code):
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, {"g0": nn.init_mlp([3, 4, 1], RngStream(4))})
+        blob = bytearray(p.read_bytes())
+        blob[24] = code  # first layer header, after magic/version/count/name/layers
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ck.CheckpointError, match=f"unknown activation code {code}"):
+            ck.read_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -240,6 +264,17 @@ class TestGenerateCommand:
                    "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_tampered_config_rejected(self, tmp_path, capsys):
+        main(["train", "--config", str(toy_config(tmp_path))])
+        target = tmp_path / "run" / "config.yaml"
+        doc = yaml.safe_load(target.read_text())
+        doc["gan"]["numeric_activation"] = "tanh"
+        target.write_text(yaml.safe_dump(doc))
+        rc = main(["generate", "--run", str(tmp_path / "run"), "--n", "5",
+                   "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "config.yaml digest mismatch" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_eval_self_comparison(self, tmp_path):
@@ -352,6 +387,23 @@ class TestAuditCommand:
         cfg = load_config(cfg_path)
         ds = d.load_csv(cfg.dataset_path, cfg.schema)
         assert find_vulnerable_nn(ds) == find_vulnerable_nn(ds)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", "40"), ("rows", True), ("rows", 0),
+        ("target", "3"), ("target", 2.0), ("target", -1),
+        ("synthetic_rows", 0), ("synthetic_rows", "10"),
+        ("train_count", "2"), ("test_count", 1.5),
+        ("shadows", "4"), ("shadows", True), ("repeats", 2.0),
+    ])
+    def test_malformed_integers_rejected(self, tmp_path, capsys, field, value):
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn",
+                 "train_count": 2, "test_count": 2, field: value}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        rc = main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"audit.{field}" in err
 
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(

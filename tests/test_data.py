@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vfsynth import data as d
+from vfsynth import fedgan as fg
 from vfsynth.rng import RngStream
 
 WINE_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "winequality-red.csv")
@@ -127,6 +128,16 @@ class TestEncoder:
         assert enc.width == 1 + 1 + 3
         assert enc.spans[2] == (2, 3)
 
+    def test_layout_derived_from_schema(self):
+        enc = d.fit_encoder(toy_dataset())
+        assert d.Encoder(enc.schema, enc.mu, enc.sigma) == enc
+
+    @pytest.mark.parametrize("mu,sigma", [((0.0, 0.0), (1.0, 1.0, 0.0)),
+                                          ((0.0, 0.0, 0.0), (1.0,))])
+    def test_parameter_count_must_match_schema(self, mu, sigma):
+        with pytest.raises(d.DataError, match="for 3 attributes"):
+            d.Encoder(toy_schema(), mu, sigma)
+
     @pytest.mark.skipif(not os.path.exists(WINE_PATH), reason="wine csv not present")
     def test_wine_quality_one_hot_width(self):
         ds = d.load_csv(WINE_PATH, wine_schema())
@@ -190,7 +201,7 @@ class TestVerticalSplit:
         ds = toy_dataset(n=20, seed=7)
         e = d.encode(ds, d.fit_encoder(ds))
         split = d.VerticalSplit(((0, 1), (2,)))
-        views = d.vertical_split(e, split)
+        views = fg.partition(e, split).views
         assert views[0].shape == (20, 2)
         assert views[1].shape == (20, 3)
         assert np.array_equal(np.hstack(views), e.matrix)
@@ -207,7 +218,7 @@ class TestVerticalSplit:
         ds = toy_dataset()
         e = d.encode(ds, d.fit_encoder(ds))
         with pytest.raises(d.DataError):
-            d.vertical_split(e, d.VerticalSplit(((0, 1),)))
+            fg.partition(e, d.VerticalSplit(((0, 1),)))
 
     def test_non_contiguous_rejected(self):
         with pytest.raises(d.DataError, match="contiguous"):

@@ -11,9 +11,7 @@ from vfsynth.rng import RngStream
 
 ACT_FNS = {
     "identity": lambda a, s: a,
-    "relu": lambda a, s: np.maximum(a, 0.0),
     "leaky_relu": lambda a, s: np.where(a > 0, a, s * a),
-    "tanh": lambda a, s: np.tanh(a),
 }
 
 
@@ -62,17 +60,32 @@ def max_rel_err(a, b):
     return float((num / den).max()) if num.size else 0.0
 
 
-def sample_net_away_from_kinks(rng, widths, act, batch_size=5, margin=1e-2):
-    """Random net + batch whose pre-activations stay clear of relu kinks,
-    so finite differences see a locally smooth function."""
+def uniform_net(widths, act):
+    """Builder of a random net whose every layer uses ``act``."""
+    def build(rng):
+        mlp = nn.init_mlp(widths, rng)
+        return Mlp(tuple(Layer(l.w, l.b, act) for l in mlp.layers))
+    return build
+
+
+def stacked_critic(rng):
+    """Shaped like a party critic: D^1 with a leaky-ReLU feature layer,
+    stacked on D^2 with a hidden layer and a scalar output."""
+    d1 = nn.init_mlp([3, 6, 4], rng.child(1), out_activation="leaky_relu")
+    d2 = nn.init_mlp([4, 5, 1], rng.child(2))
+    return nn.stack(d1, d2)
+
+
+def sample_net_away_from_kinks(rng, build, batch_size=5, margin=1e-2):
+    """Random net + batch whose pre-activations stay clear of leaky-ReLU
+    kinks, so finite differences see a locally smooth function."""
     for _ in range(200):
-        mlp = nn.init_mlp(widths, rng.child("init", rng.integers(0, 2**31)),
-                          hidden_activation=act, out_activation=act)
-        batch = rng.normal(batch_size, widths[0])
+        mlp = build(rng.child("init", rng.integers(0, 2**31)))
+        batch = rng.normal(batch_size, mlp.in_width)
         _, tape = nn.forward(mlp, batch)
-        if act in ("relu", "leaky_relu"):
-            if min(float(np.abs(a).min()) for a in tape.pre) < margin:
-                continue
+        if any(l.activation == "leaky_relu" and float(np.abs(a).min()) < margin
+               for l, a in zip(mlp.layers, tape.pre)):
+            continue
         return mlp, batch
     raise AssertionError("could not sample a kink-free configuration")
 
@@ -87,15 +100,10 @@ class TestForward:
         out, _ = nn.forward(mlp, np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
-    def test_tanh_zero_weights(self):
-        mlp = Mlp((Layer(np.zeros((3, 2)), np.zeros(2), "tanh"),))
-        out, _ = nn.forward(mlp, np.ones((4, 3)))
-        assert np.array_equal(out, np.zeros((4, 2)))
-
     def test_matches_straight_line_reevaluation(self):
         rng = RngStream(10, "fwd")
-        for act in ("relu", "leaky_relu", "tanh", "identity"):
-            mlp = nn.init_mlp([4, 8, 6, 3], rng.child(act), hidden_activation=act)
+        for act in nn.ACTIVATIONS:
+            mlp = nn.init_mlp([4, 8, 6, 3], rng.child(act), out_activation=act)
             batch = rng.normal(7, 4)
             out, tape = nn.forward(mlp, batch)
             assert np.array_equal(out, straight_line_forward(mlp, batch))
@@ -130,21 +138,21 @@ class TestBackward:
         assert np.array_equal(grads.db[0], [1.0, 1.0])
         assert np.array_equal(input_grad, np.array([[2.0, 3.0]]))
 
-    def test_dead_relu_zeroes_upstream(self):
-        l0 = Layer(np.ones((2, 3)), np.full(3, -100.0), "relu")
+    def test_leaky_relu_below_kink_scales_upstream_by_slope(self):
+        l0 = Layer(np.ones((2, 3)), np.full(3, -100.0), "leaky_relu", 0.25)
         l1 = Layer(np.ones((3, 1)), np.zeros(1), "identity")
         mlp = Mlp((l0, l1))
         x = np.array([[0.5, 0.5]])
         out, tape = nn.forward(mlp, x)
         grads, input_grad = nn.backward(mlp, tape, np.ones_like(out))
-        assert np.array_equal(grads.dw[0], np.zeros((2, 3)))
-        assert np.array_equal(grads.db[0], np.zeros(3))
-        assert np.array_equal(input_grad, np.zeros((1, 2)))
+        assert np.array_equal(grads.dw[0], np.full((2, 3), 0.125))
+        assert np.array_equal(grads.db[0], np.full(3, 0.25))
+        assert np.array_equal(input_grad, np.full((1, 2), 0.75))
 
-    @pytest.mark.parametrize("act", ["identity", "relu", "leaky_relu", "tanh"])
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
     def test_matches_finite_differences(self, act):
         rng = RngStream(12, "bwd", act)
-        mlp, batch = sample_net_away_from_kinks(rng, [3, 6, 5, 2], act)
+        mlp, batch = sample_net_away_from_kinks(rng, uniform_net([3, 6, 5, 2], act))
         r = rng.normal(batch.shape[0], 2)  # fixed cotangent
 
         out, tape = nn.forward(mlp, batch)
@@ -222,13 +230,12 @@ class TestGradientPenalty:
         assert penalty == pytest.approx(10.0, rel=1e-5)  # (0 - 1)^2 per row
         assert all(np.isfinite(g).all() for g in grads.dw + grads.db)
 
-    @pytest.mark.parametrize("act", ["leaky_relu", "tanh", "relu"])
-    def test_matches_finite_differences(self, act):
-        rng = RngStream(21, "gp", act)
+    @pytest.mark.parametrize("net", ["identity", "leaky_relu", "stacked_critic"])
+    def test_matches_finite_differences(self, net):
+        build = stacked_critic if net == "stacked_critic" else uniform_net([3, 6, 1], net)
+        rng = RngStream(21, "gp", net)
         for trial in range(3):
-            disc, x_hat = sample_net_away_from_kinks(
-                rng.child(trial), [3, 6, 1], act, batch_size=4
-            )
+            disc, x_hat = sample_net_away_from_kinks(rng.child(trial), build, batch_size=4)
             lam = 10.0
             _, grads = nn.gradient_penalty(disc, x_hat, lam)
             fdw, fdb = fd_param_grads(disc, lambda m: penalty_value(m, x_hat, lam))
@@ -237,7 +244,7 @@ class TestGradientPenalty:
 
     def test_penalty_agrees_with_straight_line_value(self):
         rng = RngStream(22)
-        disc = nn.init_mlp([4, 8, 1], rng, hidden_activation="tanh")
+        disc = nn.init_mlp([4, 8, 1], rng)
         x_hat = rng.normal(6, 4)
         penalty, _ = nn.gradient_penalty(disc, x_hat, 10.0)
         assert penalty == pytest.approx(penalty_value(disc, x_hat, 10.0), rel=1e-12)
