@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 FEATURE_KINDS = ("naive", "correlation")
+AUDIT_MODES = ("assd", "asif")
 
 
 def thread_count() -> int:
@@ -70,38 +71,57 @@ def thread_count() -> int:
     return count
 
 
+# least values; the attack's AUC needs two test shadows per world
+_INTS = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
+         "synthetic_rows": 1, "train_count": 1, "test_count": 2}
+
+
 @dataclass(frozen=True)
 class AuditConfig:
-    """Shadow-ensemble and attack settings.
+    """The ``audit:`` section plus the run's variant, GAN and DP settings.
 
     ``train_count``/``test_count`` are per world; when omitted they default
     to a 70/30 split of the shadow count, mirroring the 140/60 protocol at
-    one hundred shadows per world.
+    one hundred shadows per world. ``target``/``select`` and ``rows`` are
+    read by the command line, which picks the target record and the rows.
     """
 
-    shadows: int  # M per world
+    shadows: int = 20  # M per world
     repeats: int = 5
+    modes: tuple[str, ...] = ("assd",)
     feature_kinds: tuple[str, ...] = FEATURE_KINDS
+    target: int | None = None
+    select: str | None = None  # "outlier" | "nn"
+    rows: int | None = None  # restrict the dataset to its first rows
+    synthetic_rows: int | None = None  # defaults to the dataset size
     train_count: int | None = None
     test_count: int | None = None
     variant: str = fg.VFLGAN
     gan: fg.GanConfig = field(default_factory=fg.GanConfig)
     dp: DpConfig | None = None
-    synthetic_rows: int | None = None  # defaults to the dataset size
 
     def __post_init__(self):
-        if self.shadows < 2:
-            raise ValueError("need at least 2 shadow models per world")
-        if self.repeats < 1:
-            raise ValueError("repeats must be positive")
-        for kind in self.feature_kinds:
-            if kind not in FEATURE_KINDS:
-                raise ValueError(f"unknown feature kind {kind!r}")
+        for name, least in _INTS.items():
+            v = getattr(self, name)
+            if v is None and name not in ("shadows", "repeats"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"audit.{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ValueError(f"audit.{name} must be at least {least}, got {v}")
+        for name, allowed in (("modes", AUDIT_MODES), ("feature_kinds", FEATURE_KINDS)):
+            got = getattr(self, name)
+            if not isinstance(got, tuple) or not all(v in allowed for v in got):
+                raise ValueError(f"audit.{name} must list names from {allowed}, got {got!r}")
+        if self.select not in (None, "outlier", "nn"):
+            raise ValueError(f"audit.select must be outlier or nn, got {self.select!r}")
         tr, te = self.split_counts()
         if tr + te > self.shadows:
-            raise ValueError("train+test exceeds the shadow count per world")
-        if tr < 1 or te < 1:
-            raise ValueError("train and test counts must be positive")
+            raise ValueError(f"audit.train_count + audit.test_count ({tr} + {te}) "
+                             f"exceeds audit.shadows ({self.shadows})")
+        if te < 2:
+            raise ValueError(f"audit.test_count must be at least 2, got {te} "
+                             f"(derived from audit.shadows={self.shadows})")
 
     def split_counts(self) -> tuple[int, int]:
         if self.train_count is not None:
@@ -123,9 +143,6 @@ class FeatureSets:
 
 @dataclass(frozen=True)
 class AuditReport:
-    target_index: int
-    shadows: int
-    dp_enabled: bool
     auc_mean: dict[str, float]
     auc_std: dict[str, float]
 
@@ -163,17 +180,17 @@ def corr_features_matrix(m: np.ndarray) -> np.ndarray:
     return corr[iu]
 
 
+def _raw_block(attr: D.Attribute, col: np.ndarray) -> np.ndarray:
+    """Exact one-hot block of a categorical column, else the raw column."""
+    if attr.kind == "categorical":
+        return np.eye(len(attr.categories))[col]
+    return col.astype(np.float64)[:, None]
+
+
 def _schema_numeric_matrix(ds: D.TabularDataset) -> np.ndarray:
     """Raw numerics + exact one-hot blocks, in schema order (no scaling)."""
-    cols = []
-    for attr, col in zip(ds.schema.attributes, ds.columns):
-        if attr.kind == "categorical":
-            block = np.zeros((ds.n_rows, len(attr.categories)))
-            block[np.arange(ds.n_rows), col] = 1.0
-            cols.append(block)
-        else:
-            cols.append(col.astype(np.float64)[:, None])
-    return np.hstack(cols)
+    attrs = zip(ds.schema.attributes, ds.columns)
+    return np.hstack([_raw_block(a, c) for a, c in attrs])
 
 
 def extract_naive(ds: D.TabularDataset) -> np.ndarray:
@@ -239,13 +256,17 @@ def _run_jobs(args_list, fn):
         return list(pool.map(fn, args_list))
 
 
-def _assd_job(args):
-    world_ds, split, cfg, rng, world, m, synth_rows = args
+def _train_shadow(world_ds, split, cfg, rng, world, m):
+    """One shadow training on a world's data; returns (encoder, model)."""
     enc = D.fit_encoder(world_ds)
     parts = fg.partition(D.encode(world_ds, enc), split)
-    model = fg.train(
-        cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m)
-    )
+    model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
+    return enc, model
+
+
+def _assd_job(args):
+    world_ds, cfg, split, rng, world, m, synth_rows = args
+    _, model = _train_shadow(world_ds, split, cfg, rng, world, m)
     synth = D.decode(
         fg.generate(model, synth_rows, rng.child("synth", world, m), best=True)
     )
@@ -253,18 +274,26 @@ def _assd_job(args):
 
 
 def _asif_job(args):
-    world_ds, full_ds, split, cfg, rng, world, m = args
-    enc = D.fit_encoder(world_ds)
-    parts = fg.partition(D.encode(world_ds, enc), split)
-    model = fg.train(
-        cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m)
-    )
+    world_ds, cfg, split, rng, world, m, full_ds = args
+    enc, model = _train_shadow(world_ds, split, cfg, rng, world, m)
     # the FULL dataset, encoded with the world's encoder, through D_i^1
     views = fg.partition(D.encode(full_ds, enc), split).views
     feats = np.hstack(
         [nn_forward(d1, v)[0] for d1, v in zip(model.d1_parts, views)]
     )
     return {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
+
+
+def _shadow_sets(ds, target_index, split, cfg, rng, job, extra) -> FeatureSets:
+    """``job`` for shadows m < M of world 0 (target out), then of world 1."""
+    if not 0 <= target_index < ds.n_rows:
+        raise D.DataError(f"target index {target_index} out of range")
+    worlds = _worlds(ds, target_index, cfg)
+    jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
+    rows = _run_jobs([(*worlds[w], split, rng, w, m, extra) for w, m in jobs], job)
+    features = {k: np.vstack([r[k] for r in rows]) for k in cfg.feature_kinds}
+    labels = np.array([world for world, _ in jobs], dtype=np.int64)
+    return FeatureSets(features, labels)
 
 
 def train_shadows_assd(
@@ -275,20 +304,8 @@ def train_shadows_assd(
     rng: RngStream,
 ) -> FeatureSets:
     """Shadow generators per world; features of their synthetic outputs."""
-    if not 0 <= target_index < ds.n_rows:
-        raise D.DataError(f"target index {target_index} out of range")
-    worlds = _worlds(ds, target_index, cfg)
     synth_rows = cfg.synthetic_rows or ds.n_rows
-    jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(
-        [(worlds[w][0], split, worlds[w][1], rng, w, m, synth_rows) for w, m in jobs],
-        _assd_job,
-    )
-    features = {
-        kind: np.vstack([r[kind] for r in rows]) for kind in cfg.feature_kinds
-    }
-    labels = np.array([world for world, _ in jobs], dtype=np.int64)
-    return FeatureSets(features, labels)
+    return _shadow_sets(ds, target_index, split, cfg, rng, _assd_job, synth_rows)
 
 
 def train_shadows_asif(
@@ -303,19 +320,7 @@ def train_shadows_asif(
     summarized with the configured extractors."""
     if cfg.variant not in (fg.VFLGAN, fg.VFLGAN_BASE):
         raise ValueError("intermediate-feature auditing needs a split-critic variant")
-    if not 0 <= target_index < ds.n_rows:
-        raise D.DataError(f"target index {target_index} out of range")
-    worlds = _worlds(ds, target_index, cfg)
-    jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(
-        [(worlds[w][0], ds, split, worlds[w][1], rng, w, m) for w, m in jobs],
-        _asif_job,
-    )
-    features = {
-        kind: np.vstack([r[kind] for r in rows]) for kind in cfg.feature_kinds
-    }
-    labels = np.array([world for world, _ in jobs], dtype=np.int64)
-    return FeatureSets(features, labels)
+    return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +335,15 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
-    ranks = np.empty(len(order))
-    combined = np.concatenate([pos, neg])[order]
-    # average ranks over tie groups
-    i = 0
-    while i < len(combined):
-        j = i
-        while j + 1 < len(combined) and combined[j + 1] == combined[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_of = np.empty(len(order))
-    rank_of[order] = ranks
-    r_pos = rank_of[: len(pos)].sum()
-    u = r_pos - len(pos) * (len(pos) + 1) / 2.0
-    return float(u / (len(pos) * len(neg)))
+    # per positive: the negatives below it plus half of those tied with it;
+    # every term is an integer or a half, so the sum is exact
+    neg = np.sort(neg)
+    twice_u = np.sum(np.searchsorted(neg, pos, side="left")
+                     + np.searchsorted(neg, pos, side="right"))
+    return float(twice_u / 2.0 / (len(pos) * len(neg)))
 
 
-def run_attack(
-    sets: FeatureSets, cfg: AuditConfig, rng: RngStream, target_index: int = -1
-) -> AuditReport:
+def run_attack(sets: FeatureSets, cfg: AuditConfig, rng: RngStream) -> AuditReport:
     """Decision-forest adversary over repeated balanced train/test splits."""
     n_train, n_test = cfg.split_counts()
     labels = sets.labels
@@ -358,8 +351,6 @@ def run_attack(
     world1 = np.nonzero(labels == 1)[0]
     if min(len(world0), len(world1)) < n_train + n_test:
         raise ValueError("not enough shadows per world for the requested split")
-    if n_test < 2:
-        raise ValueError("need at least 2 test examples per class")
     means, stds = {}, {}
     for kind in cfg.feature_kinds:
         x = sets.features[kind]
@@ -380,13 +371,7 @@ def run_attack(
             aucs.append(auc(scores, labels[test_rows]))
         means[kind] = float(np.mean(aucs))
         stds[kind] = float(np.std(aucs))
-    return AuditReport(
-        target_index=target_index,
-        shadows=cfg.shadows,
-        dp_enabled=cfg.dp is not None,
-        auc_mean=means,
-        auc_std=stds,
-    )
+    return AuditReport(auc_mean=means, auc_std=stds)
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +459,12 @@ def find_vulnerable_nn(ds: D.TabularDataset) -> int:
     by their attribute counts)."""
     if ds.n_rows < 2:
         raise D.DataError("need at least 2 rows")
-    cat_cols, cont_cols = [], []
-    n_cat = n_cont = 0
-    for attr, col in zip(ds.schema.attributes, ds.columns):
-        if attr.kind == "categorical":
-            block = np.zeros((ds.n_rows, len(attr.categories)))
-            block[np.arange(ds.n_rows), col] = 1.0
-            cat_cols.append(block)
-            n_cat += 1
-        else:
-            cont_cols.append(col.astype(np.float64)[:, None])
-            n_cont += 1
-    total = n_cat + n_cont
-    cat = np.hstack(cat_cols) if cat_cols else np.zeros((ds.n_rows, 0))
-    cont = np.hstack(cont_cols) if cont_cols else np.zeros((ds.n_rows, 0))
-    dists = nearest_neighbor_distances(cat, cont, n_cat / total, n_cont / total)
+    attrs = list(zip(ds.schema.attributes, ds.columns))
+    cat = [_raw_block(a, c) for a, c in attrs if a.kind == "categorical"]
+    cont = [_raw_block(a, c) for a, c in attrs if a.kind != "categorical"]
+    empty = np.zeros((ds.n_rows, 0))
+    dists = nearest_neighbor_distances(
+        np.hstack([empty, *cat]), np.hstack([empty, *cont]),
+        len(cat) / len(attrs), len(cont) / len(attrs),
+    )
     return int(np.argmax(dists))

@@ -305,18 +305,15 @@ def cmd_eval(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _select_target(ds: D.TabularDataset, spec, override_select, override_target):
+def _select_target(ds: D.TabularDataset, acfg, override_select, override_target):
     if override_target is not None:
         return int(override_target)
-    select = override_select or spec.select
+    select = override_select or acfg.select
     if select == "outlier":
-        idx, _, _ = au.find_vulnerable_outlier(ds)
-        return idx
+        return au.find_vulnerable_outlier(ds)[0]
     if select == "nn":
         return au.find_vulnerable_nn(ds)
-    if spec.target is None:
-        raise CliError("audit target not determined")
-    return int(spec.target)
+    return acfg.target  # the config loader requires a target or a select rule
 
 
 def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
@@ -331,35 +328,23 @@ def cmd_audit(args) -> int:
     cfg = load_config(args.config)
     if cfg.audit is None:
         raise CliError("config has no audit section")
-    spec = cfg.audit
+    acfg = cfg.audit
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
-    if spec.rows is not None:
-        if spec.rows > ds.n_rows:
-            raise CliError(f"audit.rows={spec.rows} exceeds dataset size {ds.n_rows}")
-        ds = D.subset(ds, np.arange(spec.rows))
-    target = _select_target(ds, spec, args.select, args.target)
+    if acfg.rows is not None:
+        if acfg.rows > ds.n_rows:
+            raise CliError(f"audit.rows={acfg.rows} exceeds dataset size {ds.n_rows}")
+        ds = D.subset(ds, np.arange(acfg.rows))
+    target = _select_target(ds, acfg, args.select, args.target)
     # one sigma, calibrated for the n-1 rows of the leave-one-out world
     dp_cfg, dp_report = _resolve_dp(cfg, ds.n_rows - 1)
-    acfg = au.AuditConfig(
-        shadows=spec.shadows,
-        repeats=spec.repeats,
-        feature_kinds=spec.feature_kinds,
-        train_count=spec.train_count,
-        test_count=spec.test_count,
-        variant=cfg.variant,
-        gan=cfg.gan,
-        dp=dp_cfg,
-        synthetic_rows=spec.synthetic_rows,
-    )
+    acfg = dataclasses.replace(acfg, dp=dp_cfg)
     out = _fresh_dir(args.out if args.out else cfg.output_dir)
     root = RngStream(cfg.seed, "audit")
     results = {}
-    for mode in spec.modes:
-        trainer = (
-            au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
-        )
+    for mode in acfg.modes:
+        trainer = au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
         sets = trainer(ds, target, cfg.split, acfg, root.child(mode))
-        report = au.run_attack(sets, acfg, root.child(mode, "attack"), target)
+        report = au.run_attack(sets, acfg, root.child(mode, "attack"))
         results[mode] = report
         for kind in acfg.feature_kinds:
             _write_feature_csv(
@@ -369,8 +354,8 @@ def cmd_audit(args) -> int:
             )
     body = {
         "target_index": int(target),
-        "shadows_per_world": spec.shadows,
-        "repeats": spec.repeats,
+        "shadows_per_world": acfg.shadows,
+        "repeats": acfg.repeats,
         "dp_enabled": dp_cfg is not None,
         "results": {
             mode: {

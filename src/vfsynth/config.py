@@ -1,6 +1,7 @@
 """Run configuration: a versioned YAML document with a validating loader.
 
-Top-level keys (see README for the full reference):
+Top-level keys (see README for the full reference); an unknown key in any
+section is an error:
 
 * ``config_version`` — must be 1.
 * ``dataset`` — ``path`` plus ``schema`` (ordered ``attributes`` with
@@ -11,25 +12,27 @@ Top-level keys (see README for the full reference):
 * ``variant`` — vflgan | vflgan_base | vertigan | central.
 * ``seed`` — base seed; every stream in the run derives from it.
 * ``output_dir`` — run directory to create.
-* ``gan`` — optional GanConfig overrides.
+* ``gan`` — optional ``GanConfig`` overrides, type-checked by ``GanConfig``.
 * ``dp`` — optional: ``epsilon``, ``delta``, ``clip``; the noise multiplier
   is calibrated by the accountant before training.
-* ``audit`` — optional: ``modes`` (assd/asif), ``shadows``, ``repeats``,
-  ``feature_kinds``, ``target`` index or ``select`` (outlier|nn), and
-  optional ``rows`` to restrict the dataset to its first rows.
+* ``audit`` — optional ``AuditConfig`` settings: ``modes`` (assd/asif),
+  ``shadows``, ``repeats``, ``feature_kinds``, ``target`` index or
+  ``select`` (outlier|nn), ``rows``, ``synthetic_rows``, ``train_count``,
+  ``test_count``. ``AuditConfig`` checks them and takes the run's
+  ``variant`` and ``gan``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import yaml
 
 from . import fedgan as fg
-from .audit import FEATURE_KINDS
+from .audit import AuditConfig
 from .data import Attribute, Schema, VerticalSplit
 
-__all__ = ["ConfigError", "DpTarget", "AuditSpec", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "DpTarget", "RunConfig", "load_config"]
 
 CONFIG_VERSION = 1
 
@@ -49,42 +52,6 @@ class DpTarget:
             raise ConfigError("dp section values out of range")
 
 
-# integer audit settings and their least value; shadows and repeats are required
-_AUDIT_INTS = {"shadows": 2, "repeats": 1, "target": 0, "rows": 1,
-               "synthetic_rows": 1, "train_count": 1, "test_count": 1}
-
-
-@dataclass(frozen=True)
-class AuditSpec:
-    modes: tuple[str, ...] = ("assd",)
-    shadows: int = 20
-    repeats: int = 5
-    feature_kinds: tuple[str, ...] = FEATURE_KINDS
-    target: int | None = None
-    select: str | None = None  # "outlier" | "nn"
-    rows: int | None = None
-    synthetic_rows: int | None = None
-    train_count: int | None = None  # per world; default 70% of shadows
-    test_count: int | None = None
-
-    def __post_init__(self):
-        for name, least in _AUDIT_INTS.items():
-            v = getattr(self, name)
-            if v is None and name not in ("shadows", "repeats"):
-                continue
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"audit.{name} must be an integer, got {v!r}")
-            if v < least:
-                raise ConfigError(f"audit.{name} must be at least {least}, got {v}")
-        for m in self.modes:
-            if m not in ("assd", "asif"):
-                raise ConfigError(f"unknown audit mode {m!r}")
-        if self.select is not None and self.select not in ("outlier", "nn"):
-            raise ConfigError("select must be 'outlier' or 'nn'")
-        if self.target is None and self.select is None:
-            raise ConfigError("audit needs an explicit target or a select rule")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     dataset_path: str
@@ -95,7 +62,7 @@ class RunConfig:
     output_dir: str
     gan: fg.GanConfig
     dp: DpTarget | None = None
-    audit: AuditSpec | None = None
+    audit: AuditConfig | None = None
 
 
 def _require(mapping, key, where):
@@ -121,20 +88,29 @@ def _schema_from(doc) -> Schema:
         raise ConfigError(str(exc)) from None
 
 
-def _gan_from(doc) -> fg.GanConfig:
-    if doc is None:
-        return fg.GanConfig()
-    known = fg.GanConfig.__dataclass_fields__
+_TOP_KEYS = ("config_version", "dataset", "split", "variant", "seed",
+             "output_dir", "gan", "dp", "audit")
+# AuditConfig fields the run sets; they are not audit-section keys
+_RUN_FIELDS = ("variant", "gan", "dp")
+
+
+def _check_keys(doc, known, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(doc) - set(known)
     if unknown:
-        raise ConfigError(f"unknown gan settings: {sorted(unknown)}")
-    kwargs = {}
-    for k, v in doc.items():
-        kwargs[k] = tuple(v) if isinstance(v, list) else v
+        raise ConfigError(f"unknown {where} settings: {sorted(unknown)}")
+
+
+def _section(cls, doc, where, **run):
+    """Build ``cls`` from a config section; lists become tuples."""
+    known = [f.name for f in fields(cls) if f.name not in _RUN_FIELDS]
+    _check_keys(doc, known, where)
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     try:
-        return fg.GanConfig(**kwargs)
+        return cls(**kwargs, **run)
     except ValueError as exc:
-        raise ConfigError(f"gan section: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> RunConfig:
@@ -147,12 +123,14 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a mapping at top level")
+    _check_keys(doc, _TOP_KEYS, "top-level")
     version = _require(doc, "config_version", "config")
     if version != CONFIG_VERSION:
         raise ConfigError(
             f"config_version {version} unsupported (expected {CONFIG_VERSION})"
         )
     dataset = _require(doc, "dataset", "config")
+    _check_keys(dataset, ("path", "schema"), "dataset")
     schema = _schema_from(_require(dataset, "schema", "dataset"))
     split_doc = _require(doc, "split", "config")
     try:
@@ -165,10 +143,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"unknown variant {variant!r} (choose from {fg.VARIANTS})")
     seed = int(_require(doc, "seed", "config"))
     output_dir = str(_require(doc, "output_dir", "config"))
-    gan = _gan_from(doc.get("gan"))
+    gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
     dp = None
     if doc.get("dp") is not None:
         dp_doc = doc["dp"]
+        _check_keys(dp_doc, ("epsilon", "delta", "clip"), "dp")
         dp = DpTarget(
             float(_require(dp_doc, "epsilon", "dp")),
             float(_require(dp_doc, "delta", "dp")),
@@ -176,19 +155,9 @@ def load_config(path) -> RunConfig:
         )
     audit = None
     if doc.get("audit") is not None:
-        a = doc["audit"]
-        audit = AuditSpec(
-            modes=tuple(a.get("modes", ("assd",))),
-            shadows=a.get("shadows", 20),
-            repeats=a.get("repeats", 5),
-            feature_kinds=tuple(a.get("feature_kinds", FEATURE_KINDS)),
-            target=a.get("target"),
-            select=a.get("select"),
-            rows=a.get("rows"),
-            synthetic_rows=a.get("synthetic_rows"),
-            train_count=a.get("train_count"),
-            test_count=a.get("test_count"),
-        )
+        audit = _section(AuditConfig, doc["audit"], "audit", variant=variant, gan=gan)
+        if audit.target is None and audit.select is None:
+            raise ConfigError("audit needs an explicit target or a select rule")
     return RunConfig(
         dataset_path=str(_require(dataset, "path", "dataset")),
         schema=schema,

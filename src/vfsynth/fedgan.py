@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,6 +84,31 @@ class TrainingDiverged(RuntimeError):
     """A loss became non-finite; names the epoch and role."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_gan_type(name: str, annotation: str, v) -> None:
+    """Reject a GanConfig value of the wrong type, naming ``gan.<name>``."""
+    if annotation == "int":
+        ok, want = _is_int(v), "an integer"
+    elif annotation == "float":
+        ok, want = _is_int(v) or isinstance(v, float), "a number"
+    else:  # hidden-layer widths
+        ok = isinstance(v, tuple) and all(_is_int(w) and w > 0 for w in v)
+        want = "a list of positive integers"
+    if not ok:
+        hint = ""
+        if annotation == "float" and isinstance(v, str):
+            try:
+                float(v)
+                hint = ("; YAML reads a number without a dot, such as 1e-4, "
+                        "as a string: write 1.0e-4")
+            except ValueError:
+                pass
+        raise ValueError(f"gan.{name} must be {want}, got {v!r}{hint}")
+
+
 @dataclass(frozen=True)
 class GanConfig:
     latent_dim: int = 32
@@ -106,6 +131,9 @@ class GanConfig:
     fd_sample_cap: int = 2048
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's source text
+            if f.type != "str":
+                _check_gan_type(f.name, f.type, getattr(self, f.name))
         positive = (
             self.latent_dim,
             self.feature_dim,
@@ -117,15 +145,15 @@ class GanConfig:
             self.gumbel_temperature,
         )
         if any(v <= 0 for v in positive) or self.epochs < 0:
-            raise ValueError("GanConfig values out of range")
+            raise ValueError("gan values out of range")
         if self.lambda_gp < 0:
-            raise ValueError(f"lambda_gp must be >= 0, got {self.lambda_gp}")
+            raise ValueError(f"gan.lambda_gp must be >= 0, got {self.lambda_gp}")
         if self.fd_sample_cap < 2:
             # the Frechet distance needs two rows; fewer would disable the
             # best-checkpoint selection without saying so
-            raise ValueError(f"fd_sample_cap must be >= 2, got {self.fd_sample_cap}")
+            raise ValueError(f"gan.fd_sample_cap must be >= 2, got {self.fd_sample_cap}")
         if self.numeric_activation not in ("identity", "tanh"):
-            raise ValueError("numeric_activation must be 'identity' or 'tanh'")
+            raise ValueError("gan.numeric_activation must be 'identity' or 'tanh'")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from vfsynth import audit as A
 from vfsynth import data as d
 from vfsynth import fedgan as fg
+from vfsynth import nn
 from vfsynth.rng import RngStream
 
 
@@ -98,6 +99,18 @@ class TestAuc:
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         want = wins / (len(pos) * len(neg))
         assert A.auc(scores, labels) == pytest.approx(want, abs=1e-12)
+
+
+    def test_equals_pairwise_oracle_exactly_on_ties(self):
+        rng = RngStream(12, "auc")
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            scores = rng.integers(0, 4, size=n) / 4.0  # few distinct values
+            labels = np.arange(n) % 2
+            pos = scores[labels == 1]
+            neg = scores[labels == 0]
+            wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+            assert A.auc(scores, labels) == wins / (len(pos) * len(neg))
 
 
 class TestVulnerableOutlier:
@@ -248,7 +261,7 @@ def tiny_audit_cfg(**kw):
         epochs=2,
         fd_sample_cap=32,
     )
-    defaults = dict(shadows=2, repeats=2, gan=gan, train_count=1, test_count=1)
+    defaults = dict(shadows=3, repeats=2, gan=gan, train_count=1, test_count=2)
     defaults.update(kw)
     return A.AuditConfig(**defaults)
 
@@ -260,9 +273,9 @@ class TestShadows:
         sets = A.train_shadows_assd(ds, 3, split, tiny_audit_cfg(), RngStream(13))
         assert sorted(sets.features.keys()) == ["correlation", "naive"]
         for kind, x in sets.features.items():
-            assert x.shape[0] == 4  # 2 worlds x 2 shadows
+            assert x.shape[0] == 6  # 2 worlds x 3 shadows
             assert np.isfinite(x).all()
-        assert np.array_equal(np.sort(sets.labels), [0, 0, 1, 1])
+        assert np.array_equal(np.sort(sets.labels), [0, 0, 0, 1, 1, 1])
 
     def test_assd_feature_length_constant(self):
         ds = mixed_dataset(16, seed=14)
@@ -278,7 +291,7 @@ class TestShadows:
         sets = A.train_shadows_asif(ds, 1, split, cfg, RngStream(17))
         # per-record feature matrix has 2 * feature_dim columns; naive gives
         # 3 summaries per column
-        assert sets.features["naive"].shape == (4, 3 * 2 * cfg.gan.feature_dim)
+        assert sets.features["naive"].shape == (6, 3 * 2 * cfg.gan.feature_dim)
 
     def test_asif_rejects_non_split_variant(self):
         ds = mixed_dataset(16, seed=18)
@@ -293,7 +306,57 @@ class TestShadows:
         cfg = tiny_audit_cfg(feature_kinds=("naive",))
         sets = A.train_shadows_assd(ds, 0, split, cfg, RngStream(21))
         x = sets.features["naive"]
-        assert not np.allclose(x[2], x[3])  # two world-1 shadows differ
+        assert not np.allclose(x[3], x[4])  # two world-1 shadows differ
+
+
+class TestShadowRows:
+    """Each shadow row equals a straight-line replica of its job."""
+
+    split = d.VerticalSplit(((0, 1), (2,)))
+
+    def _replicas(self, ds, target, cfg, rng):
+        """(world, encoder, model) per row: world 0 leaves the target out."""
+        worlds = (d.leave_one_out(ds, target), ds)
+        for world in (0, 1):
+            for m in range(cfg.shadows):
+                enc = d.fit_encoder(worlds[world])
+                parts = fg.partition(d.encode(worlds[world], enc), self.split)
+                model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp,
+                                 rng.child("shadow", world, m))
+                yield world, m, enc, model
+
+    def test_assd_rows_match_replica(self):
+        ds, cfg, rng = mixed_dataset(16, seed=30), tiny_audit_cfg(), RngStream(31)
+        sets = A.train_shadows_assd(ds, 4, self.split, cfg, rng)
+        for row, (world, m, _, model) in enumerate(self._replicas(ds, 4, cfg, rng)):
+            synth = d.decode(fg.generate(model, ds.n_rows, rng.child("synth", world, m),
+                                         best=True))
+            assert sets.labels[row] == world
+            assert np.array_equal(sets.features["naive"][row], A.extract_naive(synth))
+            assert np.array_equal(sets.features["correlation"][row], A.extract_corr(synth))
+
+    def test_asif_rows_match_replica(self):
+        ds, cfg, rng = mixed_dataset(16, seed=32), tiny_audit_cfg(), RngStream(33)
+        sets = A.train_shadows_asif(ds, 7, self.split, cfg, rng)
+        for row, (world, _, enc, model) in enumerate(self._replicas(ds, 7, cfg, rng)):
+            views = fg.partition(d.encode(ds, enc), self.split).views
+            feats = np.hstack([nn.forward(d1, v)[0] for d1, v in zip(model.d1_parts, views)])
+            assert sets.labels[row] == world
+            assert np.array_equal(sets.features["naive"][row], A.naive_features_matrix(feats))
+            assert np.array_equal(sets.features["correlation"][row],
+                                  A.corr_features_matrix(feats))
+
+    @pytest.mark.parametrize("mode", ["assd", "asif"])
+    def test_worker_count_does_not_change_features(self, monkeypatch, mode):
+        trainer = getattr(A, f"train_shadows_{mode}")
+        ds, cfg = mixed_dataset(16, seed=34), tiny_audit_cfg()
+        out = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFSYNTH_THREADS", threads)
+            out.append(trainer(ds, 2, self.split, cfg, RngStream(35)))
+        assert np.array_equal(out[0].labels, out[1].labels)
+        for kind in cfg.feature_kinds:
+            assert np.array_equal(out[0].features[kind], out[1].features[kind])
 
 
 class TestRunAttack:
@@ -379,7 +442,7 @@ class TestStubbedEndToEnd:
             shadows=8, train_count=5, test_count=3, feature_kinds=("naive",)
         )
         sets = A.train_shadows_assd(ds, 5, split, cfg, RngStream(23))
-        rep = A.run_attack(sets, cfg, RngStream(24), target_index=5)
+        rep = A.run_attack(sets, cfg, RngStream(24))
         assert rep.auc_mean["naive"] == 1.0
 
 

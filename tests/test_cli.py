@@ -153,8 +153,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="split"):
             load_config(p)
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "varient", "central"), ("dataset", "pth", "x.csv"),
+        ("dp", "clp", 0.5), ("audit", "shadow", 4), ("audit", "variant", "central"),
+        ("audit", "gan", {"epochs": 1}), ("audit", "dp", {"epsilon": 1.0}),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, section, key, value):
+        p = toy_config(tmp_path, extra={"dp": {"epsilon": 10.0, "delta": 1e-3},
+                                        "audit": {"shadows": 6, "select": "nn"}})
+        doc = yaml.safe_load(p.read_text())
+        (doc if section is None else doc[section])[key] = value
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
     def test_audit_needs_target_or_select(self, tmp_path):
-        p = toy_config(tmp_path, extra={"audit": {"shadows": 4}})
+        p = toy_config(tmp_path, extra={"audit": {"shadows": 6}})
         with pytest.raises(ConfigError, match="target"):
             load_config(p)
 
@@ -177,6 +191,23 @@ class TestTrainCommand:
         for rel, want in manifest["inventory"].items():
             got = hashlib.sha256((run / rel).read_bytes()).hexdigest()
             assert got == want
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "3"), ("batch_size", 2.5), ("latent_dim", True),
+        ("gen_hidden", 64), ("server_hidden", [8, 0]), ("eta_g", "1e-4"),
+        ("lambda_gp", False),
+    ])
+    def test_mistyped_gan_setting_rejected(self, tmp_path, capsys, field, value):
+        cfg_path = toy_config(tmp_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["gan"][field] = value
+        cfg_path.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"gan.{field}" in err
+        if field == "eta_g":  # YAML reads 1e-4 as a string
+            assert "1.0e-4" in err
+        assert not (tmp_path / "run").exists()
 
     def test_refuses_nonempty_output(self, tmp_path):
         cfg_path = toy_config(tmp_path)
@@ -369,7 +400,7 @@ class TestAuditCommand:
     def test_audit_dp_batch_larger_than_loo_world_rejected(self, tmp_path, capsys):
         cfg_path = toy_config(
             tmp_path, n=8,
-            extra={"audit": {"modes": ["assd"], "shadows": 2, "target": 0},
+            extra={"audit": {"modes": ["assd"], "shadows": 6, "target": 0},
                    "dp": {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}},
         )
         rc = main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")])
@@ -379,7 +410,7 @@ class TestAuditCommand:
     def test_select_nn_deterministic(self, tmp_path):
         cfg_path = toy_config(
             tmp_path, n=24,
-            extra={"audit": {"modes": ["assd"], "shadows": 2, "repeats": 2,
+            extra={"audit": {"modes": ["assd"], "shadows": 6, "repeats": 2,
                              "feature_kinds": ["naive"], "select": "nn"}},
         )
         from vfsynth.audit import find_vulnerable_nn
@@ -404,6 +435,37 @@ class TestAuditCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"audit.{field}" in err
+
+    @pytest.mark.parametrize("audit,field", [
+        ({"shadows": 4}, "audit.test_count"),  # the 70/30 split leaves 1
+        ({"shadows": 6, "train_count": 3, "test_count": 1}, "audit.test_count"),
+        ({"shadows": 2, "train_count": 1}, "audit.shadows"),
+    ])
+    def test_unrunnable_attack_split_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, audit, field
+    ):
+        from vfsynth import fedgan as fg
+
+        calls = []
+        real_train = fg.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
+        monkeypatch.setattr(fg, "train", counting_train)
+        audit = {"modes": ["assd"], "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn", **audit}
+        gan = {"latent_dim": 4, "gen_hidden": [8], "disc_part1_hidden": [8],
+               "feature_dim": 4, "disc_part2_hidden": [8], "server_hidden": [8],
+               "batch_size": 8, "disc_steps": 1, "epochs": 1}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit, "gan": gan})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(
