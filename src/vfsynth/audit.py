@@ -71,6 +71,9 @@ def thread_count() -> int:
     return count
 
 
+# variants whose parties hold a first critic part D_i^1 for ASIF to probe
+_SPLIT_CRITIC = (fg.VFLGAN, fg.VFLGAN_BASE)
+
 # least values; the attack's AUC needs two test shadows per world
 _INTS = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
          "synthetic_rows": 1, "train_count": 1, "test_count": 2}
@@ -80,9 +83,10 @@ _INTS = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
 class AuditConfig:
     """The ``audit:`` section plus the run's variant, GAN and DP settings.
 
-    ``train_count``/``test_count`` are per world; when omitted they default
-    to a 70/30 split of the shadow count, mirroring the 140/60 protocol at
-    one hundred shadows per world. ``target``/``select`` and ``rows`` are
+    ``train_count``/``test_count`` are per world; when both are omitted
+    they default to a 70/30 split of the shadow count, mirroring the 140/60
+    protocol at one hundred shadows per world, and when one is omitted it
+    takes the shadows the other leaves. ``target``/``select`` and ``rows`` are
     read by the command line, which picks the target record and the rows.
     """
 
@@ -115,6 +119,9 @@ class AuditConfig:
                 raise ValueError(f"audit.{name} must list names from {allowed}, got {got!r}")
         if self.select not in (None, "outlier", "nn"):
             raise ValueError(f"audit.select must be outlier or nn, got {self.select!r}")
+        if "asif" in self.modes and self.variant not in _SPLIT_CRITIC:
+            raise ValueError(f"audit.modes: asif needs a split-critic variant "
+                             f"{_SPLIT_CRITIC}, got {self.variant!r}")
         tr, te = self.split_counts()
         if tr + te > self.shadows:
             raise ValueError(f"audit.train_count + audit.test_count ({tr} + {te}) "
@@ -122,13 +129,17 @@ class AuditConfig:
         if te < 2:
             raise ValueError(f"audit.test_count must be at least 2, got {te} "
                              f"(derived from audit.shadows={self.shadows})")
+        if tr < 1:
+            raise ValueError(f"audit.train_count must be at least 1, got {tr} "
+                             f"(derived from audit.shadows={self.shadows} "
+                             f"and audit.test_count={te})")
 
     def split_counts(self) -> tuple[int, int]:
-        if self.train_count is not None:
-            tr = self.train_count
-            te = self.test_count if self.test_count is not None else self.shadows - tr
-        else:
-            tr = max(1, round(0.7 * self.shadows))
+        """(train, test) shadows per world; an omitted count takes the rest."""
+        tr, te = self.train_count, self.test_count
+        if tr is None:
+            tr = self.shadows - te if te is not None else max(1, round(0.7 * self.shadows))
+        if te is None:
             te = self.shadows - tr
         return tr, te
 
@@ -318,7 +329,7 @@ def train_shadows_asif(
     """Full trainings per world; the whole dataset is pushed through each
     trained first discriminator part and the per-record feature matrix is
     summarized with the configured extractors."""
-    if cfg.variant not in (fg.VFLGAN, fg.VFLGAN_BASE):
+    if cfg.variant not in _SPLIT_CRITIC:
         raise ValueError("intermediate-feature auditing needs a split-critic variant")
     return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job, ds)
 

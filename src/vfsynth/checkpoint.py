@@ -103,8 +103,11 @@ def read_checkpoint(path) -> dict[str, Mlp]:
                 w_in, w_out
             ).copy()
             b = np.frombuffer(r.take(8 * w_out), dtype="<f8").copy()
-            layers.append(Layer(w, b, _ACT_NAME[code], slope))
-        models[name] = Mlp(tuple(layers))
+            layers.append((w, b, _ACT_NAME[code], slope))
+        try:
+            models[name] = Mlp(tuple(Layer(*spec) for spec in layers))
+        except ValueError as exc:  # a slope, parameter or width the network rejects
+            raise CheckpointError(f"{path}: {exc}") from None
     if r.at != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return models

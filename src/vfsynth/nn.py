@@ -59,6 +59,10 @@ class Layer:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        # the branchless kernels in _act/_act_deriv are exact only here;
+        # -0.0 would flip the sign of zero outputs
+        if not 0.0 <= self.slope < 1.0 or np.signbit(self.slope):
+            raise ValueError(f"leaky slope must lie in [0, 1), got {self.slope!r}")
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError("layer weight/bias shapes are inconsistent")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
@@ -113,16 +117,21 @@ class Tape:
     output: np.ndarray
 
 
+# Branch-free leaky-ReLU. For 0 <= slope < 1, a > 0 gives slope * a <= a and
+# a <= 0 gives slope * a >= a, so the maximum picks the operand a select on
+# a > 0 would pick, bit for bit on finite inputs with zeros of either sign.
 def _act(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return a
-    return np.where(a > 0.0, a, slope * a)
+    out = slope * a
+    return np.maximum(a, out, out=out)
 
 
 def _act_deriv(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return np.ones_like(a)
-    return np.where(a > 0.0, 1.0, slope)
+    out = (a > 0.0).astype(np.float64)
+    return np.maximum(out, slope, out=out)
 
 
 def init_mlp(
@@ -153,7 +162,8 @@ def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
     inputs, pre = [], []
     for layer in mlp.layers:
         inputs.append(h)
-        a = h @ layer.w + layer.b
+        a = h @ layer.w
+        a += layer.b
         pre.append(a)
         h = _act(layer.activation, layer.slope, a)
     return h, Tape(inputs, pre, h)

@@ -455,6 +455,24 @@ class TestAuditConfig:
         cfg = tiny_audit_cfg(shadows=100, train_count=None, test_count=None)
         assert cfg.split_counts() == (70, 30)
 
+    @pytest.mark.parametrize("kw,want", [
+        (dict(test_count=3), (17, 3)),
+        (dict(train_count=5), (5, 15)),
+        (dict(train_count=5, test_count=3), (5, 3)),
+    ])
+    def test_omitted_count_takes_the_rest(self, kw, want):
+        cfg = tiny_audit_cfg(shadows=20, **{"train_count": None, "test_count": None, **kw})
+        assert cfg.split_counts() == want
+
+    def test_derived_train_count_checked(self):
+        with pytest.raises(ValueError, match="audit.train_count"):
+            tiny_audit_cfg(shadows=3, train_count=None, test_count=3)
+
+    @pytest.mark.parametrize("variant", [fg.CENTRAL, fg.VERTIGAN])
+    def test_asif_needs_split_critic_variant(self, variant):
+        with pytest.raises(ValueError, match="audit.modes"):
+            tiny_audit_cfg(modes=("assd", "asif"), variant=variant)
+
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):
             tiny_audit_cfg(feature_kinds=("histogram",))

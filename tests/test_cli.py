@@ -115,6 +115,26 @@ class TestCheckpointFormat:
         with pytest.raises(ck.CheckpointError, match=f"unknown activation code {code}"):
             ck.read_checkpoint(p)
 
+    @pytest.mark.parametrize("slope", [-0.5, 1.0])
+    def test_slope_outside_unit_interval_rejected(self, tmp_path, slope):
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, {"g0": nn.init_mlp([3, 4, 1], RngStream(4))})
+        blob = bytearray(p.read_bytes())
+        blob[25:33] = struct.pack("<d", slope)  # first layer's slope, after its code
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ck.CheckpointError, match=f"{p}: leaky slope"):
+            ck.read_checkpoint(p)
+
+    def test_widths_that_do_not_chain_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, {"g0": nn.init_mlp([3, 4, 1], RngStream(4))})
+        blob = bytearray(p.read_bytes())
+        # 3x4 + 4 and 7x2 + 2 take the same payload, but 2 does not feed 4
+        blob[33:41] = struct.pack("<II", 7, 2)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ck.CheckpointError, match=f"{p}: consecutive layer widths"):
+            ck.read_checkpoint(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -464,6 +484,33 @@ class TestAuditCommand:
         out = tmp_path / "aud"
         assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["central", "vertigan"])
+    def test_asif_with_serverless_variant_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, variant
+    ):
+        from vfsynth import fedgan as fg
+
+        calls = []
+        real_train = fg.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
+        monkeypatch.setattr(fg, "train", counting_train)
+        audit = {"modes": ["assd", "asif"], "shadows": 4, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn",
+                 "train_count": 2, "test_count": 2}
+        split = [[0, 1, 2]] if variant == "central" else [[0, 1], [2]]
+        cfg_path = toy_config(tmp_path, n=24,
+                              extra={"audit": audit, "variant": variant, "split": split})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "audit.modes" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

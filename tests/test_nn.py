@@ -91,6 +91,48 @@ def sample_net_away_from_kinks(rng, build, batch_size=5, margin=1e-2):
 
 
 # --------------------------------------------------------------------------
+# layers and the leaky-ReLU kernels
+# --------------------------------------------------------------------------
+
+class TestLayer:
+    @pytest.mark.parametrize("slope", [-0.1, -0.0, 1.0, 1.5, float("nan"), float("inf")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            Layer(np.ones((2, 3)), np.zeros(3), "leaky_relu", slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.999])
+    def test_slope_inside_unit_interval_accepted(self, slope):
+        assert Layer(np.ones((2, 3)), np.zeros(3), "leaky_relu", slope).slope == slope
+
+
+class TestLeakyKernels:
+    """The branch-free kernels against the select formulas they replace,
+    compared as raw bits so that the sign of zero counts."""
+
+    @staticmethod
+    def inputs():
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+        rows = RngStream(12, "kernels").normal(64, 6)
+        return np.vstack([np.array([special]), rows])
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.25])
+    def test_activation_bit_equal_to_select(self, slope):
+        a = self.inputs()
+        kept = a.copy()
+        got = nn._act("leaky_relu", slope, a)
+        want = np.where(a > 0.0, a, slope * a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(a.view(np.int64), kept.view(np.int64))  # input untouched
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.25])
+    def test_derivative_bit_equal_to_select(self, slope):
+        a = self.inputs()
+        got = nn._act_deriv("leaky_relu", slope, a)
+        want = np.where(a > 0.0, 1.0, slope)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# --------------------------------------------------------------------------
 # forward
 # --------------------------------------------------------------------------
 
