@@ -267,17 +267,16 @@ def _run_jobs(args_list, fn):
         return list(pool.map(fn, args_list))
 
 
-def _train_shadow(world_ds, split, cfg, rng, world, m):
-    """One shadow training on a world's data; returns (encoder, model)."""
+def _shadow_parts(world_ds, split):
+    """A world's encoder and its encoded rows, partitioned for training."""
     enc = D.fit_encoder(world_ds)
-    parts = fg.partition(D.encode(world_ds, enc), split)
-    model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
-    return enc, model
+    return enc, fg.partition(D.encode(world_ds, enc), split)
 
 
 def _assd_job(args):
     world_ds, cfg, split, rng, world, m, synth_rows = args
-    _, model = _train_shadow(world_ds, split, cfg, rng, world, m)
+    _, parts = _shadow_parts(world_ds, split)
+    model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
     synth = D.decode(
         fg.generate(model, synth_rows, rng.child("synth", world, m), best=True)
     )
@@ -286,11 +285,15 @@ def _assd_job(args):
 
 def _asif_job(args):
     world_ds, cfg, split, rng, world, m, full_ds = args
-    enc, model = _train_shadow(world_ds, split, cfg, rng, world, m)
+    enc, parts = _shadow_parts(world_ds, split)
+    # only the final D_i^1 are read, so the epochs skip the quality log
+    trainer = fg.Trainer(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
+    for _ in range(cfg.gan.epochs):
+        trainer.step_epoch()
     # the FULL dataset, encoded with the world's encoder, through D_i^1
     views = fg.partition(D.encode(full_ds, enc), split).views
     feats = np.hstack(
-        [nn_forward(d1, v)[0] for d1, v in zip(model.d1_parts, views)]
+        [nn_forward(p.d1, v)[0] for p, v in zip(trainer.parties, views)]
     )
     return {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
 

@@ -262,6 +262,7 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    started = _utc_now()
     cfg = load_config(args.config)
     target = args.target or cfg.schema.target
     if target is None:
@@ -295,7 +296,7 @@ def cmd_eval(args) -> int:
             f.write(f"{name},{_float_repr(acc)},{_float_repr(f1)}\n")
         f.write(f"FD,{_float_repr(fd)},\n")
         f.write(f"TOTAL_DIFFERENCE,{_float_repr(report.total_difference)},\n")
-    _write_manifest(out, {"status": "completed", "created_utc": _utc_now(),
+    _write_manifest(out, {"status": "completed", "created_utc": started,
                           "completed_utc": _utc_now(), "seed": args.seed})
     print(out)
     return 0
@@ -325,6 +326,7 @@ def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
 
 
 def cmd_audit(args) -> int:
+    started = _utc_now()
     cfg = load_config(args.config)
     if cfg.audit is None:
         raise CliError("config has no audit section")
@@ -375,7 +377,7 @@ def cmd_audit(args) -> int:
         }
     with open(out / "audit_report.yaml", "w", encoding="utf-8") as f:
         yaml.safe_dump(body, f, sort_keys=True)
-    _write_manifest(out, {"status": "completed", "created_utc": _utc_now(),
+    _write_manifest(out, {"status": "completed", "created_utc": started,
                           "completed_utc": _utc_now(), "seed": cfg.seed})
     print(out)
     return 0

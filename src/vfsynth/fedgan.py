@@ -738,25 +738,32 @@ class Trainer:
         except (ValueError, FloatingPointError):
             return math.nan
 
-    def run_epoch(self) -> EpochRecord:
+    def step_epoch(self) -> dict[str, float]:
+        """One epoch of training: disc_steps critic iterations, one generator
+        iteration and the divergence check. Returns the epoch's last losses."""
         self.epoch += 1
-        disc_losses: dict[str, float] = {}
+        losses: dict[str, float] = {}
         for _ in range(self.cfg.disc_steps):
-            disc_losses = self.discriminator_step()
-        gen_losses = self.generator_step()
-        for role, value in {**disc_losses, **gen_losses}.items():
+            losses = self.discriminator_step()
+        losses = {**losses, **self.generator_step()}
+        for role, value in losses.items():
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {self.epoch}, role {role}"
                 )
-        fd = self._quality_fd(self.epoch)
+        return losses
+
+    def run_epoch(self) -> EpochRecord:
+        """``step_epoch`` plus the quality log: the FD of a fresh sample and
+        the best-epoch generators."""
+        losses = self.step_epoch()
         rec = EpochRecord(
             self.epoch,
-            fd,
-            disc_losses.get("d1", math.nan),
-            disc_losses.get("d2", math.nan),
-            disc_losses.get("ds", math.nan),
-            gen_losses["g"],
+            self._quality_fd(self.epoch),
+            losses.get("d1", math.nan),
+            losses.get("d2", math.nan),
+            losses.get("ds", math.nan),
+            losses["g"],
         )
         before = self.log.best_epoch
         self.log.append(rec)

@@ -5,6 +5,15 @@ count), grown to purity unless a depth cap is given. Prediction is a majority
 vote over the trees' leaf classes; scores are per-class vote fractions.
 Training is deterministic given the stream: every tree derives its own child
 stream, so trees can be built in any order.
+
+The split search at a node scores every candidate column in one pass, in the
+manner of SPRINT's presorted exact-greedy scan (Shafer et al., VLDB 1996): one
+stable argsort per column, one integer cumulative sum of the class one-hots
+over a (classes, columns, rows) block, the gini score of every cut of every
+column, and one argmin over (column, cut) that keeps the first minimum. The
+class counts are exact integers and the score is the same float expression,
+so every chosen (feature, threshold), and every tree, equals that of a
+column-by-column scan with strict-< across columns, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,37 +32,35 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
     """Best gini split over the given feature columns.
 
     Returns ``(feature_index, threshold)`` or ``None`` when no feature admits
-    a split (all candidate columns constant). ``x`` is (n, k) float64, ``y``
-    is (n,) int64 class codes.
+    a split (all candidate columns constant, fewer than two rows or no
+    columns). ``x`` is (n, k) float64, ``y`` is (n,) int64 class codes.
+    Among equal scores the first cut in sorted order wins, then the lowest
+    column.
     """
     n, k = x.shape
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y] = 1
-    best_score = np.inf
-    best_feat = -1
-    best_thresh = 0.0
-    for j in range(k):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        cum = np.cumsum(onehot[order], axis=0)
-        total = cum[-1]
-        nl = np.arange(1, n, dtype=np.int64)
-        ssl = np.sum(cum[:-1] ** 2, axis=1)
-        ssr = np.sum((total[None, :] - cum[:-1]) ** 2, axis=1)
-        nr = n - nl
-        score = (nl - ssl / nl) + (nr - ssr / nr)
-        valid = xs[:-1] < xs[1:]
-        if not valid.any():
-            continue
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            best_score = float(score[i])
-            best_feat = j
-            best_thresh = 0.5 * (xs[i] + xs[i + 1])
-    if best_feat < 0:
+    if n < 2 or k == 0:
         return None
-    return best_feat, float(best_thresh)
+    # every column at once, one row per column: (k, n) sorted values and
+    # (n_classes, k, n) class counts up to and including each sorted row
+    xt = x.T
+    order = np.argsort(xt, axis=1, kind="stable")
+    xs = xt[np.arange(k)[:, None], order]
+    onehot = y[order] == np.arange(n_classes)[:, None, None]
+    cum = np.cumsum(onehot, axis=2, dtype=np.int64)
+    left = cum[:, :, :-1]
+    right = cum[:, :, -1:] - left
+    nl = np.arange(1, n, dtype=np.int64)
+    nr = n - nl
+    ssl = np.einsum("ckn,ckn->kn", left, left)
+    ssr = np.einsum("ckn,ckn->kn", right, right)
+    score = (nl - ssl / nl) + (nr - ssr / nr)
+    score = np.where(xs[:, :-1] < xs[:, 1:], score, np.inf)
+    # the first minimum in (column, cut) order: the lowest column among the
+    # best, and its first best cut
+    j, i = divmod(int(np.argmin(score)), n - 1)
+    if score[j, i] == np.inf:
+        return None
+    return j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
 
 
 @dataclass
@@ -136,6 +143,8 @@ def train_forest(
 ) -> Forest:
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
+    if trees < 1:
+        raise ValueError(f"trees must be at least 1, got {trees}")
     if len(np.unique(y)) < 2:
         raise ValueError("training labels contain a single class")
     n, d = x.shape

@@ -359,6 +359,33 @@ class TestShadowRows:
             assert np.array_equal(out[0].features[kind], out[1].features[kind])
 
 
+class TestQualityLog:
+    """Only ASSD reads the per-epoch FD: it publishes the best epoch's sample."""
+
+    split = d.VerticalSplit(((0, 1), (2,)))
+
+    def _fd_calls(self, monkeypatch, trainer):
+        calls = []
+        real = fg.Trainer._quality_fd
+
+        def counting(self, epoch):
+            calls.append(epoch)
+            return real(self, epoch)
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
+        monkeypatch.setattr(fg.Trainer, "_quality_fd", counting)
+        trainer(mixed_dataset(16, seed=36), 5, self.split, tiny_audit_cfg(), RngStream(37))
+        return len(calls)
+
+    def test_assd_logs_every_epoch(self, monkeypatch):
+        cfg = tiny_audit_cfg()
+        want = 2 * cfg.shadows * cfg.gan.epochs
+        assert self._fd_calls(monkeypatch, A.train_shadows_assd) == want
+
+    def test_asif_skips_the_quality_log(self, monkeypatch):
+        assert self._fd_calls(monkeypatch, A.train_shadows_asif) == 0
+
+
 class TestRunAttack:
     def _labeled(self, n_per=20, dim=6, gap=0.0, seed=0):
         rng = RngStream(seed, "feat")

@@ -327,6 +327,25 @@ class TestGenerateCommand:
         assert "config.yaml digest mismatch" in capsys.readouterr().err
 
 
+def clock_around(monkeypatch, module, name, **kwargs):
+    """Log clock reads and calls of ``module.name`` (given ``kwargs``) in
+    order; each manifest timestamp is its read's position in that log."""
+    log = []
+    real = getattr(module, name)
+
+    def clock():
+        log.append("clock")
+        return f"event-{len(log) - 1}"
+
+    def work(*args):
+        log.append("work")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("vfsynth.cli._utc_now", clock)
+    monkeypatch.setattr(module, name, work)
+    return log
+
+
 class TestEvalCommand:
     def test_eval_self_comparison(self, tmp_path):
         cfg_path = toy_config(tmp_path, n=120)
@@ -343,6 +362,18 @@ class TestEvalCommand:
         lines = (tmp_path / "ev" / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "setting,accuracy,f1"
         assert len(lines) == 7  # 4 settings + FD + total difference
+
+    def test_manifest_start_time_taken_first(self, tmp_path, monkeypatch):
+        from vfsynth import metrics
+
+        cfg_path = toy_config(tmp_path, n=40)
+        cfg = load_config(cfg_path)
+        log = clock_around(monkeypatch, metrics, "utility_fourway", trees=2)
+        assert main(["eval", "--real", cfg.dataset_path, "--synth", cfg.dataset_path,
+                     "--config", str(cfg_path), "--out", str(tmp_path / "ev")]) == 0
+        manifest = yaml.safe_load((tmp_path / "ev" / "manifest.yaml").read_text())
+        assert log == ["clock", "work", "clock"]
+        assert (manifest["created_utc"], manifest["completed_utc"]) == ("event-0", "event-2")
 
     def test_missing_target_named(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path)
@@ -386,6 +417,18 @@ class TestAuditCommand:
         assert "assd" in rep["results"]
         assert 0.0 <= rep["results"]["assd"]["naive"]["auc_mean"] <= 1.0
         assert (tmp_path / "aud" / "features_assd_naive.csv").exists()
+
+    def test_manifest_start_time_taken_first(self, tmp_path, monkeypatch):
+        from vfsynth import audit as au
+
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn", "train_count": 2, "test_count": 2}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        log = clock_around(monkeypatch, au, "train_shadows_assd")
+        assert main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")]) == 0
+        manifest = yaml.safe_load((tmp_path / "aud" / "manifest.yaml").read_text())
+        assert log == ["clock", "work", "clock"]
+        assert (manifest["created_utc"], manifest["completed_utc"]) == ("event-0", "event-2")
 
     def test_audit_with_dp(self, tmp_path):
         # sigma is calibrated for the n-1 rows of the leave-one-out world;

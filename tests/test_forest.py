@@ -30,7 +30,82 @@ def brute_force_best_split(x, y, n_classes):
     return best
 
 
+def loop_best_split(x, y, n_classes):
+    """Column-by-column scan, strict-< across columns: the exact oracle."""
+    n, k = x.shape
+    onehot = np.zeros((n, n_classes), dtype=np.int64)
+    onehot[np.arange(n), y] = 1
+    best_score = np.inf
+    best_feat = -1
+    best_thresh = 0.0
+    for j in range(k):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        cum = np.cumsum(onehot[order], axis=0)
+        total = cum[-1]
+        nl = np.arange(1, n, dtype=np.int64)
+        ssl = np.sum(cum[:-1] ** 2, axis=1)
+        ssr = np.sum((total[None, :] - cum[:-1]) ** 2, axis=1)
+        nr = n - nl
+        score = (nl - ssl / nl) + (nr - ssr / nr)
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        score = np.where(valid, score, np.inf)
+        i = int(np.argmin(score))
+        if score[i] < best_score:
+            best_score = float(score[i])
+            best_feat = j
+            best_thresh = 0.5 * (xs[i] + xs[i + 1])
+    if best_feat < 0:
+        return None
+    return best_feat, float(best_thresh)
+
+
+def random_split_input(rng):
+    """Rounded values (ties), some constant columns, 2 to 6 classes."""
+    n = int(rng.integers(2, 80))
+    k = int(rng.integers(1, 61))
+    n_classes = int(rng.integers(2, 7))
+    x = np.round(rng.normal(n, k) * 3.0, int(rng.integers(0, 3)))
+    const = rng.uniform(k) < 0.2
+    x[:, const] = np.round(rng.normal(), 1)
+    y = rng.integers(0, n_classes, size=n)
+    return x, y, n_classes
+
+
+def same_split(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a[0] == b[0] and np.float64(a[1]).tobytes() == np.float64(b[1]).tobytes()
+
+
 class TestBestSplit:
+    def test_equals_loop_oracle_bitwise(self):
+        rng = RngStream(11, "oracle")
+        splits = 0
+        for trial in range(2000):
+            x, y, c = random_split_input(rng)
+            want = loop_best_split(x, y, c)
+            assert same_split(F.best_split(x, y, c), want), trial
+            splits += want is not None
+        assert 1000 < splits < 2000  # some inputs have only constant columns
+
+    def test_tie_takes_first_column_and_first_cut(self):
+        # columns 0 and 2 separate the classes equally well
+        x = np.array([[0.0, 5.0, 0.0], [1.0, 4.0, 1.0], [2.0, 5.0, 2.0], [3.0, 4.0, 3.0]])
+        y = np.array([0, 0, 1, 1])
+        assert F.best_split(x, y, 2) == (0, 1.5) == loop_best_split(x, y, 2)
+        # every cut of one column scores the same: the first one wins
+        x1 = np.array([[0.0], [1.0], [2.0]])
+        assert F.best_split(x1, np.array([0, 0, 0]), 2) == (0, 0.5)
+
+    @pytest.mark.parametrize("n,k", [(0, 3), (1, 3), (1, 0), (5, 0)])
+    def test_degenerate_shapes_yield_none(self, n, k):
+        x = np.zeros((n, k))
+        y = np.zeros(n, dtype=np.int64)
+        assert F.best_split(x, y, 2) is None
+
     def test_matches_brute_force_feature_choice(self):
         rng = RngStream(5, "split")
         for trial in range(20):
@@ -116,6 +191,24 @@ class TestForest:
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold)
             assert np.array_equal(t1.leaf_dist, t2.leaf_dist)
+
+    def test_trees_match_loop_oracle(self, monkeypatch):
+        rng = RngStream(13)
+        x = np.round(rng.normal(90, 20), 1)
+        y = rng.integers(0, 4, size=90)
+        fast = F.train_forest(x, y, 4, trees=8, rng=RngStream(14))
+        monkeypatch.setattr(F, "best_split", loop_best_split)
+        slow = F.train_forest(x, y, 4, trees=8, rng=RngStream(14))
+        assert len(fast.trees) == len(slow.trees) == 8
+        for a, b in zip(fast.trees, slow.trees):
+            for name in ("feature", "threshold", "left", "right", "leaf_dist"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("trees", [0, -1])
+    def test_no_trees_rejected(self, trees):
+        x, y = blobs(RngStream(15), n_per=5)
+        with pytest.raises(ValueError, match="trees"):
+            F.train_forest(x, y, 2, trees=trees, rng=RngStream(0))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
