@@ -122,14 +122,8 @@ def _resolve_dp(cfg: RunConfig, n_rows: int):
     steps = cfg.gan.epochs * cfg.gan.disc_steps
     sigma = dpmod.calibrate(cfg.dp.epsilon, cfg.dp.delta, gamma, steps)
     report = dpmod.budget_report(sigma, gamma, steps, cfg.dp.delta)
-    dp_cfg = dpmod.DpConfig(
-        clip=cfg.dp.clip,
-        sigma=sigma,
-        epsilon=cfg.dp.epsilon,
-        delta=cfg.dp.delta,
-        sampling_rate=gamma,
-        steps=steps,
-    )
+    dp_cfg = dpmod.DpConfig(clip=cfg.dp.clip, sigma=sigma, sampling_rate=gamma,
+                            steps=steps)
     return dp_cfg, report
 
 
@@ -180,15 +174,8 @@ def cmd_train(args) -> int:
     if dp_report is not None:
         manifest["dp"] = {
             "clip": cfg.dp.clip,
-            "sigma": dp_report.sigma,
-            "gamma": dp_report.gamma,
-            "steps": dp_report.steps,
-            "delta": dp_report.delta,
             "epsilon_target": cfg.dp.epsilon,
-            "epsilon_external": dp_report.epsilon_external,
-            "alpha_external": dp_report.alpha_external,
-            "epsilon_internal": dp_report.epsilon_internal,
-            "alpha_internal": dp_report.alpha_internal,
+            **dataclasses.asdict(dp_report),
         }
     try:
         model = fg.train(

@@ -10,11 +10,12 @@ section is an error:
   into one-hot encoding.
 * ``split`` — list of per-party attribute-index lists.
 * ``variant`` — vflgan | vflgan_base | vertigan | central.
-* ``seed`` — base seed; every stream in the run derives from it.
+* ``seed`` — integer base seed; every stream in the run derives from it.
 * ``output_dir`` — run directory to create.
 * ``gan`` — optional ``GanConfig`` overrides, type-checked by ``GanConfig``.
-* ``dp`` — optional: ``epsilon``, ``delta``, ``clip``; the noise multiplier
-  is calibrated by the accountant before training.
+* ``dp`` — optional ``DpTarget``: ``epsilon``, ``delta``, ``clip``, finite
+  numbers; the noise multiplier is calibrated by the accountant before
+  training.
 * ``audit`` — optional ``AuditConfig`` settings: ``modes`` (assd/asif),
   ``shadows``, ``repeats``, ``feature_kinds``, ``target`` index or
   ``select`` (outlier|nn), ``rows``, ``synthetic_rows``, ``train_count``,
@@ -24,7 +25,7 @@ section is an error:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import yaml
 
@@ -48,8 +49,13 @@ class DpTarget:
     clip: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            fg.check_setting(f"dp.{f.name}", f.type, v)
+            # stored as floats: an integer epsilon is written as 10.0
+            object.__setattr__(self, f.name, float(v))
         if self.epsilon <= 0 or not 0 < self.delta < 1 or self.clip <= 0:
-            raise ConfigError("dp section values out of range")
+            raise ValueError("dp section values out of range")
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,9 @@ def _section(cls, doc, where, **run):
     """Build ``cls`` from a config section; lists become tuples."""
     known = [f.name for f in fields(cls) if f.name not in _RUN_FIELDS]
     _check_keys(doc, known, where)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(doc, f.name, where)
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     try:
         return cls(**kwargs, **run)
@@ -141,18 +150,14 @@ def load_config(path) -> RunConfig:
     variant = doc.get("variant", fg.VFLGAN)
     if variant not in fg.VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (choose from {fg.VARIANTS})")
-    seed = int(_require(doc, "seed", "config"))
+    seed = _require(doc, "seed", "config")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     output_dir = str(_require(doc, "output_dir", "config"))
     gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
     dp = None
     if doc.get("dp") is not None:
-        dp_doc = doc["dp"]
-        _check_keys(dp_doc, ("epsilon", "delta", "clip"), "dp")
-        dp = DpTarget(
-            float(_require(dp_doc, "epsilon", "dp")),
-            float(_require(dp_doc, "delta", "dp")),
-            float(dp_doc.get("clip", 1.0)),
-        )
+        dp = _section(DpTarget, doc["dp"], "dp")
     audit = None
     if doc.get("audit") is not None:
         audit = _section(AuditConfig, doc["audit"], "audit", variant=variant, gan=gan)

@@ -350,10 +350,6 @@ class VerticalSplit:
                 )
             expected += len(p)
 
-    @property
-    def n_parties(self) -> int:
-        return len(self.parties)
-
     def validate_against(self, schema: Schema) -> None:
         flat = [i for p in self.parties for i in p]
         if sorted(flat) != list(range(len(schema.attributes))):

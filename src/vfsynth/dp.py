@@ -6,11 +6,13 @@ deviation ``sigma * 2C`` — the factor 2 is the triangle-inequality sensitivity
 of a clipped gradient difference. One noised release then satisfies
 ``(alpha, alpha / (2 sigma^2))``-RDP for every order alpha.
 
-The accountant works on an integer alpha grid: per-release curve, optional
-subsampling amplification (each step touches a random fraction gamma of the
-rows), linear composition over steps, and conversion to an (epsilon, delta)
-guarantee by minimizing over the grid. ``calibrate`` inverts the whole
-pipeline to find the smallest noise multiplier meeting a target budget.
+The accountant works on one fixed grid of integer orders, alpha = 2 ..
+``ALPHA_MAX``: per-release curve, optional subsampling amplification (each
+step touches a random fraction gamma of the rows), linear composition over
+steps, and conversion to an (epsilon, delta) guarantee by minimizing over the
+grid. ``calibrate`` inverts the whole pipeline to find the smallest noise
+multiplier meeting a target budget, bisecting on a fixed bracket up to
+``SIGMA_MAX``.
 
 Subsampling amplification applies to adversaries for whom batch selection is
 random (external observers and the server). Parties see deterministic batch
@@ -42,7 +44,10 @@ __all__ = [
     "budget_report",
 ]
 
-DEFAULT_ALPHA_MAX = 512
+# the accountant's fixed order grid 2..ALPHA_MAX, and calibrate's bracket
+ALPHA_MAX = 512
+SIGMA_MAX = 1e3  # largest noise multiplier calibrate tries
+REL_WIDTH = 1e-3  # relative width at which the sigma bisection stops
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,6 @@ class DpConfig:
 
     clip: float
     sigma: float
-    epsilon: float
-    delta: float
     sampling_rate: float  # batch / dataset size
     steps: int  # total noised releases = epochs * discriminator steps
 
@@ -63,8 +66,6 @@ class DpConfig:
             raise ValueError("noise multiplier must be positive")
         if not 0 < self.sampling_rate <= 1:
             raise ValueError("sampling rate must be in (0, 1]")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
 
@@ -135,11 +136,11 @@ class RdpCurve:
         return float(self.eps[alpha - 2])
 
 
-def gaussian_rdp(sigma: float, alpha_max: int = DEFAULT_ALPHA_MAX) -> RdpCurve:
+def gaussian_rdp(sigma: float) -> RdpCurve:
     """Per-release curve of the mechanism: epsilon(alpha) = alpha / (2 sigma^2)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    alphas = np.arange(2, alpha_max + 1)
+    alphas = np.arange(2, ALPHA_MAX + 1)
     return RdpCurve(alphas, alphas / (2.0 * sigma * sigma))
 
 
@@ -225,45 +226,38 @@ def pipeline_epsilon(
     gamma: float,
     steps: int,
     delta: float,
-    alpha_max: int = DEFAULT_ALPHA_MAX,
     amplified: bool = True,
 ) -> tuple[float, int]:
     """(epsilon, alpha) of the full accounting pipeline for one parameter set."""
-    curve = gaussian_rdp(sigma, alpha_max)
+    curve = gaussian_rdp(sigma)
     if amplified:
         curve = subsample_amplify(curve, gamma)
     return to_dp(compose(curve, steps), delta)
 
 
-def calibrate(
-    target_epsilon: float,
-    delta: float,
-    gamma: float,
-    steps: int,
-    alpha_max: int = DEFAULT_ALPHA_MAX,
-    sigma_max: float = 1e3,
-    rel_width: float = 1e-3,
-) -> float:
+def calibrate(target_epsilon: float, delta: float, gamma: float, steps: int) -> float:
     """Smallest noise multiplier whose accounted epsilon meets the target.
 
-    Bisects on sigma down to the given relative bracket width after checking
-    that the pipeline is monotone non-increasing on the bracket. Raises
-    :class:`CalibrationError` (reporting the epsilon achieved at sigma_max)
-    when even the largest sigma cannot meet the budget.
+    Bisects on sigma down to a relative bracket width of ``REL_WIDTH`` after
+    checking that the pipeline is monotone non-increasing on the bracket.
+    Raises :class:`CalibrationError` (reporting the epsilon achieved at
+    ``SIGMA_MAX``) when even the largest sigma cannot meet the budget.
     """
-    if target_epsilon <= 0:
-        raise ValueError("target epsilon must be positive")
+    if not (math.isfinite(target_epsilon) and target_epsilon > 0):
+        raise ValueError(
+            f"target epsilon must be positive and finite, got {target_epsilon}"
+        )
 
     def eps_at(sigma: float) -> float:
-        return pipeline_epsilon(sigma, gamma, steps, delta, alpha_max)[0]
+        return pipeline_epsilon(sigma, gamma, steps, delta)[0]
 
     hi = 0.5
     while eps_at(hi) > target_epsilon:
         hi *= 2.0
-        if hi > sigma_max:
-            achieved = eps_at(sigma_max)
+        if hi > SIGMA_MAX:
+            achieved = eps_at(SIGMA_MAX)
             raise CalibrationError(
-                f"budget epsilon={target_epsilon} infeasible: at sigma={sigma_max} "
+                f"budget epsilon={target_epsilon} infeasible: at sigma={SIGMA_MAX} "
                 f"the achieved epsilon is {achieved:.6g}"
             )
     lo = hi / 2.0
@@ -275,7 +269,7 @@ def calibrate(
     vals = [eps_at(float(s)) for s in probes]
     if any(a < b - 1e-12 for a, b in zip(vals, vals[1:])):
         raise CalibrationError("accounted epsilon is not monotone on the bracket")
-    while (hi - lo) / hi > rel_width:
+    while (hi - lo) / hi > REL_WIDTH:
         mid = 0.5 * (lo + hi)
         if eps_at(mid) <= target_epsilon:
             hi = mid
@@ -296,13 +290,7 @@ class BudgetReport:
     alpha_internal: int
 
 
-def budget_report(
-    sigma: float,
-    gamma: float,
-    steps: int,
-    delta: float,
-    alpha_max: int = DEFAULT_ALPHA_MAX,
-) -> BudgetReport:
-    eps_ext, a_ext = pipeline_epsilon(sigma, gamma, steps, delta, alpha_max, True)
-    eps_int, a_int = pipeline_epsilon(sigma, gamma, steps, delta, alpha_max, False)
+def budget_report(sigma: float, gamma: float, steps: int, delta: float) -> BudgetReport:
+    eps_ext, a_ext = pipeline_epsilon(sigma, gamma, steps, delta, amplified=True)
+    eps_int, a_int = pipeline_epsilon(sigma, gamma, steps, delta, amplified=False)
     return BudgetReport(sigma, gamma, steps, delta, eps_ext, a_ext, eps_int, a_int)

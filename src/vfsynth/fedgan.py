@@ -88,12 +88,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_gan_type(name: str, annotation: str, v) -> None:
-    """Reject a GanConfig value of the wrong type, naming ``gan.<name>``."""
+def check_setting(key: str, annotation: str, v) -> None:
+    """Reject a config value of the wrong type, naming it ``<section>.<field>``."""
     if annotation == "int":
         ok, want = _is_int(v), "an integer"
     elif annotation == "float":
-        ok, want = _is_int(v) or isinstance(v, float), "a number"
+        ok = _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+        want = "a finite number"
     else:  # hidden-layer widths
         ok = isinstance(v, tuple) and all(_is_int(w) and w > 0 for w in v)
         want = "a list of positive integers"
@@ -106,7 +107,7 @@ def _check_gan_type(name: str, annotation: str, v) -> None:
                         "as a string: write 1.0e-4")
             except ValueError:
                 pass
-        raise ValueError(f"gan.{name} must be {want}, got {v!r}{hint}")
+        raise ValueError(f"{key} must be {want}, got {v!r}{hint}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class GanConfig:
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation's source text
             if f.type != "str":
-                _check_gan_type(f.name, f.type, getattr(self, f.name))
+                check_setting(f"gan.{f.name}", f.type, getattr(self, f.name))
         positive = (
             self.latent_dim,
             self.feature_dim,
@@ -177,9 +178,6 @@ class PartitionedData:
     @property
     def n_rows(self) -> int:
         return self.views[0].shape[0]
-
-    def party_width(self, i: int) -> int:
-        return self.views[i].shape[1]
 
 
 def party_blocks(encoder: Encoder, split: VerticalSplit) -> tuple:
@@ -230,7 +228,7 @@ class OutputHead:
     def width(self) -> int:
         return sum(b.width for b in self.blocks)
 
-    def forward(self, logits: np.ndarray, rng: RngStream | None):
+    def forward(self, logits: np.ndarray, rng: RngStream):
         out = np.empty_like(logits)
         for b in self.blocks:
             cols = slice(b.start, b.start + b.width)
@@ -279,17 +277,6 @@ class FeatureGradDown:
     party: int
     d_real: np.ndarray | None  # d L_server / d f_i
     d_synth: np.ndarray  # d L_server / d f~_i
-
-
-@dataclass(frozen=True)
-class BackboneGradUp:
-    party: int
-    grads: GradSet
-
-
-@dataclass(frozen=True)
-class BackboneGradDown:
-    grads: GradSet
 
 
 def _check_message_shape(msg, width: int, batch: int) -> None:
@@ -701,14 +688,9 @@ class Trainer:
     def _sum_backbones(self, grads: list[GradSet]) -> list[GradSet]:
         """Vertigan: every party applies the server's sum of backbone grads."""
         n = self.parties[0].n_backbone
-        up = [BackboneGradUp(p.index, GradSet(g.dw[:n], g.db[:n]))
-              for p, g in zip(self.parties, grads)]
-        down = BackboneGradDown(GradSet(
-            [np.sum([m.grads.dw[i] for m in up], axis=0) for i in range(n)],
-            [np.sum([m.grads.db[i] for m in up], axis=0) for i in range(n)],
-        ))
-        return [GradSet(down.grads.dw + g.dw[n:], down.grads.db + g.db[n:])
-                for g in grads]
+        dw = [np.sum([g.dw[i] for g in grads], axis=0) for i in range(n)]
+        db = [np.sum([g.db[i] for g in grads], axis=0) for i in range(n)]
+        return [GradSet(dw + g.dw[n:], db + g.db[n:]) for g in grads]
 
     def _check_backbone_equality(self) -> None:
         ref = self.parties[0]

@@ -1,10 +1,13 @@
 """Decision-forest classifier with an exact gini split search.
 
 Bagged binary trees with per-node feature subsampling (sqrt of the feature
-count), grown to purity unless a depth cap is given. Prediction is a majority
-vote over the trees' leaf classes; scores are per-class vote fractions.
-Training is deterministic given the stream: every tree derives its own child
-stream, so trees can be built in any order.
+count), grown to purity. Each tree grows from an explicit work list: a split
+node pushes its right child before its left, so nodes are numbered, and draw
+their feature subsets, in preorder. Every node stores its majority class (its
+leaf class once it is a leaf). Prediction is a majority vote over the trees'
+leaf classes; scores are per-class vote fractions. Training is deterministic
+given the stream: every tree derives its own child stream, so trees can be
+built in any order.
 
 The split search at a node scores every candidate column in one pass, in the
 manner of SPRINT's presorted exact-greedy scan (Shafer et al., VLDB 1996): one
@@ -65,13 +68,13 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
 
 @dataclass
 class Tree:
-    """Array-encoded binary tree; leaves carry a class distribution."""
+    """Array-encoded binary tree; every node carries its majority class."""
 
     feature: np.ndarray  # (nodes,) int64, -1 at leaves
     threshold: np.ndarray  # (nodes,) float64
     left: np.ndarray  # (nodes,) int64 child ids
     right: np.ndarray
-    leaf_dist: np.ndarray  # (nodes, n_classes), rows sum to 1 at leaves
+    leaf: np.ndarray  # (nodes,) int64 majority class (lowest id on ties)
 
 
 @dataclass
@@ -80,66 +83,50 @@ class Forest:
     trees: list[Tree]
 
 
-class _TreeBuilder:
-    def __init__(self, x, y, n_classes, n_feat_sub, max_depth, rng):
-        self.x, self.y = x, y
-        self.n_classes = n_classes
-        self.n_feat_sub = n_feat_sub
-        self.max_depth = max_depth
-        self.rng = rng
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.dist = [], [], []
+def _grow_tree(x, y, n_classes, n_feat_sub, rows, rng: RngStream) -> Tree:
+    """Grow one tree to purity on the given (bootstrap) rows.
 
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.dist.append(np.zeros(self.n_classes))
-        return len(self.feature) - 1
-
-    def build(self, idx, depth) -> int:
-        node = self._add_node()
-        y = self.y[idx]
-        counts = np.bincount(y, minlength=self.n_classes).astype(np.float64)
-        self.dist[node] = counts / len(idx)
-        if (
-            len(idx) < 2
-            or counts.max() == len(idx)
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
-        d = self.x.shape[1]
-        feats = self.rng.subsample(d, min(self.n_feat_sub, d))
-        found = best_split(self.x[np.ix_(idx, feats)], y, self.n_classes)
+    Nodes come off a work list; a split node pushes its right child before
+    its left, so node ids and feature-subset draws follow preorder.
+    """
+    d = x.shape[1]
+    feature, threshold, left, right, leaf = [], [], [], [], []
+    work = [(rows, None, -1)]  # (rows, parent's child-id list, parent)
+    while work:
+        idx, link, parent = work.pop()
+        node = len(feature)
+        if link is not None:
+            link[parent] = node
+        y_node = y[idx]
+        counts = np.bincount(y_node, minlength=n_classes)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf.append(int(np.argmax(counts)))
+        if len(idx) < 2 or counts.max() == len(idx):
+            continue
+        feats = rng.subsample(d, min(n_feat_sub, d))
+        found = best_split(x[np.ix_(idx, feats)], y_node, n_classes)
         if found is None:
-            return node
+            continue
         j, thresh = found
-        feat = int(feats[j])
-        mask = self.x[idx, feat] <= thresh
-        self.feature[node] = feat
-        self.threshold[node] = thresh
-        self.left[node] = self.build(idx[mask], depth + 1)
-        self.right[node] = self.build(idx[~mask], depth + 1)
-        return node
-
-    def tree(self) -> Tree:
-        return Tree(
-            np.array(self.feature, dtype=np.int64),
-            np.array(self.threshold),
-            np.array(self.left, dtype=np.int64),
-            np.array(self.right, dtype=np.int64),
-            np.vstack(self.dist),
-        )
+        feature[node] = int(feats[j])
+        threshold[node] = thresh
+        mask = x[idx, feature[node]] <= thresh
+        work.append((idx[~mask], right, node))
+        work.append((idx[mask], left, node))
+    return Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(leaf, dtype=np.int64),
+    )
 
 
 def train_forest(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    trees: int,
-    rng: RngStream,
-    max_depth: int | None = None,
+    x: np.ndarray, y: np.ndarray, n_classes: int, trees: int, rng: RngStream
 ) -> Forest:
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
@@ -153,9 +140,7 @@ def train_forest(
     for t in range(trees):
         stream = rng.child("tree", t)
         boot = stream.integers(0, n, size=n)
-        builder = _TreeBuilder(x, y, n_classes, n_feat_sub, max_depth, stream)
-        builder.build(np.sort(boot), 0)
-        out.append(builder.tree())
+        out.append(_grow_tree(x, y, n_classes, n_feat_sub, np.sort(boot), stream))
     return Forest(n_classes, out)
 
 
@@ -169,7 +154,7 @@ def _tree_leaf_classes(tree: Tree, x: np.ndarray) -> np.ndarray:
         go_left = x[rows, tree.feature[cur]] <= tree.threshold[cur]
         node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
         active = tree.feature[node] >= 0
-    return np.argmax(tree.leaf_dist[node], axis=1)
+    return tree.leaf[node]
 
 
 def _vote_counts(forest: Forest, x: np.ndarray) -> np.ndarray:

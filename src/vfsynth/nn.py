@@ -242,37 +242,21 @@ def gradient_penalty(
     return penalty, grads
 
 
-def interpolate(
-    x: np.ndarray,
-    x_tilde: np.ndarray,
-    rng: RngStream | None = None,
-    beta: np.ndarray | None = None,
-) -> np.ndarray:
+def interpolate(x: np.ndarray, x_tilde: np.ndarray, rng: RngStream) -> np.ndarray:
     """Per-row convex combination ``beta*x + (1-beta)*x_tilde``, beta ~ U[0,1)."""
     if x.shape != x_tilde.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_tilde.shape}")
-    if beta is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit beta")
-        beta = rng.uniform(x.shape[0])
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    beta = rng.uniform(x.shape[0]).reshape(-1, 1)
     return beta * x + (1.0 - beta) * x_tilde
 
 
-def gumbel_softmax(
-    logits: np.ndarray, temperature: float, rng: RngStream | None
-) -> np.ndarray:
-    """Row-wise softmax((logits + Gumbel noise) / temperature).
-
-    Pass ``rng=None`` to disable the noise (plain tempered softmax).
-    """
+def gumbel_softmax(logits: np.ndarray, temperature: float, rng: RngStream) -> np.ndarray:
+    """Row-wise softmax((logits + Gumbel noise) / temperature)."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    z = logits
-    if rng is not None:
-        u = rng.uniform(*logits.shape)
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        z = logits + (-np.log(-np.log(u)))
+    u = rng.uniform(*logits.shape)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    z = logits + (-np.log(-np.log(u)))
     z = z / temperature
     z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)

@@ -7,7 +7,7 @@ import yaml
 
 from vfsynth import checkpoint as ck
 from vfsynth import data as d
-from vfsynth.dp import budget_report
+from vfsynth.dp import budget_report, calibrate
 from vfsynth import nn
 from vfsynth.cli import main
 from vfsynth.config import ConfigError, load_config
@@ -215,7 +215,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("field,value", [
         ("epochs", "3"), ("batch_size", 2.5), ("latent_dim", True),
         ("gen_hidden", 64), ("server_hidden", [8, 0]), ("eta_g", "1e-4"),
-        ("lambda_gp", False),
+        ("lambda_gp", False), ("eta_g", float("nan")), ("lambda_gp", float("nan")),
+        ("gumbel_temperature", float("inf")),
     ])
     def test_mistyped_gan_setting_rejected(self, tmp_path, capsys, field, value):
         cfg_path = toy_config(tmp_path)
@@ -225,8 +226,32 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"gan.{field}" in err
-        if field == "eta_g":  # YAML reads 1e-4 as a string
+        if value == "1e-4":  # YAML reads 1e-4 as a string
             assert "1.0e-4" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")), ("clip", float("inf")),
+        ("delta", float("nan")), ("epsilon", True), ("delta", "1e-3"),
+    ])
+    def test_mistyped_dp_setting_rejected(self, tmp_path, capsys, field, value):
+        dp = {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0, field: value}
+        cfg_path = toy_config(tmp_path, extra={"dp": dp})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"dp.{field}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_dp_section_needs_epsilon_and_delta(self, tmp_path, capsys):
+        cfg_path = toy_config(tmp_path, extra={"dp": {"delta": 1e-3}})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "missing 'epsilon' in dp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", -1, 2**64])
+    def test_bad_seed_rejected(self, tmp_path, capsys, seed):
+        cfg_path = toy_config(tmp_path, seed=seed)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "seed must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_refuses_nonempty_output(self, tmp_path):
@@ -249,15 +274,29 @@ class TestTrainCommand:
             assert b1 == b2
 
     def test_dp_run_records_budget(self, tmp_path):
+        # integer budget and clip: stored and written as floats
         cfg_path = toy_config(
-            tmp_path, extra={"dp": {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}}
+            tmp_path, extra={"dp": {"epsilon": 10, "delta": 1e-3, "clip": 1}}
         )
         assert main(["train", "--config", str(cfg_path)]) == 0
-        manifest = yaml.safe_load((tmp_path / "run" / "manifest.yaml").read_text())
-        dp = manifest["dp"]
+        text = (tmp_path / "run" / "manifest.yaml").read_text()
+        assert "  epsilon_target: 10.0\n" in text and "  clip: 1.0\n" in text
+        dp = yaml.safe_load(text)["dp"]
+        assert sorted(dp) == [
+            "alpha_external", "alpha_internal", "clip", "delta", "epsilon_external",
+            "epsilon_internal", "epsilon_target", "gamma", "sigma", "steps",
+        ]
+        # 32 rows, batch 8, 3 epochs x 2 critic steps
+        sigma = calibrate(10.0, 1e-3, 8 / 32, 6)
+        want = budget_report(sigma, 8 / 32, 6, 1e-3)
+        assert (dp["clip"], dp["epsilon_target"]) == (1.0, 10.0)
+        assert (dp["sigma"], dp["gamma"], dp["steps"], dp["delta"]) == (sigma, 0.25, 6, 1e-3)
+        assert (dp["epsilon_external"], dp["alpha_external"]) == (
+            want.epsilon_external, want.alpha_external)
+        assert (dp["epsilon_internal"], dp["alpha_internal"]) == (
+            want.epsilon_internal, want.alpha_internal)
         assert dp["epsilon_external"] <= 10.0
         assert dp["epsilon_internal"] >= dp["epsilon_external"]
-        assert dp["sigma"] > 0
 
     def test_failed_run_marked(self, tmp_path, monkeypatch):
         from vfsynth import fedgan as fg

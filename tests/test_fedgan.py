@@ -392,7 +392,7 @@ class TestVertigan:
         trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(33, "vc"))
         root = RngStream(33, "vc")
         i = 1  # the party with the categorical block
-        width = parts.party_width(i)
+        width = parts.views[i].shape[1]
         critic = nn.init_mlp(
             [width, *cfg.disc_part1_hidden, cfg.feature_dim, *cfg.disc_part2_hidden, 1],
             root.child("init", "d", i),
@@ -478,7 +478,7 @@ class TestDpWiring:
         parts = toy_partitioned(n=16, seed=11)
         cfg = small_cfg(disc_steps=2, epochs=1)
         dpc = DpConfig(
-            clip=1.0, sigma=1.0, epsilon=10.0, delta=1e-3,
+            clip=1.0, sigma=1.0,
             sampling_rate=cfg.batch_size / 16, steps=cfg.epochs * cfg.disc_steps,
         )
         calls = []
@@ -498,7 +498,7 @@ class TestDpWiring:
     def test_dp_config_mismatch_rejected(self):
         parts = toy_partitioned(n=16)
         cfg = small_cfg()
-        bad = DpConfig(1.0, 1.0, 10.0, 1e-3, 0.9, cfg.epochs * cfg.disc_steps)
+        bad = DpConfig(1.0, 1.0, 0.9, cfg.epochs * cfg.disc_steps)
         with pytest.raises(ValueError, match="sampling rate"):
             fg.train(fg.VFLGAN, parts, cfg, bad, RngStream(0))
 

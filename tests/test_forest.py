@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ class TestForest:
                     t.threshold.copy(),
                     t.left.copy(),
                     t.right.copy(),
-                    t.leaf_dist.copy(),
+                    t.leaf.copy(),
                 )
                 for t in model.trees
             ],
@@ -190,7 +192,7 @@ class TestForest:
         for t1, t2 in zip(m1.trees, m2.trees):
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold)
-            assert np.array_equal(t1.leaf_dist, t2.leaf_dist)
+            assert np.array_equal(t1.leaf, t2.leaf)
 
     def test_trees_match_loop_oracle(self, monkeypatch):
         rng = RngStream(13)
@@ -201,7 +203,7 @@ class TestForest:
         slow = F.train_forest(x, y, 4, trees=8, rng=RngStream(14))
         assert len(fast.trees) == len(slow.trees) == 8
         for a, b in zip(fast.trees, slow.trees):
-            for name in ("feature", "threshold", "left", "right", "leaf_dist"):
+            for name in ("feature", "threshold", "left", "right", "leaf"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     @pytest.mark.parametrize("trees", [0, -1])
@@ -223,17 +225,28 @@ class TestForest:
         # strongly separated data: scores near the true labels
         assert np.mean((scores > 0.5) == (y == 1)) >= 0.95
 
-    def test_leaf_distributions_sum_to_one(self):
+    def test_bootstrap_rows_land_in_leaves_of_their_class(self):
+        # trees grow to purity, and continuous features have no duplicate
+        # rows, so every in-bag row is replayed by every tree
         rng = RngStream(8)
-        x, y = blobs(rng, n_per=25)
+        x, y = blobs(rng, n_per=25, sep=0.5)
         model = F.train_forest(x, y, 2, trees=5, rng=rng.child("fit"))
-        for t in model.trees:
-            leaves = t.feature < 0
-            assert np.allclose(t.leaf_dist[leaves].sum(axis=1), 1.0)
+        for t, tree in enumerate(model.trees):
+            boot = rng.child("fit").child("tree", t).integers(0, len(y), size=len(y))
+            assert np.array_equal(F._tree_leaf_classes(tree, x[boot]), y[boot])
 
-    def test_depth_cap(self):
-        rng = RngStream(9)
-        x, y = blobs(rng, n_per=50, sep=0.5)  # overlapping -> deep trees if uncapped
-        model = F.train_forest(x, y, 2, trees=3, rng=rng.child("fit"), max_depth=2)
-        for t in model.trees:
-            assert len(t.feature) <= 2 ** 3 - 1
+    def test_pinned_tree_digest(self):
+        # feature/threshold/left/right and each node's majority class of
+        # seeded forests on rounded (tie-heavy) three-class data
+        h = hashlib.sha256()
+        for seed in range(4):
+            data = RngStream(seed, "digest")
+            x = np.round(data.normal(150, 6), 1)
+            y = data.integers(0, 3, size=150)
+            model = F.train_forest(x, y, 3, trees=6, rng=RngStream(seed, "fit"))
+            for t in model.trees:
+                for a in (t.feature, t.threshold, t.left, t.right, t.leaf):
+                    h.update(a.tobytes())
+        assert h.hexdigest() == (
+            "549f0d12a7af72fa184cb76fe7818134eca142acec28152be3639e528ccef983"
+        )

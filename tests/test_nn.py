@@ -308,12 +308,6 @@ class TestInterpolate:
         x = rng.normal(5, 3)
         assert np.allclose(nn.interpolate(x, x, rng), x)
 
-    def test_endpoints(self):
-        rng = RngStream(31)
-        x, xt = rng.normal(4, 2), rng.normal(4, 2)
-        assert np.array_equal(nn.interpolate(x, xt, beta=np.ones(4)), x)
-        assert np.array_equal(nn.interpolate(x, xt, beta=np.zeros(4)), xt)
-
     def test_outputs_within_coordinate_intervals(self):
         rng = RngStream(32)
         for _ in range(50):
@@ -338,11 +332,6 @@ class TestGumbelSoftmax:
         y = nn.gumbel_softmax(logits, 0.5, rng)
         assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(y > 0) and np.all(y < 1)
-
-    def test_low_temperature_limit_is_argmax_one_hot(self):
-        logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 0.0]])
-        y = nn.gumbel_softmax(logits, 1e-4, rng=None)
-        assert np.allclose(y, np.eye(3)[[1, 0]], atol=1e-9)
 
     def test_argmax_frequencies_match_categorical(self):
         # Gumbel-max property: argmax frequencies follow softmax(logits)
