@@ -276,10 +276,8 @@ def _shadow_parts(world_ds, split):
 def _assd_job(args):
     world_ds, cfg, split, rng, world, m, synth_rows = args
     _, parts = _shadow_parts(world_ds, split)
-    model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
-    synth = D.decode(
-        fg.generate(model, synth_rows, rng.child("synth", world, m), best=True)
-    )
+    trainer = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
+    synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
     return {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
 
 

@@ -127,11 +127,6 @@ def _resolve_dp(cfg: RunConfig, n_rows: int):
     return dp_cfg, report
 
 
-def _checkpoint_models(model: fg.TrainedModel, best: bool) -> dict:
-    gens = model.generator_set(best=best)
-    return {f"g{i}": g for i, g in enumerate(gens)}
-
-
 def _write_encoder(run_dir: Path, enc: D.Encoder) -> None:
     body = {
         "mu": [float(v) for v in enc.mu],
@@ -178,7 +173,7 @@ def cmd_train(args) -> int:
             **dataclasses.asdict(dp_report),
         }
     try:
-        model = fg.train(
+        trainer = fg.train(
             cfg.variant, parts, cfg.gan, dp_cfg, RngStream(cfg.seed, "train")
         )
     except Exception as exc:
@@ -187,18 +182,16 @@ def cmd_train(args) -> int:
         manifest["completed_utc"] = _utc_now()
         _write_manifest(run_dir, manifest)
         raise
-    model.log.to_csv(run_dir / "logs" / "train_log.csv")
-    write_checkpoint(
-        run_dir / "checkpoints" / "final.ckpt", _checkpoint_models(model, best=False)
-    )
-    write_checkpoint(
-        run_dir / "checkpoints" / "best.ckpt", _checkpoint_models(model, best=True)
-    )
+    trainer.log.to_csv(run_dir / "logs" / "train_log.csv")
+    for which, best in (("final", False), ("best", True)):
+        gens = trainer.generators(best)
+        write_checkpoint(run_dir / "checkpoints" / f"{which}.ckpt",
+                         {f"g{i}": g for i, g in enumerate(gens)})
     _write_encoder(run_dir, enc)
     manifest["status"] = "completed"
     manifest["completed_utc"] = _utc_now()
-    manifest["best_epoch"] = model.log.best_epoch
-    manifest["best_fd"] = float(model.log.best_fd)
+    manifest["best_epoch"] = trainer.log.best_epoch
+    manifest["best_fd"] = float(trainer.log.best_fd)
     _write_manifest(run_dir, manifest)
     print(run_dir)
     return 0
@@ -207,18 +200,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
-
-def _rebuild_heads(cfg: RunConfig, enc: D.Encoder):
-    per_party = fg.party_blocks(enc, cfg.split)
-    if cfg.variant == fg.CENTRAL:
-        blocks = [fg.merge_blocks(per_party)]
-    else:
-        blocks = list(per_party)
-    return [
-        fg.OutputHead(b, cfg.gan.gumbel_temperature, cfg.gan.numeric_activation)
-        for b in blocks
-    ]
-
 
 def cmd_generate(args) -> int:
     run_dir = Path(args.run)
@@ -233,7 +214,10 @@ def cmd_generate(args) -> int:
     _verify_digest(run_dir, manifest, "encoder.yaml")
     models = read_checkpoint(run_dir / rel)
     enc = _read_encoder(run_dir, cfg.schema)
-    heads = _rebuild_heads(cfg, enc)
+    heads = [
+        fg.OutputHead(b, cfg.gan.gumbel_temperature, cfg.gan.numeric_activation)
+        for b in fg.party_blocks(enc, fg.trained_split(cfg.variant, cfg.split))
+    ]
     gens = [models[f"g{i}"] for i in range(len(heads))]
     synth = fg.generate_from(
         gens, heads, enc, cfg.gan.latent_dim, args.n,

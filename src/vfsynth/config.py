@@ -70,6 +70,12 @@ class RunConfig:
     dp: DpTarget | None = None
     audit: AuditConfig | None = None
 
+    def __post_init__(self):
+        # checked here so that a ``--seed`` override is checked too
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
 
 def _require(mapping, key, where):
     if not isinstance(mapping, dict) or key not in mapping:
@@ -151,8 +157,6 @@ def load_config(path) -> RunConfig:
     if variant not in fg.VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (choose from {fg.VARIANTS})")
     seed = _require(doc, "seed", "config")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     output_dir = str(_require(doc, "output_dir", "config"))
     gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
     dp = None
@@ -163,14 +167,17 @@ def load_config(path) -> RunConfig:
         audit = _section(AuditConfig, doc["audit"], "audit", variant=variant, gan=gan)
         if audit.target is None and audit.select is None:
             raise ConfigError("audit needs an explicit target or a select rule")
-    return RunConfig(
-        dataset_path=str(_require(dataset, "path", "dataset")),
-        schema=schema,
-        split=split,
-        variant=variant,
-        seed=seed,
-        output_dir=output_dir,
-        gan=gan,
-        dp=dp,
-        audit=audit,
-    )
+    try:
+        return RunConfig(
+            dataset_path=str(_require(dataset, "path", "dataset")),
+            schema=schema,
+            split=split,
+            variant=variant,
+            seed=seed,
+            output_dir=output_dir,
+            gan=gan,
+            dp=dp,
+            audit=audit,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream
-
 __all__ = [
     "DataError",
     "Attribute",
@@ -32,7 +30,6 @@ __all__ = [
     "fit_encoder",
     "encode",
     "decode",
-    "subsample_batch",
     "leave_one_out",
     "subset",
 ]
@@ -112,9 +109,6 @@ class TabularDataset:
     @property
     def n_rows(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[self.schema.index_of(name)]
 
     def raw_row(self, i: int) -> tuple:
         out = []
@@ -365,14 +359,3 @@ class VerticalSplit:
             cols = np.concatenate([enc.span_columns(i) for i in party])
             out.append(cols)
         return out
-
-
-def subsample_batch(n: int, batch: int, rng: RngStream) -> np.ndarray:
-    """Uniform subset of ``batch`` distinct row indices, sorted.
-
-    All parties drawing from the same stream observe the same index list,
-    which is how row alignment between parties is realized in-process.
-    """
-    if batch > n:
-        raise DataError(f"batch {batch} larger than dataset {n}")
-    return rng.subsample(n, batch)

@@ -16,7 +16,8 @@ Four variants share one scheduler:
 * ``vertigan`` — horizontal-style baseline: local WGAN-GP per party with a
   generator backbone kept bit-identical across parties by summing backbone
   gradients at the server.
-* ``central`` — single-party WGAN-GP on the full column set (upper bound).
+* ``central`` — single-party WGAN-GP (upper bound): one party holding every
+  column, i.e. ``vertigan`` on the one-party split of :func:`trained_split`.
 
 The last two draw one critic and split it after the feature layer, so all
 four variants step their critics through the same code, minus the server.
@@ -33,18 +34,21 @@ Stream layout under the root stream handed to :func:`train`:
 ``batch``, ``z`` (shared); per party i ``("gumbel", i)``, ``("beta", i)``,
 ``("dpnoise", i)``; ``beta_server``; per-epoch ``("eval", epoch)`` for the
 quality log; initialization under ``("init", ...)``.
+
+:func:`train` returns the trained :class:`Trainer`; :meth:`Trainer.sample`
+draws synthetic rows from it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nn
-from .data import DataError, EncodedDataset, Encoder, VerticalSplit, subsample_batch
+from .data import DataError, EncodedDataset, Encoder, VerticalSplit
 from .dp import DpConfig, apply_mechanism
 from .metrics import frechet_distance, stats_from_matrix
 from .nn import AdamState, GradSet, Mlp
@@ -63,10 +67,9 @@ __all__ = [
     "TrainingDiverged",
     "TrainLog",
     "EpochRecord",
-    "TrainedModel",
     "Trainer",
     "train",
-    "generate",
+    "trained_split",
 ]
 
 VFLGAN = "vflgan"
@@ -195,14 +198,12 @@ def party_blocks(encoder: Encoder, split: VerticalSplit) -> tuple:
     return tuple(out)
 
 
-def merge_blocks(per_party: tuple) -> tuple[Block, ...]:
-    """Single-party layout covering all parties' columns in order."""
-    merged, at = [], 0
-    for blocks in per_party:
-        for b in blocks:
-            merged.append(Block(b.kind, at + b.start, b.width))
-        at += sum(b.width for b in blocks)
-    return tuple(merged)
+def trained_split(variant: str, split: VerticalSplit) -> VerticalSplit:
+    """The parties a variant trains: ``central`` is one party holding every
+    column; the other variants train the split as given."""
+    if variant == CENTRAL:
+        return VerticalSplit((sum(split.parties, ()),))
+    return split
 
 
 def partition(enc_ds: EncodedDataset, split: VerticalSplit) -> PartitionedData:
@@ -522,24 +523,6 @@ class TrainLog:
                 )
 
 
-@dataclass
-class TrainedModel:
-    variant: str
-    cfg: GanConfig
-    encoder: Encoder
-    split: VerticalSplit
-    generators: list[Mlp]
-    heads: list[OutputHead]
-    d1_parts: list[Mlp] | None  # first discriminator parts (vflgan/base)
-    log: TrainLog
-    best_generators: list[Mlp] | None = None
-
-    def generator_set(self, best: bool = False) -> list[Mlp]:
-        if best and self.best_generators is not None:
-            return self.best_generators
-        return self.generators
-
-
 def generate_from(
     generators: list[Mlp], heads: list[OutputHead], encoder: Encoder,
     latent_dim: int, n: int, rng: RngStream,
@@ -553,15 +536,6 @@ def generate_from(
         logits, _ = nn.forward(g, z)
         parts.append(head.forward(logits, rng.child("gumbel", i)))
     return EncodedDataset(np.hstack(parts), encoder)
-
-
-def generate(model: TrainedModel, n: int, rng: RngStream,
-             best: bool = False) -> EncodedDataset:
-    """Synthetic rows: every party consumes the same latent batch."""
-    return generate_from(
-        model.generator_set(best), model.heads, model.encoder,
-        model.cfg.latent_dim, n, rng,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,28 +570,23 @@ class Trainer:
         self.dp = dp
         self.rng = rng
         self.encoder = parts.encoder
-        self.split = parts.split
-        if variant == CENTRAL:
-            merged = np.hstack(parts.views)
-            self.views = [merged]
-            self.blocks = [merge_blocks(parts.blocks)]
-        else:
-            self.views = list(parts.views)
-            self.blocks = [tuple(b) for b in parts.blocks]
         self.n_rows = parts.n_rows
+        stacked = EncodedDataset(np.hstack(parts.views), parts.encoder)
+        trained = partition(stacked, trained_split(variant, parts.split))
         self.parties = [
             Party(i, v, b, cfg, variant, rng)
-            for i, (v, b) in enumerate(zip(self.views, self.blocks))
+            for i, (v, b) in enumerate(zip(trained.views, trained.blocks))
         ]
         if variant in (VFLGAN, VFLGAN_BASE):
             self.server = Server(cfg, [cfg.feature_dim] * len(self.parties), rng)
         else:
             self.server = None
+        # every party draws its batch rows from this one stream, which is how
+        # row alignment between parties is realized in-process
         self.batch_stream = rng.child("batch")
         self.z_stream = rng.child("z")
-        self.real_matrix = np.hstack(self.views)
         self._real_stats = (
-            stats_from_matrix(self.real_matrix) if self.n_rows >= 2 else None
+            stats_from_matrix(stacked.matrix) if self.n_rows >= 2 else None
         )
         self.log = TrainLog()
         self._best_gens: list[Mlp] | None = None
@@ -627,7 +596,7 @@ class Trainer:
 
     def discriminator_step(self) -> dict[str, float]:
         cfg = self.cfg
-        idx = subsample_batch(self.n_rows, cfg.batch_size, self.batch_stream)
+        idx = self.batch_stream.subsample(self.n_rows, cfg.batch_size)
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
         losses: dict[str, float] = {}
         features = [
@@ -703,14 +672,24 @@ class Trainer:
 
     # -- epoch loop ----------------------------------------------------------
 
+    def generators(self, best: bool = False) -> list[Mlp]:
+        """The best-epoch generators if asked for and logged, else the current."""
+        if best and self._best_gens is not None:
+            return self._best_gens
+        return [p.g for p in self.parties]
+
+    def sample(self, n: int, rng: RngStream, best: bool = False) -> EncodedDataset:
+        """Synthetic rows: every party consumes the same latent batch."""
+        return generate_from(
+            self.generators(best), [p.head for p in self.parties],
+            self.encoder, self.cfg.latent_dim, n, rng,
+        )
+
     def _quality_fd(self, epoch: int) -> float:
         if self._real_stats is None:
             return math.nan
         n = min(self.n_rows, self.cfg.fd_sample_cap)
-        sample = generate_from(
-            [p.g for p in self.parties], [p.head for p in self.parties],
-            self.encoder, self.cfg.latent_dim, n, self.rng.child("eval", epoch),
-        )
+        sample = self.sample(n, self.rng.child("eval", epoch))
         # a diverged generator can make the moment statistics degenerate;
         # log nan for the epoch instead of aborting the run
         try:
@@ -750,26 +729,13 @@ class Trainer:
         before = self.log.best_epoch
         self.log.append(rec)
         if self.log.best_epoch != before:
-            self._best_gens = [
-                Mlp(tuple(p.g.layers)) for p in self.parties
-            ]
+            self._best_gens = [p.g for p in self.parties]  # Mlps are immutable
         return rec
 
-    def run(self) -> TrainedModel:
+    def run(self) -> Trainer:
         for _ in range(self.cfg.epochs):
             self.run_epoch()
-        d1_parts = None if self.server is None else [p.d1 for p in self.parties]
-        return TrainedModel(
-            self.variant,
-            self.cfg,
-            self.encoder,
-            self.split,
-            [p.g for p in self.parties],
-            [p.head for p in self.parties],
-            d1_parts,
-            self.log,
-            best_generators=self._best_gens,
-        )
+        return self
 
 
 def train(
@@ -778,7 +744,7 @@ def train(
     cfg: GanConfig,
     dp: DpConfig | None,
     rng: RngStream,
-) -> TrainedModel:
+) -> Trainer:
     """Run the full protocol: epochs of disc_steps critic iterations + one
     generator iteration, logging a fresh-sample Frechet distance per epoch."""
     return Trainer(variant, parts, cfg, dp, rng).run()

@@ -329,8 +329,8 @@ class TestShadowRows:
         ds, cfg, rng = mixed_dataset(16, seed=30), tiny_audit_cfg(), RngStream(31)
         sets = A.train_shadows_assd(ds, 4, self.split, cfg, rng)
         for row, (world, m, _, model) in enumerate(self._replicas(ds, 4, cfg, rng)):
-            synth = d.decode(fg.generate(model, ds.n_rows, rng.child("synth", world, m),
-                                         best=True))
+            synth = d.decode(model.sample(ds.n_rows, rng.child("synth", world, m),
+                                          best=True))
             assert sets.labels[row] == world
             assert np.array_equal(sets.features["naive"][row], A.extract_naive(synth))
             assert np.array_equal(sets.features["correlation"][row], A.extract_corr(synth))
@@ -340,7 +340,7 @@ class TestShadowRows:
         sets = A.train_shadows_asif(ds, 7, self.split, cfg, rng)
         for row, (world, _, enc, model) in enumerate(self._replicas(ds, 7, cfg, rng)):
             views = fg.partition(d.encode(ds, enc), self.split).views
-            feats = np.hstack([nn.forward(d1, v)[0] for d1, v in zip(model.d1_parts, views)])
+            feats = np.hstack([nn.forward(p.d1, v)[0] for p, v in zip(model.parties, views)])
             assert sets.labels[row] == world
             assert np.array_equal(sets.features["naive"][row], A.naive_features_matrix(feats))
             assert np.array_equal(sets.features["correlation"][row],
@@ -448,15 +448,14 @@ class TestStubbedEndToEnd:
             def __init__(self, enc_ds):
                 self.enc_ds = enc_ds
 
+            def sample(self, n, rng, best=False):
+                return self.enc_ds
+
         def stub_train(variant, parts, cfg, dp, rng):
             m = np.hstack(parts.views)
             return EchoModel(d.EncodedDataset(m, parts.encoder))
 
-        def stub_generate(model, n, rng, best=False):
-            return model.enc_ds
-
         monkeypatch.setattr(A.fg, "train", stub_train)
-        monkeypatch.setattr(A.fg, "generate", stub_generate)
 
         ds = mixed_dataset(20, seed=22)
         # make the target clearly distinctive

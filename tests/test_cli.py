@@ -7,6 +7,7 @@ import yaml
 
 from vfsynth import checkpoint as ck
 from vfsynth import data as d
+from vfsynth import fedgan as fg
 from vfsynth.dp import budget_report, calibrate
 from vfsynth import nn
 from vfsynth.cli import main
@@ -254,6 +255,13 @@ class TestTrainCommand:
         assert "seed must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_override_rejected(self, tmp_path, capsys, seed):
+        cfg_path = toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), f"--seed={seed}"]) == 1
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_refuses_nonempty_output(self, tmp_path):
         cfg_path = toy_config(tmp_path)
         run = tmp_path / "run"
@@ -299,8 +307,6 @@ class TestTrainCommand:
         assert dp["epsilon_internal"] >= dp["epsilon_external"]
 
     def test_failed_run_marked(self, tmp_path, monkeypatch):
-        from vfsynth import fedgan as fg
-
         cfg_path = toy_config(tmp_path)
 
         def boom(*a, **k):
@@ -324,6 +330,23 @@ class TestGenerateCommand:
         cfg = load_config(cfg_path)
         back = d.load_csv(out, cfg.schema)
         assert back.n_rows == 20
+
+    @pytest.mark.parametrize("variant", fg.VARIANTS)
+    def test_generate_matches_trainer(self, tmp_path, variant):
+        # the heads rebuilt from the config lay out every variant's columns
+        # as the trainer did, central's one party included
+        cfg_path = toy_config(tmp_path, extra={"variant": variant})
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "synth.csv"
+        assert main(["generate", "--run", str(tmp_path / "run"), "--best", "--n", "20",
+                     "--seed", "9", "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        ds = d.load_csv(cfg.dataset_path, cfg.schema)
+        parts = fg.partition(d.encode(ds, d.fit_encoder(ds)), cfg.split)
+        trainer = fg.train(variant, parts, cfg.gan, None, RngStream(cfg.seed, "train"))
+        want = tmp_path / "want.csv"
+        d.decode(trainer.sample(20, RngStream(9, "generate"), best=True)).to_csv(want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_zero_rows_header_only(self, tmp_path):
         cfg_path = toy_config(tmp_path)

@@ -230,12 +230,7 @@ class TestSubsampleAndLeaveOneOut:
         s1 = RngStream(9, "batch")
         s2 = RngStream(9, "batch")
         for _ in range(10):
-            assert np.array_equal(d.subsample_batch(100, 32, s1),
-                                  d.subsample_batch(100, 32, s2))
-
-    def test_batch_too_large(self):
-        with pytest.raises(d.DataError):
-            d.subsample_batch(5, 6, RngStream(0))
+            assert np.array_equal(s1.subsample(100, 32), s2.subsample(100, 32))
 
     def test_leave_one_out_order(self):
         ds = toy_dataset(n=3, seed=8)

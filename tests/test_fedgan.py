@@ -68,7 +68,7 @@ class TestTrainBasics:
         model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=0), None, RngStream(1))
         assert model.log.records == []
         fresh = fg.Trainer(fg.VFLGAN, parts, small_cfg(epochs=0), None, RngStream(1))
-        for g1, p in zip(model.generators, fresh.parties):
+        for g1, p in zip(model.generators(), fresh.parties):
             assert same_params(params_of(g1), params_of(p.g))
 
     @pytest.mark.parametrize("variant", fg.VARIANTS)
@@ -76,7 +76,7 @@ class TestTrainBasics:
         parts = toy_partitioned()
         m1 = fg.train(variant, parts, small_cfg(), None, RngStream(7, "run"))
         m2 = fg.train(variant, parts, small_cfg(), None, RngStream(7, "run"))
-        for g1, g2 in zip(m1.generators, m2.generators):
+        for g1, g2 in zip(m1.generators(), m2.generators()):
             assert same_params(params_of(g1), params_of(g2))
         for r1, r2 in zip(m1.log.records, m2.log.records):
             assert r1 == r2
@@ -263,7 +263,7 @@ class TestServerCoupling:
     def test_base_variant_has_no_second_parts(self):
         parts = toy_partitioned()
         model = fg.train(fg.VFLGAN_BASE, parts, small_cfg(), None, RngStream(15))
-        assert model.d1_parts is not None
+        assert all(p.d2 is None for p in model.parties)
         assert len(model.log.records) == 2
         # base logs no local discriminator losses
         assert math.isnan(model.log.records[0].loss_d1)
@@ -325,7 +325,7 @@ class TestVertigan:
         parts = toy_partitioned(n=16, seed=9)
         model = fg.train(fg.VERTIGAN, parts, small_cfg(epochs=4), None, RngStream(17))
         # train() already runs the per-step check; verify on the result too
-        g0, g1 = model.generators
+        g0, g1 = model.generators()
         nb = len(small_cfg().gen_hidden)
         for a, b in zip(g0.layers[:nb], g1.layers[:nb]):
             assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
@@ -439,7 +439,7 @@ class TestVertigan:
         m_vert = fg.train(fg.VERTIGAN, parts, cfg, None, RngStream(21, "s"))
         m_cent = fg.train(fg.CENTRAL, parts, cfg, None, RngStream(21, "s"))
         assert same_params(
-            params_of(m_vert.generators[0]), params_of(m_cent.generators[0])
+            params_of(m_vert.generators()[0]), params_of(m_cent.generators()[0])
         )
 
 
@@ -447,20 +447,20 @@ class TestGenerate:
     def test_zero_rows(self):
         parts = toy_partitioned()
         model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(22))
-        out = fg.generate(model, 0, RngStream(1))
+        out = model.sample(0, RngStream(1))
         assert out.matrix.shape == (0, parts.encoder.width)
 
     def test_deterministic(self):
         parts = toy_partitioned()
         model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(23))
-        a = fg.generate(model, 10, RngStream(5, "gen"))
-        b = fg.generate(model, 10, RngStream(5, "gen"))
+        a = model.sample(10, RngStream(5, "gen"))
+        b = model.sample(10, RngStream(5, "gen"))
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_categorical_blocks_on_simplex(self):
         parts = toy_partitioned()
         model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(24))
-        out = fg.generate(model, 32, RngStream(6))
+        out = model.sample(32, RngStream(6))
         block = out.matrix[:, 3:6]  # the one categorical block (3 cats)
         assert np.allclose(block.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(block >= 0)
@@ -468,7 +468,7 @@ class TestGenerate:
     def test_decodes_against_schema(self):
         parts = toy_partitioned()
         model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(25))
-        out = d.decode(fg.generate(model, 20, RngStream(7)))
+        out = d.decode(model.sample(20, RngStream(7)))
         assert out.n_rows == 20
         assert set(np.unique(out.columns[3])) <= {0, 1, 2}
 
@@ -508,7 +508,7 @@ class TestDpWiring:
         cfg = small_cfg(epochs=3)
         a = fg.train(fg.VFLGAN, parts, cfg, None, RngStream(27, "nf"))
         b = fg.train(fg.VFLGAN, parts, cfg, None, RngStream(27, "nf"))
-        for g1, g2 in zip(a.generators, b.generators):
+        for g1, g2 in zip(a.generators(), b.generators()):
             assert same_params(params_of(g1), params_of(g2))
 
 
@@ -529,4 +529,8 @@ class TestTrainLogCsv:
         finite = [f for f in fds if math.isfinite(f)]
         if finite:
             assert model.log.best_fd == min(finite)
-            assert model.best_generators is not None
+            # Mlps are immutable and every step makes new ones, so the best
+            # generators are the current ones exactly when the last epoch is best
+            same = all(a is b for a, b in zip(model.generators(best=True),
+                                               model.generators()))
+            assert same == (model.log.best_epoch == len(fds))
