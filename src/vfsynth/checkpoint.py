@@ -6,7 +6,8 @@ Layout (all integers little-endian):
 * u32 format version (currently 1)
 * u32 model count
 * per model: u16 name length + UTF-8 name, u32 layer count, then per layer
-  a header of u8 activation code, f64 leaky slope, u32 in-width, u32
+  a header of u8 activation code, f64 leaky slope (always
+  ``nn.LEAKY_SLOPE``; any other value is rejected), u32 in-width, u32
   out-width
 * payloads in the same order: per layer the weight matrix (row-major
   float64) followed by the bias vector
@@ -21,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .nn import Layer, Mlp
+from .nn import LEAKY_SLOPE, Layer, Mlp
 
 __all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint"]
 
@@ -51,7 +52,7 @@ def write_checkpoint(path, models: dict[str, Mlp]) -> None:
             header += struct.pack(
                 "<BdII",
                 _ACT_CODE[layer.activation],
-                layer.slope,
+                LEAKY_SLOPE,
                 layer.w.shape[0],
                 layer.w.shape[1],
             )
@@ -99,14 +100,18 @@ def read_checkpoint(path) -> dict[str, Mlp]:
         for code, slope, w_in, w_out in layer_specs:
             if code not in _ACT_NAME:
                 raise CheckpointError(f"{path}: unknown activation code {code}")
+            if slope != LEAKY_SLOPE:
+                raise CheckpointError(
+                    f"{path}: leaky slope must be {LEAKY_SLOPE}, got {slope!r}"
+                )
             w = np.frombuffer(r.take(8 * w_in * w_out), dtype="<f8").reshape(
                 w_in, w_out
             ).copy()
             b = np.frombuffer(r.take(8 * w_out), dtype="<f8").copy()
-            layers.append((w, b, _ACT_NAME[code], slope))
+            layers.append((w, b, _ACT_NAME[code]))
         try:
             models[name] = Mlp(tuple(Layer(*spec) for spec in layers))
-        except ValueError as exc:  # a slope, parameter or width the network rejects
+        except ValueError as exc:  # a parameter or width the network rejects
             raise CheckpointError(f"{path}: {exc}") from None
     if r.at != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after payload")

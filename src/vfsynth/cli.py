@@ -372,13 +372,10 @@ def cmd_accountant_report(args) -> int:
         f"(alpha={rep.alpha_internal})"
     )
     if args.curve:
-        curve = dpmod.compose(
-            dpmod.subsample_amplify(dpmod.gaussian_rdp(args.sigma), args.gamma),
-            args.steps,
-        )
+        curve = dpmod.pipeline_curve(args.sigma, args.gamma, args.steps)
         with open(args.curve, "w", encoding="utf-8", newline="") as f:
             f.write("alpha,epsilon\n")
-            for a, e in zip(curve.alphas, curve.eps):
+            for a, e in zip(dpmod.ALPHAS, curve):
                 f.write(f"{int(a)},{_float_repr(e)}\n")
         print(args.curve)
     return 0

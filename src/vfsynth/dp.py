@@ -6,11 +6,13 @@ deviation ``sigma * 2C`` — the factor 2 is the triangle-inequality sensitivity
 of a clipped gradient difference. One noised release then satisfies
 ``(alpha, alpha / (2 sigma^2))``-RDP for every order alpha.
 
-The accountant works on one fixed grid of integer orders, alpha = 2 ..
-``ALPHA_MAX``: per-release curve, optional subsampling amplification (each
-step touches a random fraction gamma of the rows), linear composition over
-steps, and conversion to an (epsilon, delta) guarantee by minimizing over the
-grid. ``calibrate`` inverts the whole pipeline to find the smallest noise
+The accountant works on one fixed grid of integer orders, ``ALPHAS`` =
+2 .. ``ALPHA_MAX``; a curve is a float array of epsilon(alpha) over it, so
+composing two mechanisms is adding their curves. The pipeline is the
+per-release curve, optional subsampling amplification (each step touches a
+random fraction gamma of the rows), linear composition over steps, and
+conversion to an (epsilon, delta) guarantee by minimizing over the grid.
+``calibrate`` inverts the whole pipeline to find the smallest noise
 multiplier meeting a target budget, bisecting on a fixed bracket up to
 ``SIGMA_MAX``.
 
@@ -22,6 +24,7 @@ membership, so reports carry both the amplified and the unamplified epsilon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +34,13 @@ from .rng import RngStream
 
 __all__ = [
     "DpConfig",
-    "RdpCurve",
+    "ALPHAS",
     "CalibrationError",
     "clip_gradients",
-    "noise_gradients",
+    "apply_mechanism",
     "gaussian_rdp",
     "subsample_amplify",
-    "compose",
+    "pipeline_curve",
     "to_dp",
     "calibrate",
     "BudgetReport",
@@ -46,6 +49,7 @@ __all__ = [
 
 # the accountant's fixed order grid 2..ALPHA_MAX, and calibrate's bracket
 ALPHA_MAX = 512
+ALPHAS = np.arange(2, ALPHA_MAX + 1)
 SIGMA_MAX = 1e3  # largest noise multiplier calibrate tries
 REL_WIDTH = 1e-3  # relative width at which the sigma bisection stops
 
@@ -78,70 +82,35 @@ class CalibrationError(ValueError):
 # mechanism
 # ---------------------------------------------------------------------------
 
-def _slice_norm(dw: np.ndarray, db: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(dw * dw)) + float(np.sum(db * db)))
-
-
 def clip_gradients(dw: np.ndarray, db: np.ndarray, clip: float):
     """Scale one layer's (dW, db) jointly so the combined L2 norm is <= clip."""
     if clip <= 0:
         raise ValueError("clip bound must be positive")
-    norm = _slice_norm(dw, db)
+    norm = math.sqrt(float(np.sum(dw * dw)) + float(np.sum(db * db)))
     scale = 1.0 / max(1.0, norm / clip)
     return dw * scale, db * scale
 
 
-def noise_gradients(
-    dw: np.ndarray, db: np.ndarray, sigma: float, clip: float, rng: RngStream
-):
-    """Add N(0, (sigma * 2C)^2) noise to every coordinate of a clipped slice."""
+def apply_mechanism(grads: GradSet, sigma: float, clip: float, rng: RngStream) -> None:
+    """The first-layer mechanism, in place: clip layer 0 of a GradSet and add
+    N(0, (sigma * 2C)^2) noise to every coordinate, weights first."""
+    dw, db = clip_gradients(grads.dw[0], grads.db[0], clip)
     std = sigma * 2.0 * clip
-    return dw + std * rng.normal(*dw.shape), db + std * rng.normal(*db.shape)
-
-
-def apply_mechanism(
-    grads: GradSet, layer: int, sigma: float, clip: float, rng: RngStream
-) -> None:
-    """Clip+noise one layer of a GradSet in place (the first-layer mechanism)."""
-    dw, db = clip_gradients(grads.dw[layer], grads.db[layer], clip)
-    dw, db = noise_gradients(dw, db, sigma, clip, rng)
-    grads.dw[layer] = dw
-    grads.db[layer] = db
+    grads.dw[0] = dw + std * rng.normal(*dw.shape)
+    grads.db[0] = db + std * rng.normal(*db.shape)
 
 
 # ---------------------------------------------------------------------------
 # accountant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RdpCurve:
-    """epsilon(alpha) over a dense integer grid starting at alpha = 2."""
-
-    alphas: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        if len(self.alphas) != len(self.eps) or len(self.alphas) == 0:
-            raise ValueError("malformed RDP curve")
-        if self.alphas[0] != 2 or not np.array_equal(
-            self.alphas, np.arange(2, 2 + len(self.alphas))
-        ):
-            raise ValueError("curve grid must be the dense integer range 2..alpha_max")
-        if not np.isfinite(self.eps).all() or (self.eps < 0).any():
-            raise ValueError("curve values must be finite and non-negative")
-
-    def value(self, alpha: int) -> float:
-        if not 2 <= alpha <= int(self.alphas[-1]):
-            raise ValueError(f"alpha {alpha} outside the stored grid")
-        return float(self.eps[alpha - 2])
-
-
-def gaussian_rdp(sigma: float) -> RdpCurve:
+def gaussian_rdp(sigma: float) -> np.ndarray:
     """Per-release curve of the mechanism: epsilon(alpha) = alpha / (2 sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    alphas = np.arange(2, ALPHA_MAX + 1)
-    return RdpCurve(alphas, alphas / (2.0 * sigma * sigma))
+    # an overflowing 2 sigma^2 would give the zero curve, which the log-space
+    # amplification cannot take
+    if not (sigma > 0 and math.isfinite(2.0 * sigma * sigma)):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 finite, got {sigma!r}")
+    return ALPHAS / (2.0 * sigma * sigma)
 
 
 def _log_expm1(x: float) -> float:
@@ -153,7 +122,7 @@ def _log_expm1(x: float) -> float:
     return x + math.log1p(-math.exp(-x))
 
 
-def subsample_amplify(curve: RdpCurve, gamma: float) -> RdpCurve:
+def subsample_amplify(curve: np.ndarray, gamma: float) -> np.ndarray:
     """Amplified curve for a mechanism run on a gamma-fraction random subset.
 
     Uses the explicit subsampling bound for integer orders, evaluated in log
@@ -165,60 +134,66 @@ def subsample_amplify(curve: RdpCurve, gamma: float) -> RdpCurve:
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must be in [0, 1]")
     if gamma == 0.0:
-        return RdpCurve(curve.alphas.copy(), np.zeros_like(curve.eps))
+        return np.zeros_like(curve)
     log_gamma = math.log(gamma)
-    eps2 = curve.value(2)
+    eps2 = float(curve[0])
     # min{4(e^{eps(2)} - 1), e^{eps(2)} * min{2, .}} with the second min = 2
     log_first_min = min(
         math.log(4.0) + _log_expm1(eps2),
         math.log(2.0) + eps2,
     )
-    alphas = curve.alphas.astype(np.int64)
-    a_max = int(alphas[-1])
-    logfact = np.zeros(a_max + 1)
-    logfact[1:] = np.cumsum(np.log(np.arange(1, a_max + 1, dtype=np.float64)))
+    logfact = np.zeros(ALPHA_MAX + 1)
+    logfact[1:] = np.cumsum(np.log(np.arange(1, ALPHA_MAX + 1, dtype=np.float64)))
 
     # term matrix over (alpha row, order j column), j = 3..alpha, in log space
-    js = np.arange(3, a_max + 1, dtype=np.int64)
-    rest = alphas[:, None] - js[None, :]
+    js = np.arange(3, ALPHA_MAX + 1, dtype=np.int64)
+    rest = ALPHAS[:, None] - js[None, :]
     valid = rest >= 0
     terms = (
         math.log(2.0)
         + js * log_gamma
         - logfact[js]
-        + (js - 1) * curve.eps[js - 2]
-    )[None, :] + logfact[alphas][:, None] - logfact[np.where(valid, rest, 0)]
+        + (js - 1) * curve[js - 2]
+    )[None, :] + logfact[ALPHAS][:, None] - logfact[np.where(valid, rest, 0)]
     terms = np.where(valid, terms, -np.inf)
 
-    t2 = 2.0 * log_gamma + (logfact[alphas] - logfact[alphas - 2] - logfact[2]) \
+    t2 = 2.0 * log_gamma + (logfact[ALPHAS] - logfact[ALPHAS - 2] - logfact[2]) \
         + log_first_min
     all_terms = np.concatenate(
-        [np.zeros((len(alphas), 1)), t2[:, None], terms], axis=1
+        [np.zeros((len(ALPHAS), 1)), t2[:, None], terms], axis=1
     )
     m = all_terms.max(axis=1)
     lse = m + np.log(np.sum(np.exp(all_terms - m[:, None]), axis=1))
-    amplified = lse / (alphas - 1)
-    return RdpCurve(curve.alphas.copy(), np.minimum(amplified, curve.eps))
+    amplified = lse / (ALPHAS - 1)
+    return np.minimum(amplified, curve)
 
 
-def compose(curve: RdpCurve, steps: int) -> RdpCurve:
-    """RDP composes additively: T releases cost T * epsilon(alpha)."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    return RdpCurve(curve.alphas.copy(), curve.eps * float(steps))
+def pipeline_curve(
+    sigma: float, gamma: float, steps: int, amplified: bool = True
+) -> np.ndarray:
+    """Curve of ``steps`` releases, each amplified by gamma-subsampling unless
+    ``amplified`` is False. RDP composes additively: T * epsilon(alpha)."""
+    if not 0 <= steps <= sys.float_info.max:
+        raise ValueError(f"steps must lie in [0, {sys.float_info.max:.4g}]")
+    curve = gaussian_rdp(sigma)
+    if amplified:
+        curve = subsample_amplify(curve, gamma)
+    return curve * float(steps)
 
 
-def to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
+def to_dp(curve: np.ndarray, delta: float) -> tuple[float, int]:
     """Tightest (epsilon, delta) point over the grid.
 
     Returns (epsilon, minimizing alpha); epsilon(alpha) + log(1/delta)/(alpha-1).
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    if not np.isfinite(curve).all():
+        raise ValueError("RDP curve is not finite: sigma too small or steps too many")
     log_inv_delta = math.log(1.0 / delta)
-    values = curve.eps + log_inv_delta / (curve.alphas - 1.0)
+    values = curve + log_inv_delta / (ALPHAS - 1.0)
     i = int(np.argmin(values))
-    return float(values[i]), int(curve.alphas[i])
+    return float(values[i]), int(ALPHAS[i])
 
 
 def pipeline_epsilon(
@@ -229,10 +204,7 @@ def pipeline_epsilon(
     amplified: bool = True,
 ) -> tuple[float, int]:
     """(epsilon, alpha) of the full accounting pipeline for one parameter set."""
-    curve = gaussian_rdp(sigma)
-    if amplified:
-        curve = subsample_amplify(curve, gamma)
-    return to_dp(compose(curve, steps), delta)
+    return to_dp(pipeline_curve(sigma, gamma, steps, amplified), delta)
 
 
 def calibrate(target_epsilon: float, delta: float, gamma: float, steps: int) -> float:

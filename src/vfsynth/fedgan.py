@@ -280,16 +280,17 @@ class FeatureGradDown:
     d_synth: np.ndarray  # d L_server / d f~_i
 
 
-def _check_message_shape(msg, width: int, batch: int) -> None:
-    arrays = [a for a in (getattr(msg, "real", None), getattr(msg, "synth", None),
-                          getattr(msg, "d_real", None), getattr(msg, "d_synth", None))
-              if a is not None]
-    for a in arrays:
-        if a.shape != (batch, width):
-            raise ProtocolFault(
-                f"message {type(msg).__name__} for party {msg.party}: shape "
-                f"{a.shape} does not match ({batch}, {width})"
-            )
+def _check_messages(messages, cfg: GanConfig) -> None:
+    """ProtocolFault unless every array the messages carry is (batch, feature_dim)."""
+    want = (cfg.batch_size, cfg.feature_dim)
+    for msg in messages:
+        for a in (getattr(msg, "real", None), getattr(msg, "synth", None),
+                  getattr(msg, "d_real", None), getattr(msg, "d_synth", None)):
+            if a is not None and a.shape != want:
+                raise ProtocolFault(
+                    f"message {type(msg).__name__} for party {msg.party}: shape "
+                    f"{a.shape} does not match {want}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ class Party:
                 self.d2, d2_grads.add_(d2_synth).add_(p2), self.adam_d2, self.cfg.eta_d
             )
         if dp is not None:
-            apply_mechanism(d1_grads, 0, dp.sigma, dp.clip, self.dpnoise)
+            apply_mechanism(d1_grads, dp.sigma, dp.clip, self.dpnoise)
         self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grads, self.adam_d1, self.cfg.eta_d)
         return losses
 
@@ -428,22 +429,18 @@ class Party:
 class Server:
     """Holds the shared critic over concatenated intermediate features."""
 
-    def __init__(self, cfg, widths, rng):
+    def __init__(self, cfg, n_parties, rng):
         self.cfg = cfg
-        self.widths = widths  # feature width per party
-        total = sum(widths)
+        self.n_parties = n_parties  # each sends cfg.feature_dim features
         self.ds = nn.init_mlp(
-            [total, *cfg.server_hidden, 1], rng.child("init", "ds")
+            [n_parties * cfg.feature_dim, *cfg.server_hidden, 1],
+            rng.child("init", "ds"),
         )
         self.adam = AdamState.for_mlp(self.ds)
         self.beta = rng.child("beta_server")
 
     def _split(self, m: np.ndarray) -> list[np.ndarray]:
-        out, at = [], 0
-        for w in self.widths:
-            out.append(m[:, at : at + w])
-            at += w
-        return out
+        return np.split(m, self.n_parties, axis=1)
 
     def disc_step(self, features: list[FeatureUp]):
         """Server loss, its own gradients, and the per-party feature grads.
@@ -578,7 +575,7 @@ class Trainer:
             for i, (v, b) in enumerate(zip(trained.views, trained.blocks))
         ]
         if variant in (VFLGAN, VFLGAN_BASE):
-            self.server = Server(cfg, [cfg.feature_dim] * len(self.parties), rng)
+            self.server = Server(cfg, len(self.parties), rng)
         else:
             self.server = None
         # every party draws its batch rows from this one stream, which is how
@@ -605,11 +602,9 @@ class Trainer:
         replies = [None] * len(self.parties)
         if self.server is not None:
             up = [FeatureUp(p.index, *f) for p, f in zip(self.parties, features)]
-            for msg in up:
-                _check_message_shape(msg, cfg.feature_dim, cfg.batch_size)
+            _check_messages(up, cfg)
             losses["ds"], server_grads, replies = self.server.disc_step(up)
-            for msg in replies:
-                _check_message_shape(msg, cfg.feature_dim, cfg.batch_size)
+            _check_messages(replies, cfg)
             self.server.apply_update(server_grads)
         for p, reply in zip(self.parties, replies):
             losses.update(p.critic_update(reply, self.dp))
@@ -627,10 +622,11 @@ class Trainer:
         total = 0.0
         replies = [None] * len(self.parties)
         if self.server is not None:
-            total, replies = self.server.gen_scores(
-                [FeatureUp(p.index, None, tape_f.output)
-                 for p, (_, _, tape_f) in zip(self.parties, passes)]
-            )
+            up = [FeatureUp(p.index, None, tape_f.output)
+                  for p, (_, _, tape_f) in zip(self.parties, passes)]
+            _check_messages(up, cfg)
+            total, replies = self.server.gen_scores(up)
+            _check_messages(replies, cfg)
         grads = []
         for p, (x_tilde, tape_g, tape_f), reply in zip(self.parties, passes, replies):
             # server and local cotangents are summed on the features

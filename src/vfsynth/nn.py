@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("identity", "leaky_relu")
+LEAKY_SLOPE = 0.2  # negative slope of every leaky-ReLU layer
 
 # Adam moment decay rates and denominator guard (WGAN-GP settings)
 _BETA1 = 0.5
@@ -54,15 +55,10 @@ class Layer:
     w: np.ndarray  # (in, out)
     b: np.ndarray  # (out,)
     activation: str = "identity"
-    slope: float = 0.2  # leaky_relu negative slope
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        # the branchless kernels in _act/_act_deriv are exact only here;
-        # -0.0 would flip the sign of zero outputs
-        if not 0.0 <= self.slope < 1.0 or np.signbit(self.slope):
-            raise ValueError(f"leaky slope must lie in [0, 1), got {self.slope!r}")
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError("layer weight/bias shapes are inconsistent")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
@@ -117,21 +113,21 @@ class Tape:
     output: np.ndarray
 
 
-# Branch-free leaky-ReLU. For 0 <= slope < 1, a > 0 gives slope * a <= a and
-# a <= 0 gives slope * a >= a, so the maximum picks the operand a select on
-# a > 0 would pick, bit for bit on finite inputs with zeros of either sign.
-def _act(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
+# Branch-free leaky-ReLU. As 0 <= LEAKY_SLOPE < 1, a > 0 gives slope * a <= a
+# and a <= 0 gives slope * a >= a, so the maximum picks the operand a select
+# on a > 0 would pick, bit for bit on finite inputs with zeros of either sign.
+def _act(kind: str, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return a
-    out = slope * a
+    out = LEAKY_SLOPE * a
     return np.maximum(a, out, out=out)
 
 
-def _act_deriv(kind: str, slope: float, a: np.ndarray) -> np.ndarray:
+def _act_deriv(kind: str, a: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return np.ones_like(a)
     out = (a > 0.0).astype(np.float64)
-    return np.maximum(out, slope, out=out)
+    return np.maximum(out, LEAKY_SLOPE, out=out)
 
 
 def init_mlp(
@@ -165,7 +161,7 @@ def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
         a = h @ layer.w
         a += layer.b
         pre.append(a)
-        h = _act(layer.activation, layer.slope, a)
+        h = _act(layer.activation, a)
     return h, Tape(inputs, pre, h)
 
 
@@ -186,7 +182,7 @@ def backward(
     delta = output_grad
     for l in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[l]
-        g = delta * _act_deriv(layer.activation, layer.slope, tape.pre[l])
+        g = delta * _act_deriv(layer.activation, tape.pre[l])
         grads.dw[l] = tape.inputs[l].T @ g
         grads.db[l] = g.sum(axis=0)
         delta = g @ layer.w.T
@@ -219,7 +215,7 @@ def gradient_penalty(
     delta = np.ones_like(out)
     for l in range(n_layers - 1, -1, -1):
         layer = disc.layers[l]
-        phi1[l] = _act_deriv(layer.activation, layer.slope, tape.pre[l])
+        phi1[l] = _act_deriv(layer.activation, tape.pre[l])
         gs[l] = delta * phi1[l]
         delta = gs[l] @ layer.w.T
     u = delta  # (rows, in): per-row input gradient of the critic
@@ -301,7 +297,7 @@ def adam_step(
         state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.db[i] ** 2
         w = layer.w - eta * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + _EPS)
         b = layer.b - eta * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + _EPS)
-        new_layers.append(Layer(w, b, layer.activation, layer.slope))
+        new_layers.append(Layer(w, b, layer.activation))
     return Mlp(tuple(new_layers)), state
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 
@@ -8,7 +9,7 @@ import yaml
 from vfsynth import checkpoint as ck
 from vfsynth import data as d
 from vfsynth import fedgan as fg
-from vfsynth.dp import budget_report, calibrate
+from vfsynth.dp import ALPHAS, budget_report, calibrate, pipeline_curve
 from vfsynth import nn
 from vfsynth.cli import main
 from vfsynth.config import ConfigError, load_config
@@ -83,7 +84,6 @@ class TestCheckpointFormat:
                 assert np.array_equal(a.w, b.w)
                 assert np.array_equal(a.b, b.b)
                 assert a.activation == b.activation
-                assert a.slope == b.slope
 
     def test_deterministic_bytes(self, tmp_path):
         rng = RngStream(2)
@@ -116,8 +116,8 @@ class TestCheckpointFormat:
         with pytest.raises(ck.CheckpointError, match=f"unknown activation code {code}"):
             ck.read_checkpoint(p)
 
-    @pytest.mark.parametrize("slope", [-0.5, 1.0])
-    def test_slope_outside_unit_interval_rejected(self, tmp_path, slope):
+    @pytest.mark.parametrize("slope", [-0.5, 1.0, 0.3, float("nan")])
+    def test_slope_other_than_the_fixed_one_rejected(self, tmp_path, slope):
         p = tmp_path / "m.ckpt"
         ck.write_checkpoint(p, {"g0": nn.init_mlp([3, 4, 1], RngStream(4))})
         blob = bytearray(p.read_bytes())
@@ -409,9 +409,12 @@ def clock_around(monkeypatch, module, name, **kwargs):
 
 
 class TestEvalCommand:
-    def test_eval_self_comparison(self, tmp_path):
+    def test_eval_self_comparison(self, tmp_path, monkeypatch):
+        from vfsynth import metrics
+
         cfg_path = toy_config(tmp_path, n=120)
         cfg = load_config(cfg_path)
+        clock_around(monkeypatch, metrics, "utility_fourway", trees=2)
         rc = main([
             "eval", "--real", cfg.dataset_path, "--synth", cfg.dataset_path,
             "--config", str(cfg_path), "--out", str(tmp_path / "ev"),
@@ -420,7 +423,8 @@ class TestEvalCommand:
         assert rc == 0
         rep = yaml.safe_load((tmp_path / "ev" / "report.yaml").read_text())
         assert rep["frechet_distance"] == pytest.approx(0.0, abs=1e-8)
-        assert rep["total_difference"] < 0.05
+        # paired design: the same table on both sides trains the same forests
+        assert rep["total_difference"] == 0.0
         lines = (tmp_path / "ev" / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "setting,accuracy,f1"
         assert len(lines) == 7  # 4 settings + FD + total difference
@@ -644,6 +648,12 @@ class TestAccountantCommand:
         lines = curve.read_text().strip().split("\n")
         assert lines[0] == "alpha,epsilon"
         assert len(lines) == 512  # alpha grid 2..512
+        rows = [line.split(",") for line in lines[1:]]
+        want = pipeline_curve(1, 0.1, 10)
+        assert rows == [[str(a), repr(float(e))] for a, e in zip(ALPHAS, want)]
+        # the curve and the printed epsilon come from one pipeline
+        eps = min(float(e) + math.log(1.0 / 1e-5) / (int(a) - 1) for a, e in rows)
+        assert f"epsilon_external={eps:.6g} " in capsys.readouterr().out
 
     def test_calibrate_round_trip(self, capsys):
         assert main(["accountant", "calibrate", "--epsilon", "5.302585",
@@ -651,6 +661,17 @@ class TestAccountantCommand:
         out = capsys.readouterr().out
         sigma = float(out.split("sigma=")[1].split("\n")[0])
         assert 0.99 <= sigma <= 1.01
+
+    @pytest.mark.parametrize("argv,word", [
+        (["report", "--sigma", "inf", "--gamma", "0.1", "--steps", "10"], "sigma"),
+        (["report", "--sigma", "1", "--gamma", "0.1", "--steps", "1" + "0" * 310], "steps"),
+        (["calibrate", "--epsilon", "1", "--gamma", "0.1", "--steps", "1" + "0" * 310],
+         "steps"),
+    ])
+    def test_extreme_inputs_give_one_error_line(self, capsys, argv, word):
+        assert main(["accountant", *argv, "--delta", "1e-5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
 
     def test_gamma_out_of_range(self, capsys):
         assert main(["accountant", "report", "--sigma", "1", "--gamma", "1.5",

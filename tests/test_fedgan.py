@@ -168,6 +168,33 @@ class TestMonolithEquivalence:
             assert same_params(params_of(p.d1), params_of(mono.d1[i]), tol=1e-12)
 
 
+class StubServer:
+    """Replies with zero feature gradients of the given width."""
+
+    def __init__(self, feature_dim, batch):
+        self.feature_dim = feature_dim
+        self.batch = batch
+
+    def _zeros(self, features):
+        return [
+            fg.FeatureGradDown(
+                m.party,
+                np.zeros((self.batch, self.feature_dim)),
+                np.zeros((self.batch, self.feature_dim)),
+            )
+            for m in features
+        ]
+
+    def disc_step(self, features):
+        return 0.0, None, self._zeros(features)
+
+    def gen_scores(self, features):
+        return 0.0, self._zeros(features)
+
+    def apply_update(self, grads):
+        pass
+
+
 class TestServerCoupling:
     def test_lambda1_zero_decouples_local_discriminators(self):
         # with lambda_server = 0 the D_i update must equal a standalone
@@ -271,35 +298,6 @@ class TestServerCoupling:
     def test_information_flow_through_messages_only(self):
         # with the server stubbed to constant replies, party 0's updates must
         # not depend on party 1's data
-        class StubServer:
-            def __init__(self, feature_dim, batch):
-                self.feature_dim = feature_dim
-                self.batch = batch
-
-            def disc_step(self, features):
-                down = [
-                    fg.FeatureGradDown(
-                        m.party,
-                        np.zeros((self.batch, self.feature_dim)),
-                        np.zeros((self.batch, self.feature_dim)),
-                    )
-                    for m in features
-                ]
-                return 0.0, None, down
-
-            def gen_scores(self, features):
-                return 0.0, [
-                    fg.FeatureGradDown(
-                        m.party,
-                        np.zeros((self.batch, self.feature_dim)),
-                        np.zeros((self.batch, self.feature_dim)),
-                    )
-                    for m in features
-                ]
-
-            def apply_update(self, grads):
-                pass
-
         def run(seed_data):
             parts = toy_partitioned(n=8, seed=0)
             views = list(parts.views)
@@ -319,6 +317,23 @@ class TestServerCoupling:
         assert same_params(d1_a, d1_b)
         assert same_params(g_a, g_b)
 
+    @pytest.mark.parametrize("step", ["discriminator_step", "generator_step"])
+    def test_reply_of_wrong_width_is_a_protocol_fault(self, step):
+        cfg = small_cfg()
+        trainer = fg.Trainer(fg.VFLGAN, toy_partitioned(), cfg, None, RngStream(33))
+        trainer.server = StubServer(cfg.feature_dim + 1, cfg.batch_size)
+        with pytest.raises(fg.ProtocolFault, match="FeatureGradDown for party 0"):
+            getattr(trainer, step)()
+
+    @pytest.mark.parametrize("step", ["discriminator_step", "generator_step"])
+    def test_feature_of_wrong_width_is_a_protocol_fault(self, step):
+        cfg = small_cfg()
+        trainer = fg.Trainer(fg.VFLGAN, toy_partitioned(), cfg, None, RngStream(34))
+        p = trainer.parties[1]
+        p.d1 = nn.init_mlp([p.view.shape[1], cfg.feature_dim + 1], RngStream(35))
+        with pytest.raises(fg.ProtocolFault, match="FeatureUp for party 1"):
+            getattr(trainer, step)()
+
 
 class TestVertigan:
     def test_backbones_stay_bit_identical(self):
@@ -335,7 +350,7 @@ class TestVertigan:
         trainer = fg.Trainer(fg.VERTIGAN, parts, small_cfg(), None, RngStream(18))
         layers = list(trainer.parties[1].g.layers)
         l0 = layers[0]
-        layers[0] = nn.Layer(l0.w + 1.0, l0.b, l0.activation, l0.slope)
+        layers[0] = nn.Layer(l0.w + 1.0, l0.b, l0.activation)
         trainer.parties[1].g = nn.Mlp(tuple(layers))
         with pytest.raises(fg.ProtocolFault, match="diverged"):
             trainer.generator_step()
@@ -350,7 +365,7 @@ class TestVertigan:
         for layer_holder in (trainer.parties[1],):
             for part in ("d1", "d2"):
                 zeroed = [
-                    nn.Layer(np.zeros_like(l.w), np.zeros_like(l.b), l.activation, l.slope)
+                    nn.Layer(np.zeros_like(l.w), np.zeros_like(l.b), l.activation)
                     for l in getattr(layer_holder, part).layers
                 ]
                 setattr(layer_holder, part, nn.Mlp(tuple(zeroed)))
@@ -358,9 +373,9 @@ class TestVertigan:
         # inline replica of party 0's generator gradients
         root = RngStream(19, "v")
         p0 = trainer.parties[0]
-        g_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation, l.slope)
+        g_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation)
                               for l in p0.g.layers))
-        d_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation, l.slope)
+        d_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation)
                               for l in nn.stack(p0.d1, p0.d2).layers))
         gumbel = root.child("gumbel", 0)
         zs = root.child("z")
@@ -484,16 +499,15 @@ class TestDpWiring:
         calls = []
         orig = fg.apply_mechanism
 
-        def spy(grads, layer, sigma, clip, rng):
-            calls.append((layer, len(grads.dw), sigma, clip))
-            return orig(grads, layer, sigma, clip, rng)
+        def spy(grads, sigma, clip, rng):
+            calls.append((len(grads.dw), sigma, clip))
+            return orig(grads, sigma, clip, rng)
 
         monkeypatch.setattr(fg, "apply_mechanism", spy)
         fg.train(fg.VFLGAN, parts, cfg, dpc, RngStream(26))
-        # 2 parties x 2 disc iters x 1 epoch, always layer 0 of the d1 gradset
-        assert len(calls) == 4
-        assert all(c[0] == 0 for c in calls)
-        assert all(c[1] == len(cfg.disc_part1_hidden) + 1 for c in calls)
+        # 2 parties x 2 disc iters x 1 epoch, each on the d1 gradset, whose
+        # layer 0 the mechanism noises (test_dp::TestNoise)
+        assert calls == [(len(cfg.disc_part1_hidden) + 1, 1.0, 1.0)] * 4
 
     def test_dp_config_mismatch_rejected(self):
         parts = toy_partitioned(n=16)

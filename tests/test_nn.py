@@ -10,8 +10,8 @@ from vfsynth.rng import RngStream
 # --------------------------------------------------------------------------
 
 ACT_FNS = {
-    "identity": lambda a, s: a,
-    "leaky_relu": lambda a, s: np.where(a > 0, a, s * a),
+    "identity": lambda a: a,
+    "leaky_relu": lambda a: np.where(a > 0, a, nn.LEAKY_SLOPE * a),
 }
 
 
@@ -19,7 +19,7 @@ def straight_line_forward(mlp, batch):
     """Independent re-evaluation of the layer formula, no tape machinery."""
     h = batch
     for layer in mlp.layers:
-        h = ACT_FNS[layer.activation](h @ layer.w + layer.b, layer.slope)
+        h = ACT_FNS[layer.activation](h @ layer.w + layer.b)
     return h
 
 
@@ -31,7 +31,7 @@ def perturbed(mlp, li, which, idx, delta):
         w[idx] += delta
     else:
         b[idx] += delta
-    layers[li] = Layer(w, b, layer.activation, layer.slope)
+    layers[li] = Layer(w, b, layer.activation)
     return Mlp(tuple(layers))
 
 
@@ -91,19 +91,8 @@ def sample_net_away_from_kinks(rng, build, batch_size=5, margin=1e-2):
 
 
 # --------------------------------------------------------------------------
-# layers and the leaky-ReLU kernels
+# the leaky-ReLU kernels
 # --------------------------------------------------------------------------
-
-class TestLayer:
-    @pytest.mark.parametrize("slope", [-0.1, -0.0, 1.0, 1.5, float("nan"), float("inf")])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            Layer(np.ones((2, 3)), np.zeros(3), "leaky_relu", slope)
-
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.999])
-    def test_slope_inside_unit_interval_accepted(self, slope):
-        assert Layer(np.ones((2, 3)), np.zeros(3), "leaky_relu", slope).slope == slope
-
 
 class TestLeakyKernels:
     """The branch-free kernels against the select formulas they replace,
@@ -115,20 +104,18 @@ class TestLeakyKernels:
         rows = RngStream(12, "kernels").normal(64, 6)
         return np.vstack([np.array([special]), rows])
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.25])
-    def test_activation_bit_equal_to_select(self, slope):
+    def test_activation_bit_equal_to_select(self):
         a = self.inputs()
         kept = a.copy()
-        got = nn._act("leaky_relu", slope, a)
-        want = np.where(a > 0.0, a, slope * a)
+        got = nn._act("leaky_relu", a)
+        want = np.where(a > 0.0, a, nn.LEAKY_SLOPE * a)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(a.view(np.int64), kept.view(np.int64))  # input untouched
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.25])
-    def test_derivative_bit_equal_to_select(self, slope):
+    def test_derivative_bit_equal_to_select(self):
         a = self.inputs()
-        got = nn._act_deriv("leaky_relu", slope, a)
-        want = np.where(a > 0.0, 1.0, slope)
+        got = nn._act_deriv("leaky_relu", a)
+        want = np.where(a > 0.0, 1.0, nn.LEAKY_SLOPE)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -181,15 +168,16 @@ class TestBackward:
         assert np.array_equal(input_grad, np.array([[2.0, 3.0]]))
 
     def test_leaky_relu_below_kink_scales_upstream_by_slope(self):
-        l0 = Layer(np.ones((2, 3)), np.full(3, -100.0), "leaky_relu", 0.25)
+        s = nn.LEAKY_SLOPE
+        l0 = Layer(np.ones((2, 3)), np.full(3, -100.0), "leaky_relu")
         l1 = Layer(np.ones((3, 1)), np.zeros(1), "identity")
         mlp = Mlp((l0, l1))
         x = np.array([[0.5, 0.5]])
         out, tape = nn.forward(mlp, x)
         grads, input_grad = nn.backward(mlp, tape, np.ones_like(out))
-        assert np.array_equal(grads.dw[0], np.full((2, 3), 0.125))
-        assert np.array_equal(grads.db[0], np.full(3, 0.25))
-        assert np.array_equal(input_grad, np.full((1, 2), 0.75))
+        assert np.array_equal(grads.dw[0], np.full((2, 3), 0.5 * s))
+        assert np.array_equal(grads.db[0], np.full(3, s))
+        assert np.array_equal(input_grad, np.full((1, 2), s + s + s))
 
     @pytest.mark.parametrize("act", nn.ACTIVATIONS)
     def test_matches_finite_differences(self, act):
