@@ -9,8 +9,9 @@ Layout (all integers little-endian):
   a header of u8 activation code, f64 leaky slope (always
   ``nn.LEAKY_SLOPE``; any other value is rejected), u32 in-width, u32
   out-width
-* payloads in the same order: per layer the weight matrix (row-major
-  float64) followed by the bias vector
+* payloads in the same order: each model's parameter vector
+  (``Mlp.params``, little-endian float64), which holds per layer the
+  row-major weight matrix followed by the bias vector
 
 Writes are deterministic: models are serialized in sorted name order, so a
 rerun with identical parameters produces byte-identical files.
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .nn import LEAKY_SLOPE, Layer, Mlp
+from .nn import LEAKY_SLOPE, Mlp, layout
 
 __all__ = ["CheckpointError", "write_checkpoint", "read_checkpoint"]
 
@@ -48,16 +49,9 @@ def write_checkpoint(path, models: dict[str, Mlp]) -> None:
         header += struct.pack("<H", len(raw)) + raw
         mlp = models[name]
         header += struct.pack("<I", len(mlp.layers))
-        for layer in mlp.layers:
-            header += struct.pack(
-                "<BdII",
-                _ACT_CODE[layer.activation],
-                LEAKY_SLOPE,
-                layer.w.shape[0],
-                layer.w.shape[1],
-            )
-            payload += np.ascontiguousarray(layer.w, dtype="<f8").tobytes()
-            payload += np.ascontiguousarray(layer.b, dtype="<f8").tobytes()
+        for act, w_in, w_out in zip(mlp.activations, mlp.widths, mlp.widths[1:]):
+            header += struct.pack("<BdII", _ACT_CODE[act], LEAKY_SLOPE, w_in, w_out)
+        payload += mlp.params.astype("<f8", copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(bytes(header) + bytes(payload))
 
@@ -96,7 +90,7 @@ def read_checkpoint(path) -> dict[str, Mlp]:
         specs.append((name, layers))
     models = {}
     for name, layer_specs in specs:
-        layers = []
+        widths, activations = [spec[2] for spec in layer_specs[:1]], []
         for code, slope, w_in, w_out in layer_specs:
             if code not in _ACT_NAME:
                 raise CheckpointError(f"{path}: unknown activation code {code}")
@@ -104,13 +98,14 @@ def read_checkpoint(path) -> dict[str, Mlp]:
                 raise CheckpointError(
                     f"{path}: leaky slope must be {LEAKY_SLOPE}, got {slope!r}"
                 )
-            w = np.frombuffer(r.take(8 * w_in * w_out), dtype="<f8").reshape(
-                w_in, w_out
-            ).copy()
-            b = np.frombuffer(r.take(8 * w_out), dtype="<f8").copy()
-            layers.append((w, b, _ACT_NAME[code]))
+            if w_in != widths[-1]:
+                raise CheckpointError(f"{path}: consecutive layer widths do not chain")
+            widths.append(w_out)
+            activations.append(_ACT_NAME[code])
+        size = layout(tuple(widths))[0]
+        params = np.frombuffer(r.take(8 * size), dtype="<f8").astype(np.float64)
         try:
-            models[name] = Mlp(tuple(Layer(*spec) for spec in layers))
+            models[name] = Mlp(params, widths, activations)
         except ValueError as exc:  # a parameter or width the network rejects
             raise CheckpointError(f"{path}: {exc}") from None
     if r.at != len(blob):

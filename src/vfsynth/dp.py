@@ -13,8 +13,8 @@ per-release curve, optional subsampling amplification (each step touches a
 random fraction gamma of the rows), linear composition over steps, and
 conversion to an (epsilon, delta) guarantee by minimizing over the grid.
 ``calibrate`` inverts the whole pipeline to find the smallest noise
-multiplier meeting a target budget, bisecting on a fixed bracket up to
-``SIGMA_MAX``.
+multiplier meeting a target budget: it doubles or halves a bracket within
+[``SIGMA_MIN``, ``SIGMA_MAX``] until it holds the answer, then bisects.
 
 Subsampling amplification applies to adversaries for whom batch selection is
 random (external observers and the server). Parties see deterministic batch
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import GradSet
+from .nn import Mlp
 from .rng import RngStream
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 ALPHA_MAX = 512
 ALPHAS = np.arange(2, ALPHA_MAX + 1)
 SIGMA_MAX = 1e3  # largest noise multiplier calibrate tries
+SIGMA_MIN = 1e-3  # smallest; returned when even it meets the budget
 REL_WIDTH = 1e-3  # relative width at which the sigma bisection stops
 
 
@@ -91,13 +92,17 @@ def clip_gradients(dw: np.ndarray, db: np.ndarray, clip: float):
     return dw * scale, db * scale
 
 
-def apply_mechanism(grads: GradSet, sigma: float, clip: float, rng: RngStream) -> None:
-    """The first-layer mechanism, in place: clip layer 0 of a GradSet and add
-    N(0, (sigma * 2C)^2) noise to every coordinate, weights first."""
-    dw, db = clip_gradients(grads.dw[0], grads.db[0], clip)
+def apply_mechanism(
+    net: Mlp, grad: np.ndarray, sigma: float, clip: float, rng: RngStream
+) -> None:
+    """The first-layer mechanism, in place on ``net``'s gradient vector: clip
+    layer 0's (dW, db) jointly and add N(0, (sigma * 2C)^2) noise to every
+    coordinate, weights first."""
+    dw, db = net.views(grad)[0]
+    cw, cb = clip_gradients(dw, db, clip)
     std = sigma * 2.0 * clip
-    grads.dw[0] = dw + std * rng.normal(*dw.shape)
-    grads.db[0] = db + std * rng.normal(*db.shape)
+    dw[...] = cw + std * rng.normal(*dw.shape)
+    db[...] = cb + std * rng.normal(*db.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +180,13 @@ def pipeline_curve(
     ``amplified`` is False. RDP composes additively: T * epsilon(alpha)."""
     if not 0 <= steps <= sys.float_info.max:
         raise ValueError(f"steps must lie in [0, {sys.float_info.max:.4g}]")
-    curve = gaussian_rdp(sigma)
-    if amplified:
-        curve = subsample_amplify(curve, gamma)
-    return curve * float(steps)
+    # a tiny sigma or a huge step count overflows to a non-finite curve,
+    # which to_dp rejects in one check; numpy need not warn on the way
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        curve = gaussian_rdp(sigma)
+        if amplified:
+            curve = subsample_amplify(curve, gamma)
+        return curve * float(steps)
 
 
 def to_dp(curve: np.ndarray, delta: float) -> tuple[float, int]:
@@ -212,8 +220,9 @@ def calibrate(target_epsilon: float, delta: float, gamma: float, steps: int) -> 
 
     Bisects on sigma down to a relative bracket width of ``REL_WIDTH`` after
     checking that the pipeline is monotone non-increasing on the bracket.
-    Raises :class:`CalibrationError` (reporting the epsilon achieved at
-    ``SIGMA_MAX``) when even the largest sigma cannot meet the budget.
+    Returns ``SIGMA_MIN`` when even that meets the budget (e.g. at gamma 0
+    or no steps). Raises :class:`CalibrationError` (reporting the epsilon
+    achieved at ``SIGMA_MAX``) when even the largest sigma cannot meet it.
     """
     if not (math.isfinite(target_epsilon) and target_epsilon > 0):
         raise ValueError(
@@ -233,9 +242,10 @@ def calibrate(target_epsilon: float, delta: float, gamma: float, steps: int) -> 
                 f"the achieved epsilon is {achieved:.6g}"
             )
     lo = hi / 2.0
-    if eps_at(lo) <= target_epsilon:
-        # already feasible at the smallest probe; return it
-        return lo
+    while eps_at(lo) <= target_epsilon:
+        if lo == SIGMA_MIN:
+            return lo
+        hi, lo = lo, max(lo / 2.0, SIGMA_MIN)
     # sanity: the pipeline must be monotone non-increasing across the bracket
     probes = np.linspace(lo, hi, 5)
     vals = [eps_at(float(s)) for s in probes]

@@ -8,9 +8,10 @@ Four variants share one scheduler:
   on the real and once on the synthetic rows and sends the features up;
   D_i^2's WGAN cotangents on those features plus lambda_server times the
   server's feature gradients go back through D_i^1 once per row set, and
-  the sum real + synthetic + gradient penalty (taken on the stacked critic)
-  is D_i^1's gradient. The generator step likewise runs D_i^1 once on x~
-  and backpropagates the sum of the server and D_i^2 cotangents.
+  the sum real + synthetic + gradient penalty (taken on the critic
+  ``(D_i^1, D_i^2)``) is D_i^1's gradient. The generator step likewise runs
+  D_i^1 once on x~ and backpropagates the sum of the server and D_i^2
+  cotangents.
 * ``vflgan_base`` — ablation without the second discriminator parts: parties
   learn only through the shared critic.
 * ``vertigan`` — horizontal-style baseline: local WGAN-GP per party with a
@@ -19,8 +20,10 @@ Four variants share one scheduler:
 * ``central`` — single-party WGAN-GP (upper bound): one party holding every
   column, i.e. ``vertigan`` on the one-party split of :func:`trained_split`.
 
-The last two draw one critic and split it after the feature layer, so all
-four variants step their critics through the same code, minus the server.
+The last two draw D_i^1 and then D_i^2 from one stream, which gives the draws
+of one critic split after the feature layer; all four variants step their
+critics through the same code, minus the server. Every gradient is a vector
+in its network's parameter layout (see :mod:`vfsynth.nn`).
 
 One epoch is ``disc_steps`` discriminator iterations followed by one
 generator iteration; the minibatch is resampled every discriminator
@@ -51,7 +54,7 @@ from . import nn
 from .data import DataError, EncodedDataset, Encoder, VerticalSplit
 from .dp import DpConfig, apply_mechanism
 from .metrics import frechet_distance, stats_from_matrix
-from .nn import AdamState, GradSet, Mlp
+from .nn import AdamState, Mlp
 from .rng import RngStream
 
 __all__ = [
@@ -315,19 +318,10 @@ class Party:
         self.dpnoise = rng.child("dpnoise", index)
         width = view.shape[1]
         gen_widths = [cfg.latent_dim, *cfg.gen_hidden, width]
+        self.n_backbone = 0  # length of the parameter prefix shared in vertigan
         if variant in (VFLGAN, VFLGAN_BASE):
             self.g = nn.init_mlp(gen_widths, rng.child("init", "g", index))
-            self.d1 = nn.init_mlp(
-                [width, *cfg.disc_part1_hidden, cfg.feature_dim],
-                rng.child("init", "d1", index),
-                out_activation="leaky_relu",
-            )
-            self.d2 = None
-            if variant == VFLGAN:
-                self.d2 = nn.init_mlp(
-                    [cfg.feature_dim, *cfg.disc_part2_hidden, 1],
-                    rng.child("init", "d2", index),
-                )
+            d_rngs = rng.child("init", "d1", index), rng.child("init", "d2", index)
         else:  # vertigan / central: plain critic, generator = backbone + head
             # the backbone draws from a stream shared by every party, so all
             # parties start (and stay) with bit-identical backbone parameters
@@ -341,23 +335,24 @@ class Party:
                     [bb_widths[-1], width], rng.child("init", "gh", index)
                 )
                 self.g = nn.stack(backbone, head)
+                self.n_backbone = backbone.params.size
             else:
                 self.g = nn.init_mlp(
                     [cfg.latent_dim, width], rng.child("init", "gh", index)
                 )
-            # one draw for the whole critic, split at the feature layer
-            critic = nn.init_mlp(
-                [width, *cfg.disc_part1_hidden, cfg.feature_dim,
-                 *cfg.disc_part2_hidden, 1],
-                rng.child("init", "d", index),
-            )
-            cut = len(cfg.disc_part1_hidden) + 1
-            self.d1 = Mlp(critic.layers[:cut])
-            self.d2 = Mlp(critic.layers[cut:])
+            # one stream for the whole critic: D_i^2 continues D_i^1's draws
+            d_rngs = (rng.child("init", "d", index),) * 2
+        self.d1 = nn.init_mlp(
+            [width, *cfg.disc_part1_hidden, cfg.feature_dim],
+            d_rngs[0],
+            out_activation="leaky_relu",
+        )
+        self.d2 = None
+        if variant != VFLGAN_BASE:
+            self.d2 = nn.init_mlp([cfg.feature_dim, *cfg.disc_part2_hidden, 1], d_rngs[1])
         self.adam_g = AdamState.for_mlp(self.g)
         self.adam_d1 = AdamState.for_mlp(self.d1)
         self.adam_d2 = None if self.d2 is None else AdamState.for_mlp(self.d2)
-        self.n_backbone = len(cfg.gen_hidden)  # shared layers in vertigan
 
     # -- generation --------------------------------------------------------
 
@@ -383,7 +378,7 @@ class Party:
 
         D_i^2's WGAN terms and the server's lambda-scaled feature gradients
         are summed on the features, then go back through D_i^1 once per row
-        set; the gradient penalty is taken on the stacked critic. Returns
+        set; the gradient penalty is taken on the critic ``(d1, d2)``. Returns
         the local loss keyed by role (``d<i+1>``), empty without D_i^2.
         """
         x, x_tilde = self._rows
@@ -394,11 +389,11 @@ class Party:
             w = 1.0 / x.shape[0]
             out_r, t2_r = nn.forward(self.d2, tape_r.output)
             out_s, t2_s = nn.forward(self.d2, tape_s.output)
-            d2_grads, cot_r = nn.backward(self.d2, t2_r, np.full_like(out_r, -w))
+            d2_real, cot_r = nn.backward(self.d2, t2_r, np.full_like(out_r, -w))
             d2_synth, cot_s = nn.backward(self.d2, t2_s, np.full_like(out_s, w))
             x_hat = nn.interpolate(x, x_tilde, self.beta)
-            penalty, grads_p = nn.gradient_penalty(
-                nn.stack(self.d1, self.d2), x_hat, self.cfg.lambda_gp
+            penalty, (p1, p2) = nn.gradient_penalty(
+                (self.d1, self.d2), x_hat, self.cfg.lambda_gp
             )
             losses[f"d{self.index + 1}"] = (
                 -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
@@ -408,22 +403,20 @@ class Party:
             up_r, up_s = lam * reply.d_real, lam * reply.d_synth
             cot_r = up_r if cot_r is None else cot_r + up_r
             cot_s = up_s if cot_s is None else cot_s + up_s
-        d1_grads, _ = nn.backward(self.d1, tape_r, cot_r)
-        d1_grads.add_(nn.backward(self.d1, tape_s, cot_s)[0])
+        d1_grad = nn.backward(self.d1, tape_r, cot_r)[0]
+        d1_grad += nn.backward(self.d1, tape_s, cot_s)[0]
         if self.d2 is not None:
-            sizes = [len(self.d1.layers), len(self.d2.layers)]
-            p1, p2 = nn.split_grads(grads_p, sizes)
-            d1_grads.add_(p1)
+            d1_grad += p1
             self.d2, self.adam_d2 = nn.adam_step(
-                self.d2, d2_grads.add_(d2_synth).add_(p2), self.adam_d2, self.cfg.eta_d
+                self.d2, d2_real + d2_synth + p2, self.adam_d2, self.cfg.eta_d
             )
         if dp is not None:
-            apply_mechanism(d1_grads, dp.sigma, dp.clip, self.dpnoise)
-        self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grads, self.adam_d1, self.cfg.eta_d)
+            apply_mechanism(self.d1, d1_grad, dp.sigma, dp.clip, self.dpnoise)
+        self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grad, self.adam_d1, self.cfg.eta_d)
         return losses
 
-    def apply_gen_update(self, grads: GradSet):
-        self.g, self.adam_g = nn.adam_step(self.g, grads, self.adam_g, self.cfg.eta_g)
+    def apply_gen_update(self, grad: np.ndarray):
+        self.g, self.adam_g = nn.adam_step(self.g, grad, self.adam_g, self.cfg.eta_g)
 
 
 class Server:
@@ -457,9 +450,9 @@ class Server:
         grads_r, d_f = nn.backward(self.ds, tape_r, np.full_like(out_r, -1.0 / batch))
         grads_s, d_ft = nn.backward(self.ds, tape_s, np.full_like(out_s, 1.0 / batch))
         f_hat = nn.interpolate(f, f_tilde, self.beta)
-        penalty, grads_p = nn.gradient_penalty(self.ds, f_hat, self.cfg.lambda_gp)
+        penalty, (grads_p,) = nn.gradient_penalty((self.ds,), f_hat, self.cfg.lambda_gp)
         loss = -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
-        own = grads_r.add_(grads_s).add_(grads_p)
+        own = grads_r + grads_s + grads_p
         down = [
             FeatureGradDown(i, dr, dsn)
             for i, (dr, dsn) in enumerate(zip(self._split(d_f), self._split(d_ft)))
@@ -479,8 +472,8 @@ class Server:
             for i, d in enumerate(self._split(d_ft))
         ]
 
-    def apply_update(self, grads: GradSet):
-        self.ds, self.adam = nn.adam_step(self.ds, grads, self.adam, self.cfg.eta_server)
+    def apply_update(self, grad: np.ndarray):
+        self.ds, self.adam = nn.adam_step(self.ds, grad, self.adam, self.cfg.eta_server)
 
 
 # ---------------------------------------------------------------------------
@@ -643,28 +636,28 @@ class Trainer:
             grads.append(g_grads)
         shared = self.variant == VERTIGAN and len(self.parties) > 1
         if shared:
-            grads = self._sum_backbones(grads)
+            self._sum_backbones(grads)
         for p, g in zip(self.parties, grads):
             p.apply_gen_update(g)
         if shared:
             self._check_backbone_equality()
         return {"g": total}
 
-    def _sum_backbones(self, grads: list[GradSet]) -> list[GradSet]:
-        """Vertigan: every party applies the server's sum of backbone grads."""
+    def _sum_backbones(self, grads: list[np.ndarray]) -> None:
+        """Vertigan: every party applies the server's sum of backbone grads,
+        the gradients' shared prefix, in place."""
         n = self.parties[0].n_backbone
-        dw = [np.sum([g.dw[i] for g in grads], axis=0) for i in range(n)]
-        db = [np.sum([g.db[i] for g in grads], axis=0) for i in range(n)]
-        return [GradSet(dw + g.dw[n:], db + g.db[n:]) for g in grads]
+        total = np.sum([g[:n] for g in grads], axis=0)
+        for g in grads:
+            g[:n] = total
 
     def _check_backbone_equality(self) -> None:
         ref = self.parties[0]
         for p in self.parties[1:]:
-            for a, b in zip(ref.g.layers[: ref.n_backbone], p.g.layers[: p.n_backbone]):
-                if not (np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)):
-                    raise ProtocolFault(
-                        f"generator backbones diverged between parties 0 and {p.index}"
-                    )
+            if not np.array_equal(ref.g.params[: ref.n_backbone], p.g.params[: p.n_backbone]):
+                raise ProtocolFault(
+                    f"generator backbones diverged between parties 0 and {p.index}"
+                )
 
     # -- epoch loop ----------------------------------------------------------
 

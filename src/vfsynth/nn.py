@@ -9,11 +9,17 @@ backprop). Both activations are piecewise linear, so ``phi'' = 0`` (taken as
 0 at the kink) and that path needs no curvature pass.
 
 Matrices are float64 ndarrays with rows as batch samples; layer weights have
-shape (in, out) so a layer computes ``h @ W + b``.
+shape (in, out) so a layer computes ``h @ W + b``. A network's parameters are
+one contiguous float64 vector, per layer the row-major weights and then the
+bias (the checkpoint's payload order); :func:`layout` is the only place
+that layout is spelled out. Gradients and Adam moments are vectors of the same
+layout, so summing two gradients is ``+`` and an Adam step is a handful of
+vector expressions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +29,7 @@ from .rng import RngStream
 __all__ = [
     "Layer",
     "Mlp",
-    "GradSet",
+    "layout",
     "Tape",
     "AdamState",
     "init_mlp",
@@ -34,7 +40,6 @@ __all__ = [
     "gumbel_softmax",
     "adam_step",
     "stack",
-    "split_grads",
 ]
 
 ACTIVATIONS = ("identity", "leaky_relu")
@@ -50,58 +55,64 @@ _EPS = 1e-8
 _NORM_GUARD = 1e-12
 
 
+@functools.cache
+def layout(widths: tuple[int, ...]) -> tuple[int, tuple]:
+    """The parameter layout of a network with these widths: per layer the
+    row-major (in, out) weights, then the bias. Returns the vector length
+    and per layer (weight slice, weight shape, bias slice)."""
+    spans, at = [], 0
+    for i, o in zip(widths, widths[1:]):
+        spans.append((slice(at, at + i * o), (i, o), slice(at + i * o, at + i * o + o)))
+        at += i * o + o
+    return at, tuple(spans)
+
+
 @dataclass(frozen=True)
 class Layer:
-    w: np.ndarray  # (in, out)
-    b: np.ndarray  # (out,)
-    activation: str = "identity"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
-            raise ValueError("layer weight/bias shapes are inconsistent")
-        if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
-            raise ValueError("layer parameters must be finite")
+    w: np.ndarray  # (in, out), a view into the network's parameter vector
+    b: np.ndarray  # (out,), likewise
+    activation: str
 
 
-@dataclass(frozen=True)
 class Mlp:
-    layers: tuple[Layer, ...]
+    """A stack of affine layers over one parameter vector.
 
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.w.shape[1] != nxt.w.shape[0]:
-                raise ValueError("consecutive layer widths do not chain")
+    ``widths`` is [in, hidden..., out] and ``activations`` has one entry per
+    layer; ``layers[i].w`` and ``.b`` are views into ``params``.
+    """
+
+    def __init__(self, params: np.ndarray, widths, activations):
+        self.widths = tuple(widths)
+        self.activations = tuple(activations)
+        if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
+            raise ValueError(f"invalid widths {self.widths}")
+        if len(self.activations) != len(self.widths) - 1 or any(
+            a not in ACTIVATIONS for a in self.activations
+        ):
+            raise ValueError(f"activations {self.activations} do not fit the widths")
+        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        views = self.views(self.params)
+        if not np.isfinite(self.params).all():
+            raise ValueError("network parameters must be finite")
+        self.layers = tuple(Layer(w, b, a) for (w, b), a in zip(views, self.activations))
+
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (W, b) views of a vector in this network's layout."""
+        size, spans = layout(self.widths)
+        if vec.shape != (size,):
+            raise ValueError(
+                f"vector of shape {vec.shape} does not match the {size} "
+                f"parameters of widths {self.widths}"
+            )
+        return [(vec[w].reshape(shape), vec[b]) for w, shape, b in spans]
 
     @property
     def in_width(self) -> int:
-        return self.layers[0].w.shape[0]
+        return self.widths[0]
 
     @property
     def out_width(self) -> int:
-        return self.layers[-1].w.shape[1]
-
-
-@dataclass
-class GradSet:
-    """Per-layer (dW, db) mirror of an Mlp's parameters."""
-
-    dw: list[np.ndarray]
-    db: list[np.ndarray]
-
-    @staticmethod
-    def zeros_like(mlp: Mlp) -> "GradSet":
-        return GradSet(
-            [np.zeros_like(l.w) for l in mlp.layers],
-            [np.zeros_like(l.b) for l in mlp.layers],
-        )
-
-    def add_(self, other: "GradSet") -> "GradSet":
-        for i in range(len(self.dw)):
-            self.dw[i] += other.dw[i]
-            self.db[i] += other.db[i]
-        return self
+        return self.widths[-1]
 
 
 @dataclass
@@ -137,26 +148,18 @@ def init_mlp(
 
     Hidden layers are leaky-ReLU; the last layer uses ``out_activation``.
     """
-    if len(widths) < 2 or any(w <= 0 for w in widths):
-        raise ValueError(f"invalid widths {widths}")
-    layers = []
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        w = rng.normal(fan_in, fan_out) * np.sqrt(2.0 / fan_in)
-        b = np.zeros(fan_out)
-        act = out_activation if i == len(widths) - 2 else "leaky_relu"
-        layers.append(Layer(w, b, act))
-    return Mlp(tuple(layers))
+    params = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        params.append((rng.normal(fan_in, fan_out) * np.sqrt(2.0 / fan_in)).ravel())
+        params.append(np.zeros(fan_out))
+    activations = ["leaky_relu"] * (len(widths) - 2) + [out_activation]
+    return Mlp(np.concatenate(params), widths, activations)
 
 
-def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
-    if batch.ndim != 2 or batch.shape[1] != mlp.in_width:
-        raise ValueError(
-            f"batch width {batch.shape} does not match network input {mlp.in_width}"
-        )
+def _run(layers, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
     h = batch
     inputs, pre = [], []
-    for layer in mlp.layers:
+    for layer in layers:
         inputs.append(h)
         a = h @ layer.w
         a += layer.b
@@ -165,12 +168,20 @@ def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
     return h, Tape(inputs, pre, h)
 
 
+def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
+    if batch.ndim != 2 or batch.shape[1] != mlp.in_width:
+        raise ValueError(
+            f"batch width {batch.shape} does not match network input {mlp.in_width}"
+        )
+    return _run(mlp.layers, batch)
+
+
 def backward(
     mlp: Mlp, tape: Tape, output_grad: np.ndarray
-) -> tuple[GradSet, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the scalar whose output-gradient is ``output_grad``.
 
-    Returns (parameter gradients, gradient w.r.t. the forward input).
+    Returns (parameter gradient vector, gradient w.r.t. the forward input).
     """
     if output_grad.shape != tape.output.shape:
         raise ValueError("output_grad shape does not match the taped output")
@@ -178,23 +189,27 @@ def backward(
         t.shape[1] != l.w.shape[1] for t, l in zip(tape.pre, mlp.layers)
     ):
         raise ValueError("stale tape: recorded shapes do not match the network")
-    grads = GradSet([None] * len(mlp.layers), [None] * len(mlp.layers))
+    grad = np.empty_like(mlp.params)
+    views = mlp.views(grad)
     delta = output_grad
     for l in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[l]
         g = delta * _act_deriv(layer.activation, tape.pre[l])
-        grads.dw[l] = tape.inputs[l].T @ g
-        grads.db[l] = g.sum(axis=0)
+        dw, db = views[l]
+        np.matmul(tape.inputs[l].T, g, out=dw)
+        g.sum(axis=0, out=db)
         delta = g @ layer.w.T
-    return grads, delta
+    return grad, delta
 
 
 def gradient_penalty(
-    disc: Mlp, x_hat: np.ndarray, lambda_gp: float
-) -> tuple[float, GradSet]:
+    parts: tuple[Mlp, ...], x_hat: np.ndarray, lambda_gp: float
+) -> tuple[float, list[np.ndarray]]:
     """WGAN gradient penalty and its exact parameter gradients.
 
-    penalty = lambda_gp * mean_rows (||d disc / d x_hat||_2 - 1)^2.
+    The critic is ``parts`` applied in order (e.g. ``(d1, d2)``);
+    penalty = lambda_gp * mean_rows (||d critic / d x_hat||_2 - 1)^2.
+    Returns the penalty and one gradient vector per part.
 
     The parameter gradient differentiates through the reverse pass that
     produced the input gradient (double backprop over the taped layers).
@@ -202,19 +217,24 @@ def gradient_penalty(
     """
     if lambda_gp < 0:
         raise ValueError("lambda_gp must be >= 0")
-    if disc.out_width != 1:
+    if parts[-1].out_width != 1:
         raise ValueError("gradient penalty requires a scalar critic")
-    n_layers = len(disc.layers)
+    if x_hat.ndim != 2 or x_hat.shape[1] != parts[0].in_width or any(
+        a.out_width != b.in_width for a, b in zip(parts, parts[1:])
+    ):
+        raise ValueError("critic parts and input widths do not chain")
+    layers = [layer for part in parts for layer in part.layers]
+    n_layers = len(layers)
     rows = x_hat.shape[0]
 
-    out, tape = forward(disc, x_hat)
+    out, tape = _run(layers, x_hat)
 
     # reverse pass, recording the per-layer cotangents it produces
     gs = [None] * n_layers  # cotangent on the pre-activation a_l
     phi1 = [None] * n_layers
     delta = np.ones_like(out)
     for l in range(n_layers - 1, -1, -1):
-        layer = disc.layers[l]
+        layer = layers[l]
         phi1[l] = _act_deriv(layer.activation, tape.pre[l])
         gs[l] = delta * phi1[l]
         delta = gs[l] @ layer.w.T
@@ -226,14 +246,14 @@ def gradient_penalty(
     # cotangent on u of the penalty scalar
     v = (2.0 * lambda_gp / rows) * ((norms - 1.0) / norms)[:, None] * u
 
-    grads = GradSet.zeros_like(disc)
+    grads = [np.zeros_like(part.params) for part in parts]
+    dws = [dw for part, g in zip(parts, grads) for dw, _ in part.views(g)]
 
     # differentiate the reverse pass (walk it in forward order)
     p = v  # cotangent on the reverse pass's output of layer l
     for l in range(n_layers):
-        layer = disc.layers[l]
-        grads.dw[l] += p.T @ gs[l]
-        p = (p @ layer.w) * phi1[l]
+        dws[l] += p.T @ gs[l]
+        p = (p @ layers[l].w) * phi1[l]
     # p is now the cotangent on the constant seed vector: discard
     return penalty, grads
 
@@ -261,60 +281,39 @@ def gumbel_softmax(logits: np.ndarray, temperature: float, rng: RngStream) -> np
 
 @dataclass
 class AdamState:
-    """First/second moment estimates; mutated by :func:`adam_step`."""
+    """Moment vectors in the network's layout; mutated by :func:`adam_step`."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
     def for_mlp(mlp: Mlp) -> "AdamState":
-        return AdamState(
-            [np.zeros_like(l.w) for l in mlp.layers],
-            [np.zeros_like(l.w) for l in mlp.layers],
-            [np.zeros_like(l.b) for l in mlp.layers],
-            [np.zeros_like(l.b) for l in mlp.layers],
-        )
+        return AdamState(np.zeros_like(mlp.params), np.zeros_like(mlp.params))
 
 
 def adam_step(
-    mlp: Mlp, grads: GradSet, state: AdamState, eta: float
+    mlp: Mlp, grad: np.ndarray, state: AdamState, eta: float
 ) -> tuple[Mlp, AdamState]:
-    """One Adam update with bias correction; returns the updated network."""
-    if len(grads.dw) != len(mlp.layers):
-        raise ValueError("gradient set does not match the network")
+    """One Adam update with bias correction; returns a new network and leaves
+    ``mlp`` untouched."""
+    if grad.shape != mlp.params.shape:
+        raise ValueError("gradient vector does not match the network")
     state.t += 1
     b1, b2 = _BETA1, _BETA2
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * grad**2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    new_layers = []
-    for i, layer in enumerate(mlp.layers):
-        state.m_w[i] = b1 * state.m_w[i] + (1.0 - b1) * grads.dw[i]
-        state.v_w[i] = b2 * state.v_w[i] + (1.0 - b2) * grads.dw[i] ** 2
-        state.m_b[i] = b1 * state.m_b[i] + (1.0 - b1) * grads.db[i]
-        state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.db[i] ** 2
-        w = layer.w - eta * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + _EPS)
-        b = layer.b - eta * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + _EPS)
-        new_layers.append(Layer(w, b, layer.activation))
-    return Mlp(tuple(new_layers)), state
+    params = mlp.params - eta * (state.m / c1) / (np.sqrt(state.v / c2) + _EPS)
+    return Mlp(params, mlp.widths, mlp.activations), state
 
 
 def stack(*parts: Mlp) -> Mlp:
-    """View several networks as one (layers share the same arrays)."""
-    layers = []
-    for part in parts:
-        layers.extend(part.layers)
-    return Mlp(tuple(layers))
-
-
-def split_grads(grads: GradSet, sizes: list[int]) -> list[GradSet]:
-    """Split a stacked network's GradSet back into per-part GradSets."""
-    if sum(sizes) != len(grads.dw):
-        raise ValueError("split sizes do not cover the gradient set")
-    out, at = [], 0
-    for s in sizes:
-        out.append(GradSet(grads.dw[at : at + s], grads.db[at : at + s]))
-        at += s
-    return out
+    """One network running ``parts`` in order (a copy of their parameters);
+    parts whose widths do not chain give a vector of the wrong length."""
+    return Mlp(
+        np.concatenate([p.params for p in parts]),
+        parts[0].widths[:1] + sum((p.widths[1:] for p in parts), ()),
+        sum((p.activations for p in parts), ()),
+    )

@@ -95,16 +95,30 @@ class TestCheckpointFormat:
 
     def test_pinned_bytes(self, tmp_path):
         # activation codes: identity 0, leaky_relu 2
-        hidden = nn.Layer(np.ones((1, 2)), np.zeros(2), "leaky_relu")
-        out = nn.Layer(np.full((2, 1), 3.0), np.full(1, 0.5))
+        g0 = nn.Mlp(np.zeros(7), (1, 2, 1), ("leaky_relu", "identity"))
+        hidden, out = g0.layers
+        hidden.w[...] = 1.0
+        out.w[...] = 3.0
+        out.b[...] = 0.5
         p = tmp_path / "m.ckpt"
-        ck.write_checkpoint(p, {"g0": nn.Mlp((hidden, out))})
+        ck.write_checkpoint(p, {"g0": g0})
         want = (b"VFSYNCK1" + struct.pack("<IIH", 1, 1, 2) + b"g0"
                 + struct.pack("<I", 2)
                 + struct.pack("<BdII", 2, 0.2, 1, 2)
                 + struct.pack("<BdII", 0, 0.2, 2, 1)
                 + np.array([1.0, 1.0, 0.0, 0.0, 3.0, 3.0, 0.5], "<f8").tobytes())
         assert p.read_bytes() == want
+
+    def test_payload_is_the_sorted_parameter_vectors(self, tmp_path):
+        rng = RngStream(5)
+        models = {"b": nn.init_mlp([2, 3, 1], rng.child(0)),
+                  "a": nn.init_mlp([4, 2], rng.child(1))}
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, models)
+        payload = models["a"].params.tobytes() + models["b"].params.tobytes()
+        assert p.read_bytes().endswith(payload)
+        header = len(p.read_bytes()) - len(payload)
+        assert header == 8 + 8 + 2 * (2 + 1 + 4) + 3 * struct.calcsize("<BdII")
 
     @pytest.mark.parametrize("code", [1, 3])
     def test_retired_activation_codes_rejected(self, tmp_path, code):
@@ -667,6 +681,11 @@ class TestAccountantCommand:
         (["report", "--sigma", "1", "--gamma", "0.1", "--steps", "1" + "0" * 310], "steps"),
         (["calibrate", "--epsilon", "1", "--gamma", "0.1", "--steps", "1" + "0" * 310],
          "steps"),
+        # these pass the input checks, but the curve overflows
+        (["report", "--sigma", "1e-170", "--gamma", "0.04", "--steps", "10"], "sigma"),
+        (["report", "--sigma", "1e-154", "--gamma", "0.04", "--steps", "10"], "sigma"),
+        (["report", "--sigma", "2e-153", "--gamma", "0.04", "--steps", "10"], "sigma"),
+        (["report", "--sigma", "1", "--gamma", "0.04", "--steps", "1" + "0" * 306], "steps"),
     ])
     def test_extreme_inputs_give_one_error_line(self, capsys, argv, word):
         assert main(["accountant", *argv, "--delta", "1e-5"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vfsynth import dp
-from vfsynth.nn import GradSet
+from vfsynth import nn
 from vfsynth.rng import RngStream
 
 # --------------------------------------------------------------------------
@@ -41,10 +41,14 @@ def joint_norm(dw, db):
 
 
 def mechanism_output(dw, db, sigma, clip, rng):
-    """apply_mechanism on a one-layer GradSet; returns its (dW, db)."""
-    grads = GradSet([dw], [db])
-    dp.apply_mechanism(grads, sigma, clip, rng)
-    return grads.dw[0], grads.db[0]
+    """apply_mechanism on the gradient of a one-layer network; returns its
+    (dW, db)."""
+    net = nn.Mlp(np.zeros(nn.layout(dw.shape)[0]), dw.shape, ("identity",))
+    grad = np.zeros_like(net.params)
+    (gw, gb), = net.views(grad)
+    gw[...], gb[...] = dw, db
+    dp.apply_mechanism(net, grad, sigma, clip, rng)
+    return gw, gb
 
 
 # --------------------------------------------------------------------------
@@ -97,8 +101,7 @@ class TestNoise:
         sigma, clip = 0.7, 1.3
         rng = RngStream(3, "noise")
         draws = np.empty(100_000)
-        zw = np.zeros((1, 1))
-        zb = np.zeros(0)
+        zb = np.zeros(1)
         for i in range(0, 100_000, 1000):
             nw, _ = mechanism_output(np.zeros((1000, 1)), zb, sigma, clip, rng)
             draws[i : i + 1000] = nw[:, 0]
@@ -112,13 +115,14 @@ class TestNoise:
 
     def test_only_the_first_layer_is_clipped_and_noised(self):
         rng = RngStream(10, "layers")
-        dw = [rng.normal(3, 4) * 10, rng.normal(4, 2) * 10]
-        db = [rng.normal(4) * 10, rng.normal(2) * 10]
-        grads = GradSet([w.copy() for w in dw], [b.copy() for b in db])
-        dp.apply_mechanism(grads, 1.0, 1.0, RngStream(11, "n"))
-        want_w, want_b = mechanism_output(dw[0], db[0], 1.0, 1.0, RngStream(11, "n"))
-        assert np.array_equal(grads.dw[0], want_w) and np.array_equal(grads.db[0], want_b)
-        assert np.array_equal(grads.dw[1], dw[1]) and np.array_equal(grads.db[1], db[1])
+        net = nn.init_mlp([3, 4, 2], rng)
+        grad = rng.normal(net.params.size) * 10
+        kept = net.views(grad.copy())
+        dp.apply_mechanism(net, grad, 1.0, 1.0, RngStream(11, "n"))
+        (w0, b0), (w1, b1) = net.views(grad)
+        want_w, want_b = mechanism_output(*kept[0], 1.0, 1.0, RngStream(11, "n"))
+        assert np.array_equal(w0, want_w) and np.array_equal(b0, want_b)
+        assert np.array_equal(w1, kept[1][0]) and np.array_equal(b1, kept[1][1])
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +235,7 @@ class TestToDp:
 
     def test_non_finite_curve_rejected(self):
         # sigma = 1e-170 squares to 0: the per-release curve is infinite
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="not finite"):
             dp.pipeline_epsilon(1e-170, 0.1, 10, 1e-5)
         with pytest.raises(ValueError, match="not finite"):
             dp.to_dp(np.full(len(dp.ALPHAS), np.nan), 1e-5)
@@ -251,6 +255,20 @@ class TestCalibrate:
         achieved, _ = dp.pipeline_epsilon(sigma, 1.0, 1, 1e-5)
         assert achieved <= target
         assert (target - achieved) < 0.01 * target
+
+    @pytest.mark.parametrize("target,gamma,steps", [(1000.0, 0.01, 10), (100.0, 1.0, 1)])
+    def test_small_sigma_is_the_smallest_meeting_the_target(self, target, gamma, steps):
+        # both answers lie below 0.25, where the bracket starts halving
+        sigma = dp.calibrate(target, 1e-5, gamma, steps)
+        assert dp.SIGMA_MIN < sigma < 0.25
+        assert dp.pipeline_epsilon(sigma, gamma, steps, 1e-5)[0] <= target
+        below = sigma / (1.0 + 2.0 * dp.REL_WIDTH)
+        assert dp.pipeline_epsilon(below, gamma, steps, 1e-5)[0] > target
+
+    @pytest.mark.parametrize("gamma,steps", [(0.0, 100), (0.1, 0)])
+    def test_floor_returned_when_it_meets_the_target(self, gamma, steps):
+        # nothing is released, so every sigma meets the target
+        assert dp.calibrate(1.0, 1e-5, gamma, steps) == dp.SIGMA_MIN
 
     def test_doubling_steps_weakly_increases_sigma(self):
         s1 = dp.calibrate(3.0, 1e-4, 0.1, 500)

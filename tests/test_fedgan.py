@@ -48,18 +48,24 @@ def small_cfg(**kw):
 
 
 def params_of(mlp):
-    return [(l.w.copy(), l.b.copy()) for l in mlp.layers]
+    return mlp.params.copy()
 
 
 def same_params(a, b, tol=0.0):
-    for (wa, ba), (wb, bb) in zip(a, b):
-        if tol == 0.0:
-            if not (np.array_equal(wa, wb) and np.array_equal(ba, bb)):
-                return False
-        else:
-            if np.abs(wa - wb).max() > tol or np.abs(ba - bb).max() > tol:
-                return False
-    return True
+    if tol == 0.0:
+        return np.array_equal(a, b)
+    return a.shape == b.shape and np.abs(a - b).max() <= tol
+
+
+def replaced(mlp, edit):
+    """A copy of ``mlp`` after ``edit`` ran on its per-layer (W, b) views."""
+    params = mlp.params.copy()
+    edit(mlp.views(params))
+    return nn.Mlp(params, mlp.widths, mlp.activations)
+
+
+def zero_last_weights(views):
+    views[-1][0][...] = 0.0
 
 
 class TestTrainBasics:
@@ -226,12 +232,12 @@ class TestServerCoupling:
         grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / 8))
         grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / 8))
         x_hat = nn.interpolate(x, xt, beta)
-        _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
-        total = grads_r.add_(grads_s).add_(grads_p)
-        d1g, d2g = nn.split_grads(total, [len(d1.layers), len(d2.layers)])
-        # lambda1 = 0: the flow-down term is zeroed but still added
-        zero_flow = nn.GradSet.zeros_like(d1)
-        d1g.add_(zero_flow)
+        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, cfg.lambda_gp)
+        total = grads_r + grads_s + grads_p
+        # the stacked vector is d1's then d2's; lambda1 = 0: the flow-down
+        # term is zeroed but still added
+        d1g = total[: d1.params.size] + np.zeros(d1.params.size)
+        d2g = total[d1.params.size :]
         a1, a2 = nn.AdamState.for_mlp(d1), nn.AdamState.for_mlp(d2)
         d1_new, _ = nn.adam_step(d1, d1g, a1, cfg.eta_d)
         d2_new, _ = nn.adam_step(d2, d2g, a2, cfg.eta_d)
@@ -274,14 +280,8 @@ class TestServerCoupling:
         trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(14))
         # zero the final layers: all critics output a constant
         for p in trainer.parties:
-            layers = list(p.d2.layers)
-            last = layers[-1]
-            layers[-1] = nn.Layer(np.zeros_like(last.w), last.b, last.activation)
-            p.d2 = nn.Mlp(tuple(layers))
-        layers = list(trainer.server.ds.layers)
-        last = layers[-1]
-        layers[-1] = nn.Layer(np.zeros_like(last.w), last.b, last.activation)
-        trainer.server.ds = nn.Mlp(tuple(layers))
+            p.d2 = replaced(p.d2, zero_last_weights)
+        trainer.server.ds = replaced(trainer.server.ds, zero_last_weights)
         before = [params_of(p.g) for p in trainer.parties]
         trainer.generator_step()
         for p, b in zip(trainer.parties, before):
@@ -348,10 +348,11 @@ class TestVertigan:
     def test_backbone_divergence_detected(self):
         parts = toy_partitioned(n=16, seed=9)
         trainer = fg.Trainer(fg.VERTIGAN, parts, small_cfg(), None, RngStream(18))
-        layers = list(trainer.parties[1].g.layers)
-        l0 = layers[0]
-        layers[0] = nn.Layer(l0.w + 1.0, l0.b, l0.activation)
-        trainer.parties[1].g = nn.Mlp(tuple(layers))
+
+        def shift_first_weights(views):
+            views[0][0][...] += 1.0
+
+        trainer.parties[1].g = replaced(trainer.parties[1].g, shift_first_weights)
         with pytest.raises(fg.ProtocolFault, match="diverged"):
             trainer.generator_step()
 
@@ -362,21 +363,15 @@ class TestVertigan:
         parts = toy_partitioned(n=8, seed=10)
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
         trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(19, "v"))
-        for layer_holder in (trainer.parties[1],):
-            for part in ("d1", "d2"):
-                zeroed = [
-                    nn.Layer(np.zeros_like(l.w), np.zeros_like(l.b), l.activation)
-                    for l in getattr(layer_holder, part).layers
-                ]
-                setattr(layer_holder, part, nn.Mlp(tuple(zeroed)))
+        p1 = trainer.parties[1]
+        p1.d1, p1.d2 = (nn.Mlp(np.zeros_like(m.params), m.widths, m.activations)
+                        for m in (p1.d1, p1.d2))
 
         # inline replica of party 0's generator gradients
         root = RngStream(19, "v")
         p0 = trainer.parties[0]
-        g_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation)
-                              for l in p0.g.layers))
-        d_copy = nn.Mlp(tuple(nn.Layer(l.w.copy(), l.b.copy(), l.activation)
-                              for l in nn.stack(p0.d1, p0.d2).layers))
+        g_copy = nn.Mlp(p0.g.params.copy(), p0.g.widths, p0.g.activations)
+        d_copy = nn.stack(p0.d1, p0.d2)
         gumbel = root.child("gumbel", 0)
         zs = root.child("z")
         z = zs.normal(8, cfg.latent_dim)
@@ -387,14 +382,11 @@ class TestVertigan:
         _, d_xt = nn.backward(d_copy, tape_c, np.full_like(out, -1.0 / 8))
         d_logits = head.backward(xt, d_xt)
         g_grads, _ = nn.backward(g_copy, tape_g, d_logits)
-        bb, headg = nn.split_grads(g_grads, [p0.n_backbone, len(g_copy.layers) - p0.n_backbone])
-        adam = nn.AdamState.for_mlp(g_copy)
-        expect, _ = nn.adam_step(
-            g_copy, nn.GradSet(bb.dw + headg.dw, bb.db + headg.db), adam, cfg.eta_g
-        )
+        expect, _ = nn.adam_step(g_copy, g_grads, nn.AdamState.for_mlp(g_copy), cfg.eta_g)
 
         trainer.generator_step()
-        nb = p0.n_backbone
+        nb = p0.n_backbone  # the backbone is a prefix of the generator's vector
+        assert 0 < nb < g_copy.params.size
         got = params_of(trainer.parties[0].g)[:nb]
         want = params_of(expect)[:nb]
         assert same_params(got, want)
@@ -427,10 +419,9 @@ class TestVertigan:
         grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / 8))
         grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / 8))
         x_hat = nn.interpolate(x, xt, root.child("beta", i))
-        _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
+        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, cfg.lambda_gp)
         want, _ = nn.adam_step(
-            critic, grads_r.add_(grads_s).add_(grads_p),
-            nn.AdamState.for_mlp(critic), cfg.eta_d,
+            critic, grads_r + grads_s + grads_p, nn.AdamState.for_mlp(critic), cfg.eta_d,
         )
 
         trainer.discriminator_step()
@@ -499,13 +490,13 @@ class TestDpWiring:
         calls = []
         orig = fg.apply_mechanism
 
-        def spy(grads, sigma, clip, rng):
-            calls.append((len(grads.dw), sigma, clip))
-            return orig(grads, sigma, clip, rng)
+        def spy(net, grad, sigma, clip, rng):
+            calls.append((len(net.layers), sigma, clip))
+            return orig(net, grad, sigma, clip, rng)
 
         monkeypatch.setattr(fg, "apply_mechanism", spy)
         fg.train(fg.VFLGAN, parts, cfg, dpc, RngStream(26))
-        # 2 parties x 2 disc iters x 1 epoch, each on the d1 gradset, whose
+        # 2 parties x 2 disc iters x 1 epoch, each on the d1 gradient, whose
         # layer 0 the mechanism noises (test_dp::TestNoise)
         assert calls == [(len(cfg.disc_part1_hidden) + 1, 1.0, 1.0)] * 4
 

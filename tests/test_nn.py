@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vfsynth import nn
-from vfsynth.nn import AdamState, GradSet, Layer, Mlp
+from vfsynth.nn import AdamState, Mlp
 from vfsynth.rng import RngStream
 
 # --------------------------------------------------------------------------
@@ -23,35 +23,29 @@ def straight_line_forward(mlp, batch):
     return h
 
 
-def perturbed(mlp, li, which, idx, delta):
-    layers = list(mlp.layers)
-    layer = layers[li]
-    w, b = layer.w.copy(), layer.b.copy()
-    if which == "w":
-        w[idx] += delta
-    else:
-        b[idx] += delta
-    layers[li] = Layer(w, b, layer.activation)
-    return Mlp(tuple(layers))
+def mlp_of(*layers):
+    """An Mlp holding the given (W, b, activation) layers, written through
+    its layer views (so the test does not restate the vector layout)."""
+    widths = [layers[0][0].shape[0]] + [w.shape[1] for w, _, _ in layers]
+    mlp = Mlp(np.zeros(nn.layout(tuple(widths))[0]), widths, [a for _, _, a in layers])
+    for layer, (w, b, _) in zip(mlp.layers, layers):
+        layer.w[...] = w
+        layer.b[...] = b
+    return mlp
 
 
 def fd_param_grads(mlp, scalar_fn, h=1e-4):
-    """Central finite differences of scalar_fn over every parameter."""
-    dws, dbs = [], []
-    for li, layer in enumerate(mlp.layers):
-        dw = np.zeros_like(layer.w)
-        for idx in np.ndindex(*layer.w.shape):
-            fp = scalar_fn(perturbed(mlp, li, "w", idx, +h))
-            fm = scalar_fn(perturbed(mlp, li, "w", idx, -h))
-            dw[idx] = (fp - fm) / (2 * h)
-        db = np.zeros_like(layer.b)
-        for idx in np.ndindex(*layer.b.shape):
-            fp = scalar_fn(perturbed(mlp, li, "b", idx, +h))
-            fm = scalar_fn(perturbed(mlp, li, "b", idx, -h))
-            db[idx] = (fp - fm) / (2 * h)
-        dws.append(dw)
-        dbs.append(db)
-    return dws, dbs
+    """Central finite differences of scalar_fn over every parameter, laid
+    out like a gradient vector of ``mlp``."""
+    grad = np.zeros_like(mlp.params)
+    for k in range(mlp.params.size):
+        plus, minus = mlp.params.copy(), mlp.params.copy()
+        plus[k] += h
+        minus[k] -= h
+        fp = scalar_fn(Mlp(plus, mlp.widths, mlp.activations))
+        fm = scalar_fn(Mlp(minus, mlp.widths, mlp.activations))
+        grad[k] = (fp - fm) / (2 * h)
+    return grad
 
 
 def max_rel_err(a, b):
@@ -64,16 +58,20 @@ def uniform_net(widths, act):
     """Builder of a random net whose every layer uses ``act``."""
     def build(rng):
         mlp = nn.init_mlp(widths, rng)
-        return Mlp(tuple(Layer(l.w, l.b, act) for l in mlp.layers))
+        return Mlp(mlp.params, mlp.widths, [act] * len(mlp.layers))
     return build
 
 
-def stacked_critic(rng):
+def critic_parts(rng):
     """Shaped like a party critic: D^1 with a leaky-ReLU feature layer,
-    stacked on D^2 with a hidden layer and a scalar output."""
+    then D^2 with a hidden layer and a scalar output."""
     d1 = nn.init_mlp([3, 6, 4], rng.child(1), out_activation="leaky_relu")
     d2 = nn.init_mlp([4, 5, 1], rng.child(2))
-    return nn.stack(d1, d2)
+    return d1, d2
+
+
+def stacked_critic(rng):
+    return nn.stack(*critic_parts(rng))
 
 
 def sample_net_away_from_kinks(rng, build, batch_size=5, margin=1e-2):
@@ -125,7 +123,7 @@ class TestLeakyKernels:
 
 class TestForward:
     def test_identity_single_layer(self):
-        mlp = Mlp((Layer(np.eye(2), np.zeros(2), "identity"),))
+        mlp = mlp_of((np.eye(2), np.zeros(2), "identity"))
         out, _ = nn.forward(mlp, np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
@@ -159,24 +157,25 @@ class TestForward:
 class TestBackward:
     def test_linear_layer_outer_product(self):
         w = np.array([[2.0, 0.0], [0.0, 3.0]])
-        mlp = Mlp((Layer(w, np.zeros(2), "identity"),))
+        mlp = mlp_of((w, np.zeros(2), "identity"))
         x = np.array([[1.0, 4.0]])
         out, tape = nn.forward(mlp, x)
-        grads, input_grad = nn.backward(mlp, tape, np.ones_like(out))
-        assert np.array_equal(grads.dw[0], np.outer(x[0], [1.0, 1.0]))
-        assert np.array_equal(grads.db[0], [1.0, 1.0])
+        grad, input_grad = nn.backward(mlp, tape, np.ones_like(out))
+        (dw, db), = mlp.views(grad)
+        assert np.array_equal(dw, np.outer(x[0], [1.0, 1.0]))
+        assert np.array_equal(db, [1.0, 1.0])
         assert np.array_equal(input_grad, np.array([[2.0, 3.0]]))
 
     def test_leaky_relu_below_kink_scales_upstream_by_slope(self):
         s = nn.LEAKY_SLOPE
-        l0 = Layer(np.ones((2, 3)), np.full(3, -100.0), "leaky_relu")
-        l1 = Layer(np.ones((3, 1)), np.zeros(1), "identity")
-        mlp = Mlp((l0, l1))
+        mlp = mlp_of((np.ones((2, 3)), np.full(3, -100.0), "leaky_relu"),
+                     (np.ones((3, 1)), np.zeros(1), "identity"))
         x = np.array([[0.5, 0.5]])
         out, tape = nn.forward(mlp, x)
-        grads, input_grad = nn.backward(mlp, tape, np.ones_like(out))
-        assert np.array_equal(grads.dw[0], np.full((2, 3), 0.5 * s))
-        assert np.array_equal(grads.db[0], np.full(3, s))
+        grad, input_grad = nn.backward(mlp, tape, np.ones_like(out))
+        dw, db = mlp.views(grad)[0]
+        assert np.array_equal(dw, np.full((2, 3), 0.5 * s))
+        assert np.array_equal(db, np.full(3, s))
         assert np.array_equal(input_grad, np.full((1, 2), s + s + s))
 
     @pytest.mark.parametrize("act", nn.ACTIVATIONS)
@@ -186,14 +185,14 @@ class TestBackward:
         r = rng.normal(batch.shape[0], 2)  # fixed cotangent
 
         out, tape = nn.forward(mlp, batch)
-        grads, input_grad = nn.backward(mlp, tape, r)
+        grad, input_grad = nn.backward(mlp, tape, r)
 
         def scalar(m):
             return float(np.sum(straight_line_forward(m, batch) * r))
 
-        fdw, fdb = fd_param_grads(mlp, scalar)
-        for a, b in zip(grads.dw + grads.db, fdw + fdb):
-            assert max_rel_err(a, b) < 1e-4
+        fd = fd_param_grads(mlp, scalar)
+        for a, b in zip(mlp.views(grad), mlp.views(fd)):  # per layer, W then b
+            assert max_rel_err(a[0], b[0]) < 1e-4 and max_rel_err(a[1], b[1]) < 1e-4
 
         # input gradient against finite differences too
         h = 1e-4
@@ -223,7 +222,7 @@ class TestBackward:
         out, tape = nn.forward(mlp, batch)
         g1, i1 = nn.backward(mlp, tape, np.ones_like(out))
         g2, i2 = nn.backward(mlp, tape, np.ones_like(out))
-        assert all(np.array_equal(a, b) for a, b in zip(g1.dw, g2.dw))
+        assert np.array_equal(g1, g2)
         assert np.array_equal(i1, i2)
 
 
@@ -242,23 +241,24 @@ def penalty_value(disc, x_hat, lam):
 class TestGradientPenalty:
     def test_linear_critic_closed_form(self):
         w = np.array([[0.6], [0.8], [1.2]])  # ||w|| = sqrt(2.44)
-        disc = Mlp((Layer(w, np.zeros(1), "identity"),))
+        disc = mlp_of((w, np.zeros(1), "identity"))
         x_hat = RngStream(20).normal(9, 3)
         lam = 10.0
-        penalty, grads = nn.gradient_penalty(disc, x_hat, lam)
+        penalty, (grad,) = nn.gradient_penalty((disc,), x_hat, lam)
         wn = np.linalg.norm(w)
         assert penalty == pytest.approx(lam * (wn - 1.0) ** 2, rel=1e-9)
         expected = 2 * lam * (wn - 1.0) * w / wn
-        assert np.allclose(grads.dw[0], expected, rtol=1e-6, atol=1e-9)
-        assert np.allclose(grads.db[0], 0.0)
+        (dw, db), = disc.views(grad)
+        assert np.allclose(dw, expected, rtol=1e-6, atol=1e-9)
+        assert np.allclose(db, 0.0)
 
     def test_zero_gradient_rows_are_guarded(self):
-        disc = Mlp((Layer(np.zeros((2, 1)), np.zeros(1), "identity"),))
+        disc = mlp_of((np.zeros((2, 1)), np.zeros(1), "identity"))
         x_hat = np.ones((3, 2))
-        penalty, grads = nn.gradient_penalty(disc, x_hat, 10.0)
+        penalty, (grad,) = nn.gradient_penalty((disc,), x_hat, 10.0)
         assert np.isfinite(penalty)
         assert penalty == pytest.approx(10.0, rel=1e-5)  # (0 - 1)^2 per row
-        assert all(np.isfinite(g).all() for g in grads.dw + grads.db)
+        assert np.isfinite(grad).all()
 
     @pytest.mark.parametrize("net", ["identity", "leaky_relu", "stacked_critic"])
     def test_matches_finite_differences(self, net):
@@ -267,23 +267,41 @@ class TestGradientPenalty:
         for trial in range(3):
             disc, x_hat = sample_net_away_from_kinks(rng.child(trial), build, batch_size=4)
             lam = 10.0
-            _, grads = nn.gradient_penalty(disc, x_hat, lam)
-            fdw, fdb = fd_param_grads(disc, lambda m: penalty_value(m, x_hat, lam))
-            for a, b in zip(grads.dw + grads.db, fdw + fdb):
-                assert max_rel_err(a, b) < 1e-3
+            _, (grad,) = nn.gradient_penalty((disc,), x_hat, lam)
+            fd = fd_param_grads(disc, lambda m: penalty_value(m, x_hat, lam))
+            for a, b in zip(disc.views(grad), disc.views(fd)):  # per layer, W then b
+                assert max_rel_err(a[0], b[0]) < 1e-3 and max_rel_err(a[1], b[1]) < 1e-3
 
     def test_penalty_agrees_with_straight_line_value(self):
         rng = RngStream(22)
         disc = nn.init_mlp([4, 8, 1], rng)
         x_hat = rng.normal(6, 4)
-        penalty, _ = nn.gradient_penalty(disc, x_hat, 10.0)
+        penalty, _ = nn.gradient_penalty((disc,), x_hat, 10.0)
         assert penalty == pytest.approx(penalty_value(disc, x_hat, 10.0), rel=1e-12)
 
     def test_requires_scalar_critic(self):
         rng = RngStream(23)
         disc = nn.init_mlp([3, 4, 2], rng)
         with pytest.raises(ValueError):
-            nn.gradient_penalty(disc, rng.normal(2, 3), 10.0)
+            nn.gradient_penalty((disc,), rng.normal(2, 3), 10.0)
+
+    def test_parts_match_the_stacked_critic(self):
+        # the gradient of each part equals its slice of the stacked critic's
+        # gradient, bit for bit
+        rng = RngStream(24)
+        d1, d2 = critic_parts(rng)
+        x_hat = rng.normal(5, 3)
+        penalty, (g1, g2) = nn.gradient_penalty((d1, d2), x_hat, 10.0)
+        whole_penalty, (whole,) = nn.gradient_penalty((nn.stack(d1, d2),), x_hat, 10.0)
+        assert penalty == whole_penalty
+        assert np.array_equal(np.concatenate([g1, g2]), whole)
+
+    def test_parts_that_do_not_chain_rejected(self):
+        rng = RngStream(25)
+        d1 = nn.init_mlp([3, 4], rng)
+        d2 = nn.init_mlp([5, 1], rng)
+        with pytest.raises(ValueError, match="chain"):
+            nn.gradient_penalty((d1, d2), rng.normal(2, 3), 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -341,33 +359,72 @@ class TestGumbelSoftmax:
 # adam
 # --------------------------------------------------------------------------
 
+def per_layer_adam(mlp, layer_grads, eta, steps):
+    """Inline oracle: the per-layer Adam recurrences, ``steps`` times with
+    the same per-layer (dW, db) gradients; returns the (W, b) pairs."""
+    b1, b2, eps = 0.5, 0.9, 1e-8
+    params = [(l.w.copy(), l.b.copy()) for l in mlp.layers]
+    moments = [[np.zeros_like(x) for x in (w, w, b, b)] for w, b in params]
+    for t in range(1, steps + 1):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for i, ((w, b), (dw, db)) in enumerate(zip(params, layer_grads)):
+            m_w, v_w, m_b, v_b = moments[i]
+            m_w = b1 * m_w + (1.0 - b1) * dw
+            v_w = b2 * v_w + (1.0 - b2) * dw**2
+            m_b = b1 * m_b + (1.0 - b1) * db
+            v_b = b2 * v_b + (1.0 - b2) * db**2
+            moments[i] = [m_w, v_w, m_b, v_b]
+            params[i] = (w - eta * (m_w / c1) / (np.sqrt(v_w / c2) + eps),
+                         b - eta * (m_b / c1) / (np.sqrt(v_b / c2) + eps))
+    return params
+
+
 class TestAdam:
+    def test_bit_equal_to_per_layer_oracle(self):
+        rng = RngStream(52)
+        mlp = nn.init_mlp([4, 6, 5, 2], rng)
+        grad = rng.normal(mlp.params.size)
+        kept = mlp.params.copy()
+        state = AdamState.for_mlp(mlp)
+        net = mlp
+        for _ in range(4):
+            net, state = nn.adam_step(net, grad, state, 0.01)
+        assert state.t == 4
+        assert np.array_equal(mlp.params, kept)  # the input network is untouched
+        want = per_layer_adam(mlp, mlp.views(grad), 0.01, 4)
+        for layer, (w, b) in zip(net.layers, want):
+            assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         rng = RngStream(50)
         mlp = nn.init_mlp([3, 4, 1], rng)
         state = AdamState.for_mlp(mlp)
-        updated, _ = nn.adam_step(mlp, GradSet.zeros_like(mlp), state, 0.1)
-        for a, b in zip(mlp.layers, updated.layers):
-            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+        updated, _ = nn.adam_step(mlp, np.zeros_like(mlp.params), state, 0.1)
+        assert np.array_equal(mlp.params, updated.params)
 
     def test_first_step_is_signed_eta(self):
         rng = RngStream(51)
         mlp = nn.init_mlp([2, 3], rng)
         state = AdamState.for_mlp(mlp)
-        grads = GradSet([rng.normal(2, 3)], [rng.normal(3)])
+        grad = rng.normal(mlp.params.size)
         eta = 0.05
-        updated, _ = nn.adam_step(mlp, grads, state, eta)
-        step = updated.layers[0].w - mlp.layers[0].w
-        assert np.allclose(step, -eta * np.sign(grads.dw[0]), atol=1e-6)
+        updated, _ = nn.adam_step(mlp, grad, state, eta)
+        step = updated.params - mlp.params
+        assert np.allclose(step, -eta * np.sign(grad), atol=1e-6)
+
+    def test_gradient_of_wrong_length_rejected(self):
+        mlp = nn.init_mlp([2, 3], RngStream(53))
+        with pytest.raises(ValueError, match="does not match"):
+            nn.adam_step(mlp, np.zeros(mlp.params.size + 1), AdamState.for_mlp(mlp), 0.1)
 
     def test_quadratic_convergence(self):
         # f(theta) = theta^2 from theta = 1 with eta = 0.1
-        theta = np.array([[1.0]])
-        mlp = Mlp((Layer(theta, np.zeros(1), "identity"),))
+        mlp = mlp_of((np.array([[1.0]]), np.zeros(1), "identity"))
         state = AdamState.for_mlp(mlp)
         envelope = [1.0]
         for _ in range(100):
-            g = GradSet([2.0 * mlp.layers[0].w], [np.zeros(1)])
+            # d/dtheta theta^2 on the weight, 0 on the bias
+            g = np.array([2.0 * mlp.layers[0].w[0, 0], 0.0])
             mlp, state = nn.adam_step(mlp, g, state, 0.1)
             envelope.append(abs(float(mlp.layers[0].w[0, 0])))
         assert envelope[-1] < 0.1
@@ -378,8 +435,42 @@ class TestAdam:
 
 
 # --------------------------------------------------------------------------
-# stacking helpers
+# the parameter vector and stacking
 # --------------------------------------------------------------------------
+
+class TestParams:
+    def test_layers_are_views_of_the_vector(self):
+        mlp = nn.init_mlp([3, 5, 2], RngStream(70))
+        for layer in mlp.layers:
+            assert np.shares_memory(layer.w, mlp.params)
+            assert np.shares_memory(layer.b, mlp.params)
+        mlp.params[:] = np.arange(mlp.params.size)
+        # per layer the row-major weights, then the bias
+        assert np.array_equal(mlp.layers[0].w, np.arange(15).reshape(3, 5))
+        assert np.array_equal(mlp.layers[0].b, np.arange(15, 20))
+        assert np.array_equal(mlp.layers[1].w, np.arange(20, 30).reshape(5, 2))
+        assert np.array_equal(mlp.layers[1].b, [30, 31])
+
+    @pytest.mark.parametrize("size", [0, 25, 27])
+    def test_vector_of_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="does not match the 26 parameters"):
+            Mlp(np.zeros(size), (3, 5, 1), ("leaky_relu", "identity"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        params = np.zeros(26)
+        params[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Mlp(params, (3, 5, 1), ("leaky_relu", "identity"))
+
+    @pytest.mark.parametrize("widths,acts", [
+        ((3,), ()), ((3, 0, 1), ("leaky_relu", "identity")),
+        ((3, 1), ("tanh",)), ((3, 5, 1), ("identity",)),
+    ])
+    def test_bad_widths_or_activations_rejected(self, widths, acts):
+        with pytest.raises(ValueError):
+            Mlp(np.zeros(nn.layout(widths)[0]), widths, acts)
+
 
 class TestStack:
     def test_stack_equals_sequential_forward(self):
@@ -391,15 +482,3 @@ class TestStack:
         h, _ = nn.forward(p1, x)
         want, _ = nn.forward(p2, h)
         assert np.array_equal(whole, want)
-
-    def test_split_grads_partitions(self):
-        rng = RngStream(61)
-        p1 = nn.init_mlp([4, 6, 5], rng.child(1))
-        p2 = nn.init_mlp([5, 3, 1], rng.child(2))
-        stacked = nn.stack(p1, p2)
-        x = rng.normal(7, 4)
-        out, tape = nn.forward(stacked, x)
-        grads, _ = nn.backward(stacked, tape, np.ones_like(out))
-        g1, g2 = nn.split_grads(grads, [2, 2])
-        assert len(g1.dw) == 2 and len(g2.dw) == 2
-        assert g1.dw[0].shape == (4, 6) and g2.dw[1].shape == (3, 1)

@@ -6,7 +6,8 @@ no protocol messages. Used as the independent oracle for the
 protocol-vs-monolith equivalence tests. Gradient accumulation order mirrors
 the engine exactly so agreement is bitwise: D_i^1 runs once per row set, and
 the D_i^2 and lambda-scaled server cotangents are summed on the features
-before the single backward pass through D_i^1.
+before the single backward pass through D_i^1. Gradients are parameter
+vectors, summed with ``+``.
 """
 
 import numpy as np
@@ -84,8 +85,8 @@ class MonolithVflgan:
             grads_r, d_f = nn.backward(self.ds, tape_r, np.full_like(out_r, -1.0 / b))
             grads_s, d_ft = nn.backward(self.ds, tape_s, np.full_like(out_s, 1.0 / b))
             f_hat = nn.interpolate(f, ft, self.beta_server)
-            _, grads_p = nn.gradient_penalty(self.ds, f_hat, cfg.lambda_gp)
-            ds_grads = grads_r.add_(grads_s).add_(grads_p)
+            _, (grads_p,) = nn.gradient_penalty((self.ds,), f_hat, cfg.lambda_gp)
+            ds_grads = grads_r + grads_s + grads_p
             self.ds, self.adam_ds = nn.adam_step(
                 self.ds, ds_grads, self.adam_ds, cfg.eta_server
             )
@@ -96,20 +97,18 @@ class MonolithVflgan:
                 d2_r, cot_r = nn.backward(self.d2[i], tape_r, np.full_like(out_r, -1.0 / b))
                 d2_s, cot_s = nn.backward(self.d2[i], tape_s, np.full_like(out_s, 1.0 / b))
                 x_hat = nn.interpolate(xs[i], xts[i], self.beta[i])
-                critic = nn.stack(self.d1[i], self.d2[i])
-                _, grads_p = nn.gradient_penalty(critic, x_hat, cfg.lambda_gp)
-                p1, p2 = nn.split_grads(
-                    grads_p, [len(self.d1[i].layers), len(self.d2[i].layers)]
+                _, (p1, p2) = nn.gradient_penalty(
+                    (self.d1[i], self.d2[i]), x_hat, cfg.lambda_gp
                 )
                 cot_r = cot_r + lam * d_f[:, sl]
                 cot_s = cot_s + lam * d_ft[:, sl]
-                d1_total, _ = nn.backward(self.d1[i], tapes_fr[i], cot_r)
-                d1_total.add_(nn.backward(self.d1[i], tapes_fs[i], cot_s)[0]).add_(p1)
+                d1_total = (nn.backward(self.d1[i], tapes_fr[i], cot_r)[0]
+                            + nn.backward(self.d1[i], tapes_fs[i], cot_s)[0] + p1)
                 self.d1[i], self.adam_d1[i] = nn.adam_step(
                     self.d1[i], d1_total, self.adam_d1[i], cfg.eta_d
                 )
                 self.d2[i], self.adam_d2[i] = nn.adam_step(
-                    self.d2[i], d2_r.add_(d2_s).add_(p2), self.adam_d2[i], cfg.eta_d
+                    self.d2[i], d2_r + d2_s + p2, self.adam_d2[i], cfg.eta_d
                 )
         # generator iteration
         z = self.z.normal(b, cfg.latent_dim)
