@@ -267,25 +267,21 @@ def _run_jobs(args_list, fn):
         return list(pool.map(fn, args_list))
 
 
-def _shadow_parts(world_ds, split):
-    """A world's encoder and its encoded rows, partitioned for training."""
-    enc = D.fit_encoder(world_ds)
-    return enc, fg.partition(D.encode(world_ds, enc), split)
-
-
 def _assd_job(args):
     world_ds, cfg, split, rng, world, m, synth_rows = args
-    _, parts = _shadow_parts(world_ds, split)
-    trainer = fg.train(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
+    data = D.encode(world_ds, D.fit_encoder(world_ds))
+    trainer = fg.train(cfg.variant, data, split, cfg.gan, cfg.dp,
+                       rng.child("shadow", world, m))
     synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
     return {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
 
 
 def _asif_job(args):
     world_ds, cfg, split, rng, world, m, full_ds = args
-    enc, parts = _shadow_parts(world_ds, split)
+    enc = D.fit_encoder(world_ds)
     # only the final D_i^1 are read, so the epochs skip the quality log
-    trainer = fg.Trainer(cfg.variant, parts, cfg.gan, cfg.dp, rng.child("shadow", world, m))
+    trainer = fg.Trainer(cfg.variant, D.encode(world_ds, enc), split, cfg.gan, cfg.dp,
+                         rng.child("shadow", world, m))
     for _ in range(cfg.gan.epochs):
         trainer.step_epoch()
     # the FULL dataset, encoded with the world's encoder, through D_i^1

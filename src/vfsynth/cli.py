@@ -105,13 +105,6 @@ def _float_repr(v) -> str:
 # train
 # ---------------------------------------------------------------------------
 
-def _load_partitioned(cfg: RunConfig):
-    ds = D.load_csv(cfg.dataset_path, cfg.schema)
-    enc = D.fit_encoder(ds)
-    parts = fg.partition(D.encode(ds, enc), cfg.split)
-    return ds, enc, parts
-
-
 def _resolve_dp(cfg: RunConfig, n_rows: int):
     if cfg.dp is None:
         return None, None
@@ -152,8 +145,9 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    ds, enc, parts = _load_partitioned(cfg)
-    dp_cfg, dp_report = _resolve_dp(cfg, ds.n_rows)
+    ds = D.load_csv(cfg.dataset_path, cfg.schema)
+    data = D.encode(ds, D.fit_encoder(ds))
+    dp_cfg, dp_report = _resolve_dp(cfg, data.n_rows)
     run_dir = _fresh_dir(cfg.output_dir)
     shutil.copyfile(args.config, run_dir / "config.yaml")
     (run_dir / "checkpoints").mkdir()
@@ -174,7 +168,7 @@ def cmd_train(args) -> int:
         }
     try:
         trainer = fg.train(
-            cfg.variant, parts, cfg.gan, dp_cfg, RngStream(cfg.seed, "train")
+            cfg.variant, data, cfg.split, cfg.gan, dp_cfg, RngStream(cfg.seed, "train")
         )
     except Exception as exc:
         manifest["status"] = "failed"
@@ -187,7 +181,7 @@ def cmd_train(args) -> int:
         gens = trainer.generators(best)
         write_checkpoint(run_dir / "checkpoints" / f"{which}.ckpt",
                          {f"g{i}": g for i, g in enumerate(gens)})
-    _write_encoder(run_dir, enc)
+    _write_encoder(run_dir, data.encoder)
     manifest["status"] = "completed"
     manifest["completed_utc"] = _utc_now()
     manifest["best_epoch"] = trainer.log.best_epoch
@@ -460,7 +454,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, D.DataError, ValueError, RuntimeError) as exc:
+    except (CliError, ConfigError, D.DataError, ValueError, RuntimeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

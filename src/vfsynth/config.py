@@ -83,12 +83,20 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _list(v, key):
+    if not isinstance(v, list):
+        raise ConfigError(f"{key} must be a list, got {v!r}")
+    return v
+
+
 def _schema_from(doc) -> Schema:
     attrs = []
-    for i, a in enumerate(_require(doc, "attributes", "dataset.schema")):
+    entries = _require(doc, "attributes", "dataset.schema")
+    for i, a in enumerate(_list(entries, "dataset.schema.attributes")):
         name = _require(a, "name", f"attribute {i}")
         kind = _require(a, "kind", f"attribute {name!r}")
-        categories = tuple(str(c) for c in a.get("categories", ()))
+        cats = _list(a.get("categories", []), f"attribute {name!r}: categories")
+        categories = tuple(str(c) for c in cats)
         try:
             attrs.append(Attribute(str(name), str(kind), categories))
         except ValueError as exc:
@@ -148,8 +156,11 @@ def load_config(path) -> RunConfig:
     _check_keys(dataset, ("path", "schema"), "dataset")
     schema = _schema_from(_require(dataset, "schema", "dataset"))
     split_doc = _require(doc, "split", "config")
+    if not all(isinstance(i, int) and not isinstance(i, bool)
+               for p in _list(split_doc, "split") for i in _list(p, "split: each party")):
+        raise ConfigError(f"split must list integer attribute indices, got {split_doc!r}")
     try:
-        split = VerticalSplit(tuple(tuple(int(i) for i in p) for p in split_doc))
+        split = VerticalSplit(tuple(tuple(p) for p in split_doc))
         split.validate_against(schema)
     except ValueError as exc:
         raise ConfigError(f"split section: {exc}") from None

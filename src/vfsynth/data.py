@@ -5,10 +5,11 @@ attributes are standardized to zero mean and unit (population) standard
 deviation. To one-hot an integer-valued attribute instead, declare it
 ``categorical`` in the schema with its value strings as categories.
 
-A :class:`VerticalSplit` assigns whole attributes to parties, so a one-hot
-block can never straddle a party boundary. Party attribute sets must be
-contiguous ranges in schema order; concatenating the per-party column views
-then reproduces the encoded matrix exactly.
+``Encoder.spans`` is the one statement of the encoded column layout. A
+:class:`VerticalSplit` assigns whole attributes to parties as contiguous
+ranges in schema order, so a one-hot block never straddles a party boundary
+and a party's columns are one slice of the encoded matrix: from the start of
+its first attribute's span to the end of its last.
 """
 
 from __future__ import annotations
@@ -240,10 +241,6 @@ class Encoder:
         object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "width", at)
 
-    def span_columns(self, attr_index: int) -> np.ndarray:
-        start, width = self.spans[attr_index]
-        return np.arange(start, start + width)
-
 
 def fit_encoder(ds: TabularDataset) -> Encoder:
     mu, sigma = [], []
@@ -351,11 +348,3 @@ class VerticalSplit:
                 f"vertical split covers {sorted(flat)} but the schema has "
                 f"{len(schema.attributes)} attributes"
             )
-
-    def column_spans(self, enc: Encoder) -> list[np.ndarray]:
-        """Encoded-matrix column indices per party."""
-        out = []
-        for party in self.parties:
-            cols = np.concatenate([enc.span_columns(i) for i in party])
-            out.append(cols)
-        return out

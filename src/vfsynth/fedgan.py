@@ -38,8 +38,11 @@ Stream layout under the root stream handed to :func:`train`:
 ``("dpnoise", i)``; ``beta_server``; per-epoch ``("eval", epoch)`` for the
 quality log; initialization under ``("init", ...)``.
 
-:func:`train` returns the trained :class:`Trainer`; :meth:`Trainer.sample`
-draws synthetic rows from it.
+:func:`train` takes the encoded table and the vertical split. Each party
+holds its columns as a view of that table (:func:`partition`), and its output
+head knows only where its categorical blocks lie (:func:`party_blocks`).
+It returns the trained :class:`Trainer`; :meth:`Trainer.sample` draws
+synthetic rows from it.
 """
 
 from __future__ import annotations
@@ -168,36 +171,21 @@ class GanConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Block:
-    kind: str  # "numeric" | "categorical"
-    start: int  # relative to the party view
-    width: int
-
-
-@dataclass(frozen=True)
 class PartitionedData:
-    encoder: Encoder
-    split: VerticalSplit
-    views: tuple[np.ndarray, ...]
-    blocks: tuple[tuple[Block, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return self.views[0].shape[0]
+    views: tuple[np.ndarray, ...]  # per party, a column slice of the table
+    blocks: tuple[tuple[tuple[int, int], ...], ...]  # see party_blocks
 
 
 def party_blocks(encoder: Encoder, split: VerticalSplit) -> tuple:
-    """Per-party output-head layout (block kind, offset, width)."""
+    """Per party, the (start, width) of each categorical attribute within
+    the party's columns; every other column is numeric."""
     out = []
     for party in split.parties:
-        blocks, at = [], 0
-        for attr_index in party:
-            attr = encoder.schema.attributes[attr_index]
-            width = encoder.spans[attr_index][1]
-            kind = "categorical" if attr.kind == "categorical" else "numeric"
-            blocks.append(Block(kind, at, width))
-            at += width
-        out.append(tuple(blocks))
+        first = encoder.spans[party[0]][0]
+        out.append(tuple(
+            (encoder.spans[i][0] - first, encoder.spans[i][1]) for i in party
+            if encoder.schema.attributes[i].kind == "categorical"
+        ))
     return tuple(out)
 
 
@@ -209,57 +197,41 @@ def trained_split(variant: str, split: VerticalSplit) -> VerticalSplit:
     return split
 
 
-def partition(enc_ds: EncodedDataset, split: VerticalSplit) -> PartitionedData:
-    split.validate_against(enc_ds.encoder.schema)
-    spans = split.column_spans(enc_ds.encoder)
-    views = tuple(enc_ds.matrix[:, cols] for cols in spans)
-    return PartitionedData(enc_ds.encoder, split, views, party_blocks(enc_ds.encoder, split))
+def partition(data: EncodedDataset, split: VerticalSplit) -> PartitionedData:
+    """Each party's columns as a view of ``data.matrix``, not a copy."""
+    split.validate_against(data.encoder.schema)
+    spans = data.encoder.spans
+    views = tuple(data.matrix[:, spans[p[0]][0] : sum(spans[p[-1]])] for p in split.parties)
+    return PartitionedData(views, party_blocks(data.encoder, split))
 
 
 class OutputHead:
-    """Per-block output transform on generator logits.
+    """Output transform on generator logits.
 
-    Numeric columns pass through an identity (or tanh) head; categorical
-    blocks go through a Gumbel-softmax with the configured temperature.
+    Every column passes through an identity (or tanh) head, then each
+    categorical block is overwritten by a Gumbel-softmax with the configured
+    temperature, drawn block by block in column order.
     """
 
-    def __init__(self, blocks: tuple[Block, ...], temperature: float, numeric: str):
-        self.blocks = blocks
+    def __init__(self, blocks, temperature: float, numeric: str):
+        self.blocks = blocks  # categorical (start, width) spans, see party_blocks
         self.temperature = temperature
         self.numeric = numeric
 
-    @property
-    def width(self) -> int:
-        return sum(b.width for b in self.blocks)
-
     def forward(self, logits: np.ndarray, rng: RngStream):
-        out = np.empty_like(logits)
-        for b in self.blocks:
-            cols = slice(b.start, b.start + b.width)
-            if b.kind == "categorical":
-                out[:, cols] = nn.gumbel_softmax(
-                    logits[:, cols], self.temperature, rng
-                )
-            elif self.numeric == "tanh":
-                out[:, cols] = np.tanh(logits[:, cols])
-            else:
-                out[:, cols] = logits[:, cols]
+        out = np.tanh(logits) if self.numeric == "tanh" else logits.copy()
+        for start, width in self.blocks:
+            cols = slice(start, start + width)
+            out[:, cols] = nn.gumbel_softmax(logits[:, cols], self.temperature, rng)
         return out
 
     def backward(self, out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-        d_logits = np.empty_like(d_out)
-        for b in self.blocks:
-            cols = slice(b.start, b.start + b.width)
-            if b.kind == "categorical":
-                y = out[:, cols]
-                g = d_out[:, cols]
-                inner = g - np.sum(g * y, axis=1, keepdims=True)
-                d_logits[:, cols] = y * inner / self.temperature
-            elif self.numeric == "tanh":
-                y = out[:, cols]
-                d_logits[:, cols] = d_out[:, cols] * (1.0 - y * y)
-            else:
-                d_logits[:, cols] = d_out[:, cols]
+        d_logits = d_out * (1.0 - out * out) if self.numeric == "tanh" else d_out.copy()
+        for start, width in self.blocks:
+            cols = slice(start, start + width)
+            y, g = out[:, cols], d_out[:, cols]
+            inner = g - np.sum(g * y, axis=1, keepdims=True)
+            d_logits[:, cols] = y * inner / self.temperature
         return d_logits
 
 
@@ -517,9 +489,6 @@ def generate_from(
     generators: list[Mlp], heads: list[OutputHead], encoder: Encoder,
     latent_dim: int, n: int, rng: RngStream,
 ) -> EncodedDataset:
-    width = sum(h.width for h in heads)
-    if n == 0:
-        return EncodedDataset(np.zeros((0, width)), encoder)
     z = rng.child("z").normal(n, latent_dim)
     parts = []
     for i, (g, head) in enumerate(zip(generators, heads)):
@@ -535,16 +504,16 @@ def generate_from(
 class Trainer:
     """Steps the parties and the server through one training run."""
 
-    def __init__(self, variant, parts: PartitionedData, cfg: GanConfig,
-                 dp: DpConfig | None, rng: RngStream):
+    def __init__(self, variant, data: EncodedDataset, split: VerticalSplit,
+                 cfg: GanConfig, dp: DpConfig | None, rng: RngStream):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if cfg.batch_size > parts.n_rows:
+        if cfg.batch_size > data.n_rows:
             raise DataError(
-                f"batch size {cfg.batch_size} exceeds dataset size {parts.n_rows}"
+                f"batch size {cfg.batch_size} exceeds dataset size {data.n_rows}"
             )
         if dp is not None:
-            gamma = cfg.batch_size / parts.n_rows
+            gamma = cfg.batch_size / data.n_rows
             if not math.isclose(dp.sampling_rate, gamma, rel_tol=1e-9):
                 raise ValueError(
                     f"DpConfig sampling rate {dp.sampling_rate} does not match "
@@ -559,10 +528,9 @@ class Trainer:
         self.cfg = cfg
         self.dp = dp
         self.rng = rng
-        self.encoder = parts.encoder
-        self.n_rows = parts.n_rows
-        stacked = EncodedDataset(np.hstack(parts.views), parts.encoder)
-        trained = partition(stacked, trained_split(variant, parts.split))
+        self.encoder = data.encoder
+        self.n_rows = data.n_rows
+        trained = partition(data, trained_split(variant, split))
         self.parties = [
             Party(i, v, b, cfg, variant, rng)
             for i, (v, b) in enumerate(zip(trained.views, trained.blocks))
@@ -576,7 +544,7 @@ class Trainer:
         self.batch_stream = rng.child("batch")
         self.z_stream = rng.child("z")
         self._real_stats = (
-            stats_from_matrix(stacked.matrix) if self.n_rows >= 2 else None
+            stats_from_matrix(data.matrix) if self.n_rows >= 2 else None
         )
         self.log = TrainLog()
         self._best_gens: list[Mlp] | None = None
@@ -729,11 +697,13 @@ class Trainer:
 
 def train(
     variant: str,
-    parts: PartitionedData,
+    data: EncodedDataset,
+    split: VerticalSplit,
     cfg: GanConfig,
     dp: DpConfig | None,
     rng: RngStream,
 ) -> Trainer:
-    """Run the full protocol: epochs of disc_steps critic iterations + one
+    """Run the full protocol on the encoded table, each party holding its
+    columns under ``split``: epochs of disc_steps critic iterations + one
     generator iteration, logging a fresh-sample Frechet distance per epoch."""
-    return Trainer(variant, parts, cfg, dp, rng).run()
+    return Trainer(variant, data, split, cfg, dp, rng).run()

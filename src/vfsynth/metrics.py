@@ -145,11 +145,9 @@ def _features_and_labels(ds: D.TabularDataset, enc: D.Encoder, target: str):
     ti = ds.schema.index_of(target)
     if ds.schema.attributes[ti].kind != "categorical":
         raise D.DataError(f"target attribute {target!r} must be categorical")
-    e = D.encode(ds, enc)
-    keep = np.concatenate(
-        [enc.span_columns(i) for i in range(len(ds.schema.attributes)) if i != ti]
-    )
-    return e.matrix[:, keep], ds.columns[ti], len(ds.schema.attributes[ti].categories)
+    start, width = enc.spans[ti]
+    x = np.delete(D.encode(ds, enc).matrix, slice(start, start + width), axis=1)
+    return x, ds.columns[ti], width
 
 
 def _draw_folds(n: int, k: int, y_checks, rng: RngStream) -> list[np.ndarray]:

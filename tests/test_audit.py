@@ -320,9 +320,8 @@ class TestShadowRows:
         for world in (0, 1):
             for m in range(cfg.shadows):
                 enc = d.fit_encoder(worlds[world])
-                parts = fg.partition(d.encode(worlds[world], enc), self.split)
-                model = fg.train(cfg.variant, parts, cfg.gan, cfg.dp,
-                                 rng.child("shadow", world, m))
+                model = fg.train(cfg.variant, d.encode(worlds[world], enc), self.split,
+                                 cfg.gan, cfg.dp, rng.child("shadow", world, m))
                 yield world, m, enc, model
 
     def test_assd_rows_match_replica(self):
@@ -451,9 +450,8 @@ class TestStubbedEndToEnd:
             def sample(self, n, rng, best=False):
                 return self.enc_ds
 
-        def stub_train(variant, parts, cfg, dp, rng):
-            m = np.hstack(parts.views)
-            return EchoModel(d.EncodedDataset(m, parts.encoder))
+        def stub_train(variant, data, split, cfg, dp, rng):
+            return EchoModel(data)
 
         monkeypatch.setattr(A.fg, "train", stub_train)
 

@@ -262,6 +262,33 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "missing 'epsilon' in dp" in capsys.readouterr().err
 
+    # a float, string or bool index was once read through int() and accepted
+    @pytest.mark.parametrize("split", [[[0, 1.7], [2]], [["0", 1], [2]], [[0, True], [2]],
+                                       3, [3]])
+    def test_malformed_split_rejected(self, tmp_path, capsys, split):
+        cfg_path = toy_config(tmp_path, extra={"split": split})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("attribute,value,key", [
+        (None, 5, "dataset.schema.attributes"),
+        (2, 5, "attribute 'k': categories"),
+    ])
+    def test_malformed_schema_rejected(self, tmp_path, capsys, attribute, value, key):
+        cfg_path = toy_config(tmp_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        schema = doc["dataset"]["schema"]
+        if attribute is None:
+            schema["attributes"] = value
+        else:
+            schema["attributes"][attribute]["categories"] = value
+        cfg_path.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be a list")
+
     @pytest.mark.parametrize("seed", [1.5, True, "1", -1, 2**64])
     def test_bad_seed_rejected(self, tmp_path, capsys, seed):
         cfg_path = toy_config(tmp_path, seed=seed)
@@ -356,11 +383,21 @@ class TestGenerateCommand:
                      "--seed", "9", "--out", str(out)]) == 0
         cfg = load_config(cfg_path)
         ds = d.load_csv(cfg.dataset_path, cfg.schema)
-        parts = fg.partition(d.encode(ds, d.fit_encoder(ds)), cfg.split)
-        trainer = fg.train(variant, parts, cfg.gan, None, RngStream(cfg.seed, "train"))
+        trainer = fg.train(variant, d.encode(ds, d.fit_encoder(ds)), cfg.split, cfg.gan,
+                           None, RngStream(cfg.seed, "train"))
         want = tmp_path / "want.csv"
         d.decode(trainer.sample(20, RngStream(9, "generate"), best=True)).to_csv(want)
         assert out.read_bytes() == want.read_bytes()
+
+    def test_unwritable_output_gives_one_error_line(self, tmp_path, capsys):
+        cfg_path = toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "dir" / "s.csv"
+        assert main(["generate", "--run", str(tmp_path / "run"), "--n", "5",
+                     "--seed", "9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "s.csv" in err[0]
 
     def test_zero_rows_header_only(self, tmp_path):
         cfg_path = toy_config(tmp_path)
@@ -668,6 +705,13 @@ class TestAccountantCommand:
         # the curve and the printed epsilon come from one pipeline
         eps = min(float(e) + math.log(1.0 / 1e-5) / (int(a) - 1) for a, e in rows)
         assert f"epsilon_external={eps:.6g} " in capsys.readouterr().out
+
+    def test_unwritable_curve_gives_one_error_line(self, tmp_path, capsys):
+        curve = tmp_path / "missing" / "dir" / "c.csv"
+        assert main(["accountant", "report", "--sigma", "1", "--gamma", "0.1",
+                     "--steps", "10", "--delta", "1e-5", "--curve", str(curve)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "c.csv" in err[0]
 
     def test_calibrate_round_trip(self, capsys):
         assert main(["accountant", "calibrate", "--epsilon", "5.302585",

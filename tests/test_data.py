@@ -206,6 +206,13 @@ class TestVerticalSplit:
         assert views[1].shape == (20, 3)
         assert np.array_equal(np.hstack(views), e.matrix)
 
+    def test_party_views_share_the_encoded_matrix(self):
+        ds = toy_dataset(n=20, seed=7)
+        e = d.encode(ds, d.fit_encoder(ds))
+        for split in (d.VerticalSplit(((0, 1), (2,))), d.VerticalSplit(((0,), (1, 2)))):
+            for view in fg.partition(e, split).views:
+                assert np.shares_memory(view, e.matrix)
+
     def test_double_assignment_rejected(self):
         with pytest.raises(d.DataError):
             d.VerticalSplit(((0, 1), (1, 2)))

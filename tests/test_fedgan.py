@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
+from vfsynth.config import load_config
 from vfsynth.dp import DpConfig
+from vfsynth.metrics import dataset_stats, frechet_distance, stats_from_matrix
 from vfsynth.rng import RngStream
 from vfl_monolith import MonolithVflgan
 
 
-def toy_partitioned(n=16, seed=0, with_categorical=True):
+def toy_table(n=16, seed=0, with_categorical=True):
+    """An encoded toy table and its two-party split."""
     rng = RngStream(seed, "toyview")
     attrs = [
         d.Attribute("a", "continuous"),
@@ -25,9 +29,8 @@ def toy_partitioned(n=16, seed=0, with_categorical=True):
     schema = d.Schema(tuple(attrs))
     ds = d.TabularDataset(schema, tuple(cols))
     enc = d.fit_encoder(ds)
-    e = d.encode(ds, enc)
     split = d.VerticalSplit(((0, 1), (2, 3) if with_categorical else (2,)))
-    return fg.partition(e, split)
+    return d.encode(ds, enc), split
 
 
 def small_cfg(**kw):
@@ -70,37 +73,37 @@ def zero_last_weights(views):
 
 class TestTrainBasics:
     def test_zero_epochs_returns_initial_generators(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=0), None, RngStream(1))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=0), None, RngStream(1))
         assert model.log.records == []
-        fresh = fg.Trainer(fg.VFLGAN, parts, small_cfg(epochs=0), None, RngStream(1))
+        fresh = fg.Trainer(fg.VFLGAN, data, split, small_cfg(epochs=0), None, RngStream(1))
         for g1, p in zip(model.generators(), fresh.parties):
             assert same_params(params_of(g1), params_of(p.g))
 
     @pytest.mark.parametrize("variant", fg.VARIANTS)
     def test_deterministic_given_stream(self, variant):
-        parts = toy_partitioned()
-        m1 = fg.train(variant, parts, small_cfg(), None, RngStream(7, "run"))
-        m2 = fg.train(variant, parts, small_cfg(), None, RngStream(7, "run"))
+        data, split = toy_table()
+        m1 = fg.train(variant, data, split, small_cfg(), None, RngStream(7, "run"))
+        m2 = fg.train(variant, data, split, small_cfg(), None, RngStream(7, "run"))
         for g1, g2 in zip(m1.generators(), m2.generators()):
             assert same_params(params_of(g1), params_of(g2))
         for r1, r2 in zip(m1.log.records, m2.log.records):
             assert r1 == r2
 
     def test_log_has_one_record_per_epoch(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=5), None, RngStream(2))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=5), None, RngStream(2))
         assert [r.epoch for r in model.log.records] == [1, 2, 3, 4, 5]
         assert all(math.isfinite(r.loss_g) for r in model.log.records)
 
     def test_batch_larger_than_dataset_rejected(self):
-        parts = toy_partitioned(n=4)
+        data, split = toy_table(n=4)
         with pytest.raises(d.DataError):
-            fg.train(fg.VFLGAN, parts, small_cfg(batch_size=8), None, RngStream(0))
+            fg.train(fg.VFLGAN, data, split, small_cfg(batch_size=8), None, RngStream(0))
 
     def test_nan_loss_aborts_with_epoch_and_role(self, monkeypatch):
-        parts = toy_partitioned()
-        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(3))
+        data, split = toy_table()
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(3))
         orig = fg.Party.critic_update
 
         def poisoned(self, reply, dp):
@@ -111,8 +114,8 @@ class TestTrainBasics:
             trainer.run_epoch()
 
     def test_non_finite_quality_sample_logs_nan(self, monkeypatch):
-        parts = toy_partitioned()
-        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(3))
+        data, split = toy_table()
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(3))
         orig = fg.generate_from
 
         def poisoned(*args):
@@ -125,12 +128,28 @@ class TestTrainBasics:
             assert math.isnan(trainer._quality_fd(1))
 
     def test_discriminator_step_leaves_generators_untouched(self):
-        parts = toy_partitioned()
-        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(4))
+        data, split = toy_table()
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(4))
         before = [params_of(p.g) for p in trainer.parties]
         trainer.discriminator_step()
         for p, b in zip(trainer.parties, before):
             assert same_params(params_of(p.g), b)
+
+
+class TestQualityFd:
+    def test_equals_the_eval_statistic_on_wine(self):
+        # the real moments come from the encoded table itself, as in
+        # ``vfsynth eval``, so the logged FD is that command's number exactly
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "configs" / "winequality-red.yaml")
+        ds = d.load_csv(root / cfg.dataset_path, cfg.schema)
+        data = d.encode(ds, d.fit_encoder(ds))
+        trainer = fg.Trainer(fg.VFLGAN, data, cfg.split, small_cfg(fd_sample_cap=2048),
+                             None, RngStream(5, "fd"))
+        trainer.step_epoch()
+        sample = trainer.sample(data.n_rows, trainer.rng.child("eval", 1))
+        want = frechet_distance(dataset_stats(data), stats_from_matrix(sample.matrix))
+        assert trainer._quality_fd(1) == want
 
 
 class TestGanConfig:
@@ -149,10 +168,10 @@ class TestGanConfig:
 
 class TestMonolithEquivalence:
     def test_single_step_toy(self):
-        parts = toy_partitioned(n=4, seed=5)
+        data, split = toy_table(n=4, seed=5)
         cfg = small_cfg(batch_size=4, disc_steps=1, epochs=1)
-        trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(11, "m"))
-        mono = MonolithVflgan(parts, cfg, RngStream(11, "m"))
+        trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(11, "m"))
+        mono = MonolithVflgan(fg.partition(data, split), cfg, RngStream(11, "m"))
         trainer.run_epoch()
         mono.run_epoch()
         for i, p in enumerate(trainer.parties):
@@ -162,10 +181,10 @@ class TestMonolithEquivalence:
         assert same_params(params_of(trainer.server.ds), params_of(mono.ds))
 
     def test_multi_epoch_equivalence(self):
-        parts = toy_partitioned(n=16, seed=6)
+        data, split = toy_table(n=16, seed=6)
         cfg = small_cfg(disc_steps=3, epochs=1)
-        trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(12, "m"))
-        mono = MonolithVflgan(parts, cfg, RngStream(12, "m"))
+        trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(12, "m"))
+        mono = MonolithVflgan(fg.partition(data, split), cfg, RngStream(12, "m"))
         for _ in range(3):
             trainer.run_epoch()
             mono.run_epoch()
@@ -205,9 +224,10 @@ class TestServerCoupling:
     def test_lambda1_zero_decouples_local_discriminators(self):
         # with lambda_server = 0 the D_i update must equal a standalone
         # WGAN-GP step computed inline with the same streams
-        parts = toy_partitioned(n=8, seed=7)
+        data, split = toy_table(n=8, seed=7)
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1, lambda_server=0.0)
-        trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(13, "l"))
+        trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(13, "l"))
+        parts = fg.partition(data, split)
         root = RngStream(13, "l")
         # inline replica of party 0's local step
         i = 0
@@ -247,8 +267,8 @@ class TestServerCoupling:
         assert same_params(params_of(trainer.parties[0].d2), params_of(d2_new))
 
     def test_generator_step_messages_carry_no_real_rows(self, monkeypatch):
-        parts = toy_partitioned()
-        trainer = fg.Trainer(fg.VFLGAN, parts, small_cfg(), None, RngStream(31))
+        data, split = toy_table()
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(31))
         orig = trainer.server.gen_scores
         seen = []
 
@@ -272,12 +292,12 @@ class TestServerCoupling:
 
         monkeypatch.setattr(fg, "FeatureUp", refuse)
         monkeypatch.setattr(fg, "FeatureGradDown", refuse)
-        fg.Trainer(variant, toy_partitioned(), small_cfg(), None, RngStream(32)).run_epoch()
+        fg.Trainer(variant, *toy_table(), small_cfg(), None, RngStream(32)).run_epoch()
 
     def test_constant_critics_freeze_generators(self):
-        parts = toy_partitioned(n=8, seed=8)
+        data, split = toy_table(n=8, seed=8)
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
-        trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(14))
+        trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(14))
         # zero the final layers: all critics output a constant
         for p in trainer.parties:
             p.d2 = replaced(p.d2, zero_last_weights)
@@ -288,8 +308,8 @@ class TestServerCoupling:
             assert same_params(params_of(p.g), b)
 
     def test_base_variant_has_no_second_parts(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN_BASE, parts, small_cfg(), None, RngStream(15))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN_BASE, data, split, small_cfg(), None, RngStream(15))
         assert all(p.d2 is None for p in model.parties)
         assert len(model.log.records) == 2
         # base logs no local discriminator losses
@@ -299,15 +319,12 @@ class TestServerCoupling:
         # with the server stubbed to constant replies, party 0's updates must
         # not depend on party 1's data
         def run(seed_data):
-            parts = toy_partitioned(n=8, seed=0)
-            views = list(parts.views)
-            # replace party 1's data with an unrelated matrix
-            views[1] = RngStream(seed_data, "other").normal(*views[1].shape)
-            parts = fg.PartitionedData(
-                parts.encoder, parts.split, tuple(views), parts.blocks
-            )
+            data, split = toy_table(n=8, seed=0)
+            # replace party 1's columns of the table with an unrelated matrix
+            view = fg.partition(data, split).views[1]
+            view[...] = RngStream(seed_data, "other").normal(*view.shape)
             cfg = small_cfg(batch_size=8, disc_steps=2, epochs=1)
-            trainer = fg.Trainer(fg.VFLGAN, parts, cfg, None, RngStream(16, "if"))
+            trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(16, "if"))
             trainer.server = StubServer(cfg.feature_dim, cfg.batch_size)
             trainer.run_epoch()
             return params_of(trainer.parties[0].d1), params_of(trainer.parties[0].g)
@@ -320,7 +337,7 @@ class TestServerCoupling:
     @pytest.mark.parametrize("step", ["discriminator_step", "generator_step"])
     def test_reply_of_wrong_width_is_a_protocol_fault(self, step):
         cfg = small_cfg()
-        trainer = fg.Trainer(fg.VFLGAN, toy_partitioned(), cfg, None, RngStream(33))
+        trainer = fg.Trainer(fg.VFLGAN, *toy_table(), cfg, None, RngStream(33))
         trainer.server = StubServer(cfg.feature_dim + 1, cfg.batch_size)
         with pytest.raises(fg.ProtocolFault, match="FeatureGradDown for party 0"):
             getattr(trainer, step)()
@@ -328,7 +345,7 @@ class TestServerCoupling:
     @pytest.mark.parametrize("step", ["discriminator_step", "generator_step"])
     def test_feature_of_wrong_width_is_a_protocol_fault(self, step):
         cfg = small_cfg()
-        trainer = fg.Trainer(fg.VFLGAN, toy_partitioned(), cfg, None, RngStream(34))
+        trainer = fg.Trainer(fg.VFLGAN, *toy_table(), cfg, None, RngStream(34))
         p = trainer.parties[1]
         p.d1 = nn.init_mlp([p.view.shape[1], cfg.feature_dim + 1], RngStream(35))
         with pytest.raises(fg.ProtocolFault, match="FeatureUp for party 1"):
@@ -337,8 +354,8 @@ class TestServerCoupling:
 
 class TestVertigan:
     def test_backbones_stay_bit_identical(self):
-        parts = toy_partitioned(n=16, seed=9)
-        model = fg.train(fg.VERTIGAN, parts, small_cfg(epochs=4), None, RngStream(17))
+        data, split = toy_table(n=16, seed=9)
+        model = fg.train(fg.VERTIGAN, data, split, small_cfg(epochs=4), None, RngStream(17))
         # train() already runs the per-step check; verify on the result too
         g0, g1 = model.generators()
         nb = len(small_cfg().gen_hidden)
@@ -346,8 +363,8 @@ class TestVertigan:
             assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 
     def test_backbone_divergence_detected(self):
-        parts = toy_partitioned(n=16, seed=9)
-        trainer = fg.Trainer(fg.VERTIGAN, parts, small_cfg(), None, RngStream(18))
+        data, split = toy_table(n=16, seed=9)
+        trainer = fg.Trainer(fg.VERTIGAN, data, split, small_cfg(), None, RngStream(18))
 
         def shift_first_weights(views):
             views[0][0][...] += 1.0
@@ -360,9 +377,10 @@ class TestVertigan:
         # zero party 1's critic: its generator gradient vanishes, so the
         # summed backbone update equals party 0's gradient alone, replicated
         # inline
-        parts = toy_partitioned(n=8, seed=10)
+        data, split = toy_table(n=8, seed=10)
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
-        trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(19, "v"))
+        trainer = fg.Trainer(fg.VERTIGAN, data, split, cfg, None, RngStream(19, "v"))
+        parts = fg.partition(data, split)
         p1 = trainer.parties[1]
         p1.d1, p1.d2 = (nn.Mlp(np.zeros_like(m.params), m.widths, m.activations)
                         for m in (p1.d1, p1.d2))
@@ -394,9 +412,10 @@ class TestVertigan:
     def test_critic_step_matches_inline_wgan_gp(self):
         # the d1/d2 halves must step exactly like one monolithic WGAN-GP
         # critic drawn from the same stream, replicated inline
-        parts = toy_partitioned(n=8, seed=12)
+        data, split = toy_table(n=8, seed=12)
         cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
-        trainer = fg.Trainer(fg.VERTIGAN, parts, cfg, None, RngStream(33, "vc"))
+        trainer = fg.Trainer(fg.VERTIGAN, data, split, cfg, None, RngStream(33, "vc"))
+        parts = fg.partition(data, split)
         root = RngStream(33, "vc")
         i = 1  # the party with the categorical block
         width = parts.views[i].shape[1]
@@ -440,40 +459,101 @@ class TestVertigan:
         )
         ds = d.TabularDataset(schema, (rng.normal(n), rng.normal(n) * 2))
         e = d.encode(ds, d.fit_encoder(ds))
-        parts = fg.partition(e, d.VerticalSplit(((0, 1),)))
+        split = d.VerticalSplit(((0, 1),))
         cfg = small_cfg(batch_size=8, disc_steps=2, epochs=3)
-        m_vert = fg.train(fg.VERTIGAN, parts, cfg, None, RngStream(21, "s"))
-        m_cent = fg.train(fg.CENTRAL, parts, cfg, None, RngStream(21, "s"))
+        m_vert = fg.train(fg.VERTIGAN, e, split, cfg, None, RngStream(21, "s"))
+        m_cent = fg.train(fg.CENTRAL, e, split, cfg, None, RngStream(21, "s"))
         assert same_params(
             params_of(m_vert.generators()[0]), params_of(m_cent.generators()[0])
         )
 
 
+def oracle_head_forward(encoder, party, logits, numeric, temperature, rng):
+    """The output head written attribute by attribute over the schema."""
+    out = np.empty_like(logits)
+    first = encoder.spans[party[0]][0]
+    for i in party:
+        start, width = encoder.spans[i]
+        cols = slice(start - first, start - first + width)
+        if encoder.schema.attributes[i].kind == "categorical":
+            out[:, cols] = nn.gumbel_softmax(logits[:, cols], temperature, rng)
+        elif numeric == "tanh":
+            out[:, cols] = np.tanh(logits[:, cols])
+        else:
+            out[:, cols] = logits[:, cols]
+    return out
+
+
+def oracle_head_backward(encoder, party, out, d_out, numeric, temperature):
+    d_logits = np.empty_like(d_out)
+    first = encoder.spans[party[0]][0]
+    for i in party:
+        start, width = encoder.spans[i]
+        cols = slice(start - first, start - first + width)
+        y, g = out[:, cols], d_out[:, cols]
+        if encoder.schema.attributes[i].kind == "categorical":
+            d_logits[:, cols] = y * (g - np.sum(g * y, axis=1, keepdims=True)) / temperature
+        elif numeric == "tanh":
+            d_logits[:, cols] = g * (1.0 - y * y)
+        else:
+            d_logits[:, cols] = g
+    return d_logits
+
+
+class TestOutputHead:
+    # numeric and categorical attributes interleave within each party
+    schema = d.Schema((
+        d.Attribute("a", "continuous"),
+        d.Attribute("k", "categorical", ("u", "v", "w")),
+        d.Attribute("b", "integer"),
+        d.Attribute("q", "categorical", ("x", "y")),
+        d.Attribute("c", "continuous"),
+        d.Attribute("r", "categorical", ("s", "t")),
+        d.Attribute("e", "continuous"),
+    ))
+    split = d.VerticalSplit(((0, 1, 2, 3), (4, 5, 6)))
+
+    @pytest.mark.parametrize("numeric", ["identity", "tanh"])
+    def test_matches_the_per_attribute_oracle(self, numeric):
+        enc = d.Encoder(self.schema, (0.0,) * 7, (1.0,) * 7)
+        for i, blocks in enumerate(fg.party_blocks(enc, self.split)):
+            party = self.split.parties[i]
+            width = sum(enc.spans[j][1] for j in party)
+            data = RngStream(40, "head", i)
+            logits, d_out = data.normal(16, width) * 3, data.normal(16, width)
+            head = fg.OutputHead(blocks, 0.2, numeric)
+            out = head.forward(logits, RngStream(41, i))
+            want = oracle_head_forward(enc, party, logits, numeric, 0.2, RngStream(41, i))
+            assert np.array_equal(out, want)
+            assert np.array_equal(head.backward(out, d_out),
+                                  oracle_head_backward(enc, party, out, d_out, numeric, 0.2))
+
+
 class TestGenerate:
     def test_zero_rows(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(22))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=1), None, RngStream(22))
         out = model.sample(0, RngStream(1))
-        assert out.matrix.shape == (0, parts.encoder.width)
+        assert out.matrix.shape == (0, data.encoder.width)
 
     def test_deterministic(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(23))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=1), None, RngStream(23))
         a = model.sample(10, RngStream(5, "gen"))
         b = model.sample(10, RngStream(5, "gen"))
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_categorical_blocks_on_simplex(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(24))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=1), None, RngStream(24))
         out = model.sample(32, RngStream(6))
         block = out.matrix[:, 3:6]  # the one categorical block (3 cats)
         assert np.allclose(block.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(block >= 0)
 
     def test_decodes_against_schema(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=1), None, RngStream(25))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=1), None, RngStream(25))
         out = d.decode(model.sample(20, RngStream(7)))
         assert out.n_rows == 20
         assert set(np.unique(out.columns[3])) <= {0, 1, 2}
@@ -481,7 +561,7 @@ class TestGenerate:
 
 class TestDpWiring:
     def test_mechanism_hits_first_layer_of_each_d1_only(self, monkeypatch):
-        parts = toy_partitioned(n=16, seed=11)
+        data, split = toy_table(n=16, seed=11)
         cfg = small_cfg(disc_steps=2, epochs=1)
         dpc = DpConfig(
             clip=1.0, sigma=1.0,
@@ -495,32 +575,32 @@ class TestDpWiring:
             return orig(net, grad, sigma, clip, rng)
 
         monkeypatch.setattr(fg, "apply_mechanism", spy)
-        fg.train(fg.VFLGAN, parts, cfg, dpc, RngStream(26))
+        fg.train(fg.VFLGAN, data, split, cfg, dpc, RngStream(26))
         # 2 parties x 2 disc iters x 1 epoch, each on the d1 gradient, whose
         # layer 0 the mechanism noises (test_dp::TestNoise)
         assert calls == [(len(cfg.disc_part1_hidden) + 1, 1.0, 1.0)] * 4
 
     def test_dp_config_mismatch_rejected(self):
-        parts = toy_partitioned(n=16)
+        data, split = toy_table(n=16)
         cfg = small_cfg()
         bad = DpConfig(1.0, 1.0, 0.9, cfg.epochs * cfg.disc_steps)
         with pytest.raises(ValueError, match="sampling rate"):
-            fg.train(fg.VFLGAN, parts, cfg, bad, RngStream(0))
+            fg.train(fg.VFLGAN, data, split, cfg, bad, RngStream(0))
 
     def test_non_dp_runs_are_noise_free(self):
         # same stream, two runs: bit-identical (no hidden randomness)
-        parts = toy_partitioned()
+        data, split = toy_table()
         cfg = small_cfg(epochs=3)
-        a = fg.train(fg.VFLGAN, parts, cfg, None, RngStream(27, "nf"))
-        b = fg.train(fg.VFLGAN, parts, cfg, None, RngStream(27, "nf"))
+        a = fg.train(fg.VFLGAN, data, split, cfg, None, RngStream(27, "nf"))
+        b = fg.train(fg.VFLGAN, data, split, cfg, None, RngStream(27, "nf"))
         for g1, g2 in zip(a.generators(), b.generators()):
             assert same_params(params_of(g1), params_of(g2))
 
 
 class TestTrainLogCsv:
     def test_round_trip_columns(self, tmp_path):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=3), None, RngStream(28))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=3), None, RngStream(28))
         p = tmp_path / "log.csv"
         model.log.to_csv(p)
         lines = p.read_text().strip().split("\n")
@@ -528,8 +608,8 @@ class TestTrainLogCsv:
         assert len(lines) == 4
 
     def test_best_epoch_tracks_minimum_fd(self):
-        parts = toy_partitioned()
-        model = fg.train(fg.VFLGAN, parts, small_cfg(epochs=4), None, RngStream(29))
+        data, split = toy_table()
+        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=4), None, RngStream(29))
         fds = [r.fd for r in model.log.records]
         finite = [f for f in fds if math.isfinite(f)]
         if finite:
