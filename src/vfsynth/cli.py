@@ -196,6 +196,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    if args.n < 0:
+        raise CliError(f"--n must be a row count of 0 or more, got {args.n}")
     run_dir = Path(args.run)
     manifest = _read_manifest(run_dir)
     if manifest.get("status") != "completed":

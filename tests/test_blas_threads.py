@@ -12,11 +12,12 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 
 def run_python(args, preset, cwd=ROOT):
-    """Run the interpreter with no BLAS variable set but ``preset``."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    """Run the interpreter with no BLAS or allocator variable set but ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + MALLOC_VARS}
     env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -47,17 +48,24 @@ def test_user_setting_left_as_set(var):
     assert env == {v: "2" if v == var else None for v in BLAS_VARS}
 
 
-def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+def training_bytes(tmp_path, presets):
+    """The checkpoints and log of a 2-epoch shipped wine run in a fresh
+    interpreter under each of ``presets``."""
     doc = yaml.safe_load((ROOT / "configs" / "winequality-red.yaml").read_text())
     doc["dataset"]["path"] = str(ROOT / doc["dataset"]["path"])
     doc["gan"]["epochs"] = 2
     cfg = tmp_path / "config.yaml"
     cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
     outputs = []
-    for threads in ("1", "2"):
-        run = tmp_path / f"run-{threads}"
+    for i, preset in enumerate(presets):
+        run = tmp_path / f"run-{i}"
         run_python(["-m", "vfsynth.cli", "train", "--config", str(cfg), "--out", str(run)],
-                   {"OPENBLAS_NUM_THREADS": threads}, cwd=tmp_path)
+                   preset, cwd=tmp_path)
         outputs.append([(run / f).read_bytes() for f in (
             "checkpoints/best.ckpt", "checkpoints/final.ckpt", "logs/train_log.csv")])
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    one, two = training_bytes(tmp_path, [{"OPENBLAS_NUM_THREADS": t} for t in ("1", "2")])
+    assert one == two

@@ -407,6 +407,17 @@ class TestGenerateCommand:
                      "--seed", "9", "--out", str(out)]) == 0
         assert out.read_text().strip() == "a,b,k"
 
+    def test_negative_rows_gives_one_error_line(self, tmp_path, capsys):
+        cfg_path = toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "neg.csv"
+        assert main(["generate", "--run", str(tmp_path / "run"), "--n", "-1",
+                     "--seed", "9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --n") and "-1" in err[0]
+        assert not out.exists()
+
     def test_same_seed_same_csv(self, tmp_path):
         cfg_path = toy_config(tmp_path)
         main(["train", "--config", str(cfg_path)])
