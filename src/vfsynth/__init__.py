@@ -19,9 +19,8 @@ Under glibc, arrays from 128 KiB up are by default each given a fresh
 temporaries here (a 1,599 x 64 float64 pre-activation is 800 KB) are
 allocated and freed every epoch. So glibc is told once, here, to serve blocks
 below 4 MiB from the heap and to trim the heap only past 16 MiB of free
-space. Larger blocks, such as the audit's 20 MB nearest-neighbour matrices,
-stay mmapped and go back to the OS when freed. A user who sets
-``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or a
+space. Larger blocks stay mmapped and go back to the OS when freed. A user
+who sets ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or a
 ``glibc.malloc.*`` tunable in ``GLIBC_TUNABLES`` keeps glibc's behaviour as
 set. Where arrays live changes no output (``tests/test_malloc.py``).
 """

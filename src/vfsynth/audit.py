@@ -19,6 +19,9 @@ Feature maps, fixed as this artifact's convention:
 Shadow trainings are independent jobs on derived streams; they fan out over
 worker processes (count from ``VFSYNTH_THREADS``, default the CPU count)
 without affecting any reported number.
+
+The nearest-neighbour selector holds no n x n matrix: it walks the pairwise
+distances in row blocks of ``_NN_BLOCK_BYTES`` (2 MiB), whatever the rows.
 """
 
 from __future__ import annotations
@@ -422,18 +425,14 @@ def find_vulnerable_outlier(ds: D.TabularDataset):
     return int(ties[0]), counts, ties.tolist()
 
 
-def _cosine_matrix(block):
+_NN_BLOCK_BYTES = 2 << 20  # one row block of pairwise distances
+
+
+def _unit_rows(block):
+    """Rows scaled to unit length (all-zero rows kept), and the zero-row mask."""
     norms = np.linalg.norm(block, axis=1)
     zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    unit = block / safe[:, None]
-    cos = unit @ unit.T
-    # zero-vector convention: cos = 1 against another zero vector, else 0
-    cos[zero, :] = 0.0
-    cos[:, zero] = 0.0
-    both = np.outer(zero, zero)
-    cos[both] = 1.0
-    return cos
+    return block / np.where(zero, 1.0, norms)[:, None], zero
 
 
 def nearest_neighbor_distances(
@@ -444,21 +443,42 @@ def nearest_neighbor_distances(
     The metric is ``1 - w_cat*cos(cat_i, cat_j) - w_cont*cos(cont_i, cont_j)``
     with the zero-vector guard: cosine 1 against another all-zero vector,
     0 against anything else.
+
+    Rows ``[s, e)`` meet columns ``[s, n)`` one block at a time; a block's
+    row minima fold into records ``s..e`` and its column minima into ``s..n``,
+    so every product of a pair reaches both of its records and the result is
+    exactly symmetric (mutual nearest records tie).
     """
     cat = np.ascontiguousarray(cat, dtype=np.float64)
     cont = np.ascontiguousarray(cont, dtype=np.float64)
-    n = cat.shape[0] if cat.size else cont.shape[0]
+    if cat.ndim != 2 or cont.ndim != 2 or cat.shape[0] != cont.shape[0]:
+        raise ValueError(f"cat and cont must be 2-D with one row per record, "
+                         f"got shapes {cat.shape} and {cont.shape}")
+    n = cat.shape[0]
     if n < 2:
         raise ValueError("need at least 2 records")
     if cat.shape[1] == 0 and cont.shape[1] == 0:
         raise ValueError("need at least one attribute block")
-    dist = np.ones((n, n))
-    if cat.shape[1] > 0:
-        dist -= w_cat * _cosine_matrix(cat)
-    if cont.shape[1] > 0:
-        dist -= w_cont * _cosine_matrix(cont)
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
+    blocks = [(w, *_unit_rows(b)) for w, b in ((w_cat, cat), (w_cont, cont))
+              if b.shape[1] > 0]
+    nearest = np.full(n, np.inf)
+    step = max(1, _NN_BLOCK_BYTES // (8 * n))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        dist = np.ones((e - s, n - s))
+        for w, unit, zero in blocks:
+            cos = unit[s:e] @ unit[s:].T
+            # zero-vector convention: cos = 1 against another zero vector, else 0
+            rows, cols = zero[s:e], zero[s:]
+            cos[rows, :] = 0.0
+            cos[:, cols] = 0.0
+            cos[np.ix_(rows, cols)] = 1.0
+            cos *= w
+            dist -= cos
+        np.fill_diagonal(dist, np.inf)  # (i, i) for each row i of the block
+        np.minimum(nearest[s:e], dist.min(axis=1), out=nearest[s:e])
+        np.minimum(nearest[s:], dist.min(axis=0), out=nearest[s:])
+    return nearest
 
 
 def find_vulnerable_nn(ds: D.TabularDataset) -> int:

@@ -274,14 +274,21 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _select_target(ds: D.TabularDataset, acfg, override_select, override_target):
+    """The audited record: the selection rule's pick, or a given index checked
+    against the rows kept after ``audit.rows``."""
     if override_target is not None:
-        return int(override_target)
-    select = override_select or acfg.select
-    if select == "outlier":
-        return au.find_vulnerable_outlier(ds)[0]
-    if select == "nn":
-        return au.find_vulnerable_nn(ds)
-    return acfg.target  # the config loader requires a target or a select rule
+        name, target = "--target", int(override_target)
+    else:
+        select = override_select or acfg.select
+        if select == "outlier":
+            return au.find_vulnerable_outlier(ds)[0]
+        if select == "nn":
+            return au.find_vulnerable_nn(ds)
+        # the config loader requires a target or a select rule
+        name, target = "audit.target", acfg.target
+    if not 0 <= target < ds.n_rows:
+        raise CliError(f"{name} {target} is out of range for the {ds.n_rows} audited rows")
+    return target
 
 
 def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from vfsynth import audit as A
 from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
+from vfsynth.config import load_config
 from vfsynth.rng import RngStream
 
 
@@ -200,6 +203,55 @@ class TestVulnerableNn:
                     best, best_i = nearest, i
             assert got == best_i
 
+    def test_wine_selection_is_pinned(self):
+        # the shipped audit's target; a change here changes every audit number
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "configs" / "winequality-red.yaml")
+        ds = d.load_csv(root / cfg.dataset_path, cfg.schema)
+        assert A.find_vulnerable_nn(ds) == 480
+        onehot = np.eye(6)[ds.columns[-1]]
+        cont = np.stack(ds.columns[:-1], axis=1).astype(np.float64)
+        got = A.nearest_neighbor_distances(onehot, cont, 1 / 12, 11 / 12)
+        want = dense_nn_distances(onehot, cont, 1 / 12, 11 / 12)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.argmax(want) == 480
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3, 7])
+    def test_tied_mutual_pair_goes_to_the_lower_index(self, monkeypatch, block_rows):
+        # records 4 and 13 are each other's nearest and farther from the rest
+        # than any other record is from its nearest. At one row per block the
+        # pair's cosine, taken once per orientation (u[rows] @ u.T), differs
+        # in the last bit for several of these draws; its distances must not.
+        n, k = 14, 11
+        if block_rows is not None:
+            monkeypatch.setattr(A, "_NN_BLOCK_BYTES", 8 * n * block_rows)
+        schema = d.Schema(tuple(d.Attribute(f"x{i}", "continuous") for i in range(k)))
+        for seed in range(25):
+            rng = RngStream(seed, "nntie")
+            x = rng.normal(k) + 0.05 * rng.normal(n, k)
+            x[4] = rng.normal(k)
+            x[13] = x[4] + 0.3 * rng.normal(k)
+            dist = A.nearest_neighbor_distances(np.zeros((n, 0)), x, 0.0, 1.0)
+            assert dist[4] == dist[13] == dist.max()
+            ds = d.TabularDataset(schema, tuple(x.T))
+            assert A.find_vulnerable_nn(ds) == 4
+
+
+def dense_nn_distances(cat, cont, w_cat, w_cont):
+    """All n x n pairwise distances at once; the zero-vector guard included."""
+    dist = np.ones((len(cat), len(cat)))
+    for w, block in ((w_cat, cat), (w_cont, cont)):
+        if block.shape[1] == 0:
+            continue
+        norms = np.linalg.norm(block, axis=1)
+        zero = norms == 0.0
+        unit = block / np.where(zero, 1.0, norms)[:, None]
+        cos = np.where(zero[:, None] | zero[None, :], 0.0, unit @ unit.T)
+        cos[np.outer(zero, zero)] = 1.0
+        dist -= w * cos
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
 
 def brute_force_nn_distances(cat, cont, w_cat, w_cont):
     def cos(a, b):
@@ -246,6 +298,45 @@ class TestNearestNeighborDistances:
         assert dist[0] == pytest.approx(0.0)
         # the nonzero row sees cosine 0 against both -> distance 1
         assert dist[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_blocks_match_the_dense_oracle(self, monkeypatch, block_rows):
+        # 23 rows: no block size divides them; zero rows in both attribute
+        # blocks, at block edges and inside blocks
+        n = 23
+        monkeypatch.setattr(A, "_NN_BLOCK_BYTES", 8 * n * block_rows)
+        rng = RngStream(19, "nnblocks")
+        cat = np.eye(4)[rng.integers(0, 4, size=n)]
+        cont = rng.normal(n, 3)
+        cat[[0, 2, 3, 13, 22]] = 0.0
+        cont[[2, 6, 7, 14, 20, 21]] = 0.0
+        got = A.nearest_neighbor_distances(cat, cont, 0.3, 0.7)
+        want = dense_nn_distances(cat, cont, 0.3, 0.7)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.allclose(want, brute_force_nn_distances(cat, cont, 0.3, 0.7), atol=1e-12)
+
+    @pytest.mark.parametrize("cat_shape,cont_shape", [
+        ((5, 2), (4, 3)),  # row counts differ
+        ((5,), (5, 3)),  # not 2-D
+        ((5, 2), (5, 3, 1)),
+    ])
+    def test_rejects_misshapen_blocks(self, cat_shape, cont_shape):
+        with pytest.raises(ValueError) as info:
+            A.nearest_neighbor_distances(np.ones(cat_shape), np.ones(cont_shape), 0.5, 0.5)
+        assert str(cat_shape) in str(info.value) and str(cont_shape) in str(info.value)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one 3,000 x 3,000 float64 matrix alone is 68.7 MiB
+        rng = RngStream(3, "nnmem")
+        cat = np.eye(6)[rng.integers(0, 6, size=3000)]
+        cont = rng.normal(3000, 11)
+        tracemalloc.start()
+        try:
+            A.nearest_neighbor_distances(cat, cont, 1 / 12, 11 / 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def tiny_audit_cfg(**kw):

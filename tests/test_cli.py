@@ -685,6 +685,25 @@ class TestAuditCommand:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("audit,argv,want", [
+        ({"select": "nn"}, ["--target", "99999"], "--target 99999"),
+        ({"select": "nn"}, ["--target", "-1"], "--target -1"),
+        ({"target": 24}, [], "audit.target 24"),
+        ({"target": 15, "rows": 10}, [], "for the 10 audited rows"),
+    ])
+    def test_out_of_range_target_rejected_before_the_run_directory(
+        self, tmp_path, capsys, audit, argv, want
+    ):
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1,
+                 "feature_kinds": ["naive"], "train_count": 2, "test_count": 2, **audit}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and want in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(
             tmp_path,
