@@ -27,7 +27,6 @@ distances in row blocks of ``_NN_BLOCK_BYTES`` (2 MiB), whatever the rows.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -266,6 +265,9 @@ def _run_jobs(args_list, fn):
     workers = min(thread_count(), len(args_list))
     if workers <= 1:
         return [fn(a) for a in args_list]
+    # imported here, so a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 

@@ -15,6 +15,7 @@ its first attribute's span to the end of its last.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,7 @@ def _parse_cell(attr: Attribute, cell: str, line: int):
         raise DataError(
             f"line {line}, column {attr.name!r}: cannot parse {cell!r} as number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"line {line}, column {attr.name!r}: non-finite value")
     return value
 
@@ -246,7 +247,7 @@ def fit_encoder(ds: TabularDataset) -> Encoder:
     mu, sigma = [], []
     for attr, col in zip(ds.schema.attributes, ds.columns):
         if attr.is_numeric:
-            if len(np.unique(col)) < 2:
+            if col.size == 0 or col.min() == col.max():
                 raise DataError(
                     f"attribute {attr.name!r} is constant; cannot standardize"
                 )

@@ -13,8 +13,12 @@ per-release curve, optional subsampling amplification (each step touches a
 random fraction gamma of the rows), linear composition over steps, and
 conversion to an (epsilon, delta) guarantee by minimizing over the grid.
 ``calibrate`` inverts the whole pipeline to find the smallest noise
-multiplier meeting a target budget: it doubles or halves a bracket within
-[``SIGMA_MIN``, ``SIGMA_MAX``] until it holds the answer, then bisects.
+multiplier meeting a target budget: it doubles (stopping at ``SIGMA_MAX``
+rather than past it) or halves a bracket within [``SIGMA_MIN``,
+``SIGMA_MAX``] until it holds the answer, then bisects, evaluating each
+sigma it visits once. The amplification's tables that depend on no curve
+(log-factorials and binomial parts) are built once per process, so each
+evaluation only fills one term matrix in place.
 
 Subsampling amplification applies to adversaries for whom batch selection is
 random (external observers and the server). Parties see deterministic batch
@@ -23,11 +27,13 @@ membership, so reports carry both the amplified and the unamplified epsilon.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import Mlp
 from .rng import RngStream
@@ -127,6 +133,24 @@ def _log_expm1(x: float) -> float:
     return x + math.log1p(-math.exp(-x))
 
 
+@functools.cache
+def _amplify_tables():
+    """The parts of ``subsample_amplify``'s term matrix that no curve or
+    gamma changes, built once: log-factorials, the orders j = 3..ALPHA_MAX,
+    log(alpha!), the binomial part of the j = 2 term, and log((alpha - j)!)
+    at (alpha row, j column). The last is a reversed sliding window over one
+    padded vector, not an order x order array; it holds +inf where j > alpha,
+    which turns those terms into -inf."""
+    logfact = np.zeros(ALPHA_MAX + 1)
+    logfact[1:] = np.cumsum(np.log(np.arange(1, ALPHA_MAX + 1, dtype=np.float64)))
+    js = np.arange(3, ALPHA_MAX + 1, dtype=np.int64)
+    logfact_alphas = logfact[ALPHAS]
+    binom2 = logfact_alphas - logfact[ALPHAS - 2] - logfact[2]
+    padded = np.concatenate([np.full(len(js), np.inf), logfact[: len(js)]])
+    logfact_rest = sliding_window_view(padded, len(js))[:, ::-1]
+    return logfact, js, logfact_alphas, binom2, logfact_rest
+
+
 def subsample_amplify(curve: np.ndarray, gamma: float) -> np.ndarray:
     """Amplified curve for a mechanism run on a gamma-fraction random subset.
 
@@ -147,28 +171,25 @@ def subsample_amplify(curve: np.ndarray, gamma: float) -> np.ndarray:
         math.log(4.0) + _log_expm1(eps2),
         math.log(2.0) + eps2,
     )
-    logfact = np.zeros(ALPHA_MAX + 1)
-    logfact[1:] = np.cumsum(np.log(np.arange(1, ALPHA_MAX + 1, dtype=np.float64)))
+    logfact, js, logfact_alphas, binom2, logfact_rest = _amplify_tables()
 
-    # term matrix over (alpha row, order j column), j = 3..alpha, in log space
-    js = np.arange(3, ALPHA_MAX + 1, dtype=np.int64)
-    rest = ALPHAS[:, None] - js[None, :]
-    valid = rest >= 0
-    terms = (
+    # log-space terms over (alpha row, order j column): j = 0, j = 2, then
+    # j = 3..alpha; everything below happens in place in this one matrix
+    terms = np.empty((len(ALPHAS), len(js) + 2))
+    terms[:, 0] = 0.0
+    terms[:, 1] = 2.0 * log_gamma + binom2 + log_first_min
+    by_j = (
         math.log(2.0)
         + js * log_gamma
         - logfact[js]
         + (js - 1) * curve[js - 2]
-    )[None, :] + logfact[ALPHAS][:, None] - logfact[np.where(valid, rest, 0)]
-    terms = np.where(valid, terms, -np.inf)
-
-    t2 = 2.0 * log_gamma + (logfact[ALPHAS] - logfact[ALPHAS - 2] - logfact[2]) \
-        + log_first_min
-    all_terms = np.concatenate(
-        [np.zeros((len(ALPHAS), 1)), t2[:, None], terms], axis=1
     )
-    m = all_terms.max(axis=1)
-    lse = m + np.log(np.sum(np.exp(all_terms - m[:, None]), axis=1))
+    np.add(by_j[None, :], logfact_alphas[:, None], out=terms[:, 2:])
+    np.subtract(terms[:, 2:], logfact_rest, out=terms[:, 2:])
+    m = terms.max(axis=1)
+    np.subtract(terms, m[:, None], out=terms)
+    np.exp(terms, out=terms)
+    lse = m + np.log(np.sum(terms, axis=1))
     amplified = lse / (ALPHAS - 1)
     return np.minimum(amplified, curve)
 
@@ -229,19 +250,20 @@ def calibrate(target_epsilon: float, delta: float, gamma: float, steps: int) -> 
             f"target epsilon must be positive and finite, got {target_epsilon}"
         )
 
+    # the bracket ends, the monotonicity probes and the bisection revisit
+    # sigmas, and each costs a full pipeline evaluation
+    @functools.cache
     def eps_at(sigma: float) -> float:
         return pipeline_epsilon(sigma, gamma, steps, delta)[0]
 
-    hi = 0.5
+    lo, hi = 0.25, 0.5
     while eps_at(hi) > target_epsilon:
-        hi *= 2.0
-        if hi > SIGMA_MAX:
-            achieved = eps_at(SIGMA_MAX)
+        if hi == SIGMA_MAX:
             raise CalibrationError(
                 f"budget epsilon={target_epsilon} infeasible: at sigma={SIGMA_MAX} "
-                f"the achieved epsilon is {achieved:.6g}"
+                f"the achieved epsilon is {eps_at(SIGMA_MAX):.6g}"
             )
-    lo = hi / 2.0
+        lo, hi = hi, min(2.0 * hi, SIGMA_MAX)
     while eps_at(lo) <= target_epsilon:
         if lo == SIGMA_MIN:
             return lo

@@ -132,7 +132,7 @@ def train_forest(
     y = np.ascontiguousarray(y, dtype=np.int64)
     if trees < 1:
         raise ValueError(f"trees must be at least 1, got {trees}")
-    if len(np.unique(y)) < 2:
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("training labels contain a single class")
     n, d = x.shape
     n_feat_sub = max(1, int(math.sqrt(d)))

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -607,3 +609,19 @@ class TestThreadCount:
         monkeypatch.setenv("VFSYNTH_THREADS", raw)
         with pytest.raises(ValueError, match=f"VFSYNTH_THREADS.*'{raw}'"):
             A.thread_count()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported where audits start it, so train and the other
+    # commands never load multiprocessing
+    probe = (
+        "import sys, vfsynth.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -100,6 +100,13 @@ class TestLoadCsv:
         with pytest.raises(d.DataError, match="missing value"):
             d.load_csv(p, toy_schema())
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b,c\n1.0,3,x\n{cell},7,z\n")
+        with pytest.raises(d.DataError, match=r"^line 3, column 'a': non-finite value$"):
+            d.load_csv(p, toy_schema())
+
     @pytest.mark.skipif(not os.path.exists(WINE_PATH), reason="wine csv not present")
     def test_red_wine_has_1599_records(self):
         ds = d.load_csv(WINE_PATH, wine_schema())
@@ -120,6 +127,18 @@ class TestEncoder:
         schema = d.Schema((d.Attribute("a", "continuous"),))
         ds = d.TabularDataset(schema, (np.array([5.0, 5.0, 5.0]),))
         with pytest.raises(d.DataError, match="constant"):
+            d.fit_encoder(ds)
+
+    def test_zero_rows_rejected(self):
+        schema = d.Schema((d.Attribute("a", "continuous"), d.Attribute("b", "integer")))
+        ds = d.TabularDataset(schema, (np.zeros(0), np.zeros(0, dtype=np.int64)))
+        with pytest.raises(d.DataError, match="'a' is constant"):
+            d.fit_encoder(ds)
+
+    def test_constant_integer_column_rejected(self):
+        schema = d.Schema((d.Attribute("a", "continuous"), d.Attribute("b", "integer")))
+        ds = d.TabularDataset(schema, (np.array([1.0, 2.0]), np.array([4, 4])))
+        with pytest.raises(d.DataError, match="'b' is constant"):
             d.fit_encoder(ds)
 
     def test_categorical_width(self):

@@ -27,6 +27,58 @@ def direct_amplified_epsilon(sigma, gamma, alpha):
     return min(math.log(total) / (alpha - 1), eps(alpha))
 
 
+def reference_amplify(curve, gamma):
+    """The subsampling bound as one freshly built term matrix per call, the
+    formula the accountant's cached tables must reproduce bit for bit."""
+    log_gamma = math.log(gamma)
+    eps2 = float(curve[0])
+    log_first_min = min(math.log(4.0) + dp._log_expm1(eps2), math.log(2.0) + eps2)
+    logfact = np.zeros(dp.ALPHA_MAX + 1)
+    logfact[1:] = np.cumsum(np.log(np.arange(1, dp.ALPHA_MAX + 1, dtype=np.float64)))
+    alphas = dp.ALPHAS
+    js = np.arange(3, dp.ALPHA_MAX + 1, dtype=np.int64)
+    rest = alphas[:, None] - js[None, :]
+    valid = rest >= 0
+    terms = (
+        math.log(2.0)
+        + js * log_gamma
+        - logfact[js]
+        + (js - 1) * curve[js - 2]
+    )[None, :] + logfact[alphas][:, None] - logfact[np.where(valid, rest, 0)]
+    terms = np.where(valid, terms, -np.inf)
+    t2 = 2.0 * log_gamma + (logfact[alphas] - logfact[alphas - 2] - logfact[2]) \
+        + log_first_min
+    all_terms = np.concatenate([np.zeros((len(alphas), 1)), t2[:, None], terms], axis=1)
+    m = all_terms.max(axis=1)
+    lse = m + np.log(np.sum(np.exp(all_terms - m[:, None]), axis=1))
+    return np.minimum(lse / (alphas - 1), curve)
+
+
+def reference_calibrate(target, delta, gamma, steps):
+    """calibrate's bracket and bisection over reference_amplify, with every
+    probe evaluated afresh (valid while the bracket stays below SIGMA_MAX)."""
+    def eps_at(sigma):
+        return dp.to_dp(reference_amplify(dp.gaussian_rdp(sigma), gamma) * float(steps),
+                        delta)[0]
+
+    hi = 0.5
+    while eps_at(hi) > target:
+        hi *= 2.0
+        assert hi <= dp.SIGMA_MAX
+    lo = hi / 2.0
+    while eps_at(lo) <= target:
+        if lo == dp.SIGMA_MIN:
+            return lo
+        hi, lo = lo, max(lo / 2.0, dp.SIGMA_MIN)
+    while (hi - lo) / hi > dp.REL_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if eps_at(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def grid_search_to_dp(curve, delta):
     best = (np.inf, None)
     for alpha, eps in zip(dp.ALPHAS, curve):
@@ -180,6 +232,25 @@ class TestSubsampleAmplify:
         amp = dp.subsample_amplify(base, 1.0)
         assert np.allclose(amp, base)
 
+    @pytest.mark.parametrize("gamma", [1e-4, 64 / 1599, 256 / 1599, 0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [dp.SIGMA_MIN, 0.3, 1.0, 1.6240234375, 50.0,
+                                       dp.SIGMA_MAX])
+    def test_bitwise_equal_to_the_reference_formula(self, sigma, gamma):
+        curve = dp.gaussian_rdp(sigma)
+        got = dp.subsample_amplify(curve, gamma)
+        assert got.tobytes() == reference_amplify(curve, gamma).tobytes()
+        # a second call reuses the tables and gets the same bits
+        assert dp.subsample_amplify(curve, gamma).tobytes() == got.tobytes()
+
+    def test_tables_hold_no_order_by_order_array(self):
+        _, _, _, _, rest = dp._amplify_tables()
+        assert rest.shape == (len(dp.ALPHAS), dp.ALPHA_MAX - 2)
+        # a window over one vector: each row starts one element further on
+        assert rest.strides == (rest.itemsize, -rest.itemsize)
+        alpha, j = 9, 4
+        assert rest[alpha - 2, j - 3] == pytest.approx(math.lgamma(alpha - j + 1))
+        assert rest[alpha - 2, alpha + 1 - 3] == np.inf
+
     def test_log_space_safety(self):
         # extreme corner of the guaranteed region: no overflow anywhere
         curve = dp.subsample_amplify(dp.gaussian_rdp(0.3), 0.5)
@@ -237,8 +308,27 @@ class TestToDp:
         # sigma = 1e-170 squares to 0: the per-release curve is infinite
         with pytest.raises(ValueError, match="not finite"):
             dp.pipeline_epsilon(1e-170, 0.1, 10, 1e-5)
+        # sigma = 2e-153 keeps the per-release curve finite, but the
+        # (j - 1) eps(j) terms of the amplification overflow
+        assert np.isfinite(dp.gaussian_rdp(2e-153)).all()
+        with pytest.raises(ValueError, match="not finite"):
+            dp.pipeline_epsilon(2e-153, 0.1, 10, 1e-5)
         with pytest.raises(ValueError, match="not finite"):
             dp.to_dp(np.full(len(dp.ALPHAS), np.nan), 1e-5)
+
+
+@pytest.fixture
+def evaluated_sigmas(monkeypatch):
+    """The sigmas passed to dp.pipeline_epsilon, in call order."""
+    seen = []
+    pipeline_epsilon = dp.pipeline_epsilon
+
+    def counted(sigma, *args, **kwargs):
+        seen.append(sigma)
+        return pipeline_epsilon(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(dp, "pipeline_epsilon", counted)
+    return seen
 
 
 class TestCalibrate:
@@ -283,6 +373,33 @@ class TestCalibrate:
     def test_infeasible_reports_achieved(self):
         with pytest.raises(dp.CalibrationError, match="achieved"):
             dp.calibrate(1e-9, 1e-5, 1.0, 10**6)
+
+    @pytest.mark.parametrize("target,delta,gamma,steps", [
+        (10.0, 5e-4, 0.04, 1500),  # the README's example, sigma 1.7002
+        (10.0, 5e-4, 256 / 1599, 80),  # the 4-party DP benchmark run, sigma 1.6240234375
+        (2.0, 1e-5, 0.05, 1000),
+        (1000.0, 1e-5, 0.01, 10),  # halves below 0.25
+        (1.0, 1e-5, 0.1, 0),  # the floor
+    ])
+    def test_equals_the_reference_and_evaluates_each_sigma_once(
+        self, evaluated_sigmas, target, delta, gamma, steps
+    ):
+        sigma = dp.calibrate(target, delta, gamma, steps)
+        assert sigma == reference_calibrate(target, delta, gamma, steps)
+        assert len(evaluated_sigmas) == len(set(evaluated_sigmas))
+
+    def test_bracket_tries_sigma_max_before_giving_up(self, evaluated_sigmas):
+        # eps(512) = 11.47 and eps(1000) = 5.30 at these settings: doubling
+        # 512 would overshoot SIGMA_MAX, so the bracket ends there instead
+        args = (1.0, 10**6, 1e-5)  # gamma, steps, delta
+        assert dp.pipeline_epsilon(512.0, *args)[0] > 8.38
+        assert dp.pipeline_epsilon(dp.SIGMA_MAX, *args)[0] <= 8.38
+        evaluated_sigmas.clear()
+        sigma = dp.calibrate(8.38, 1e-5, 1.0, 10**6)
+        assert dp.SIGMA_MAX in evaluated_sigmas
+        assert len(evaluated_sigmas) == len(set(evaluated_sigmas))
+        assert 512.0 < sigma <= dp.SIGMA_MAX
+        assert dp.pipeline_epsilon(sigma, *args)[0] <= 8.38
 
     def test_monotone_in_sigma_and_gamma_and_steps(self):
         sigmas = np.linspace(0.4, 4.0, 10)

@@ -216,6 +216,12 @@ class TestForest:
         with pytest.raises(ValueError):
             F.train_forest(np.zeros((4, 2)), np.zeros(4, dtype=int), 2, 5, RngStream(0))
 
+    @pytest.mark.parametrize("y", [np.zeros(4, dtype=int), np.full(4, 1), np.zeros(0, dtype=int)],
+                             ids=["zeros", "ones", "empty"])
+    def test_single_class_message(self, y):
+        with pytest.raises(ValueError, match="^training labels contain a single class$"):
+            F.train_forest(np.zeros((len(y), 2)), y, 2, 5, RngStream(0))
+
     def test_scores_are_vote_fractions(self):
         rng = RngStream(7)
         x, y = blobs(rng, n_per=50)
