@@ -18,7 +18,10 @@ Feature maps, fixed as this artifact's convention:
 
 Shadow trainings are independent jobs on derived streams; they fan out over
 worker processes (count from ``VFSYNTH_THREADS``, default the CPU count)
-without affecting any reported number.
+without affecting any reported number. Every job of both worlds trains with
+the one :class:`AuditConfig`, DP mechanism included: a sigma calibrated for
+the n - 1 rows of the leave-one-out world also meets the budget in the full
+world, whose batches sample a smaller fraction of its rows.
 
 The nearest-neighbour selector holds no n x n matrix: it walks the pairwise
 distances in row blocks of ``_NN_BLOCK_BYTES`` (2 MiB), whatever the rows.
@@ -27,7 +30,7 @@ distances in row blocks of ``_NN_BLOCK_BYTES`` (2 MiB), whatever the rows.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,23 +242,6 @@ _MATRIX_EXTRACTORS = {"naive": naive_features_matrix, "correlation": corr_featur
 # shadow ensembles
 # ---------------------------------------------------------------------------
 
-def _worlds(ds: D.TabularDataset, target_index: int, cfg: AuditConfig):
-    """World -> (dataset, config): world 0 leaves the target out.
-
-    A DP config keeps its noise multiplier in both worlds but takes the
-    world's own sampling rate, batch / world rows; calibrated for the
-    smaller world, the same noise then meets the target in each.
-    """
-    out = {}
-    for world, world_ds in ((0, D.leave_one_out(ds, target_index)), (1, ds)):
-        world_cfg = cfg
-        if cfg.dp is not None:
-            rate = cfg.gan.batch_size / world_ds.n_rows
-            world_cfg = replace(cfg, dp=replace(cfg.dp, sampling_rate=rate))
-        out[world] = (world_ds, world_cfg)
-    return out
-
-
 def _run_jobs(args_list, fn):
     """Map the module-level job function over the args, in worker processes.
 
@@ -298,12 +284,13 @@ def _asif_job(args):
 
 
 def _shadow_sets(ds, target_index, split, cfg, rng, job, extra) -> FeatureSets:
-    """``job`` for shadows m < M of world 0 (target out), then of world 1."""
+    """``job`` for shadows m < M of world 0 (target out), then of world 1,
+    every job with the one ``cfg``."""
     if not 0 <= target_index < ds.n_rows:
         raise D.DataError(f"target index {target_index} out of range")
-    worlds = _worlds(ds, target_index, cfg)
+    worlds = (D.leave_one_out(ds, target_index), ds)
     jobs = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs([(*worlds[w], split, rng, w, m, extra) for w, m in jobs], job)
+    rows = _run_jobs([(worlds[w], cfg, split, rng, w, m, extra) for w, m in jobs], job)
     features = {k: np.vstack([r[k] for r in rows]) for k in cfg.feature_kinds}
     labels = np.array([world for world, _ in jobs], dtype=np.int64)
     return FeatureSets(features, labels)

@@ -106,6 +106,8 @@ def _float_repr(v) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_dp(cfg: RunConfig, n_rows: int):
+    """The mechanism for ``n_rows`` rows and the ``dp`` record written with
+    it; the one place that derives gamma (batch / rows) and the step count."""
     if cfg.dp is None:
         return None, None
     if cfg.gan.batch_size > n_rows:
@@ -115,9 +117,9 @@ def _resolve_dp(cfg: RunConfig, n_rows: int):
     steps = cfg.gan.epochs * cfg.gan.disc_steps
     sigma = dpmod.calibrate(cfg.dp.epsilon, cfg.dp.delta, gamma, steps)
     report = dpmod.budget_report(sigma, gamma, steps, cfg.dp.delta)
-    dp_cfg = dpmod.DpConfig(clip=cfg.dp.clip, sigma=sigma, sampling_rate=gamma,
-                            steps=steps)
-    return dp_cfg, report
+    record = {"clip": cfg.dp.clip, "epsilon_target": cfg.dp.epsilon,
+              **dataclasses.asdict(report)}
+    return dpmod.DpConfig(clip=cfg.dp.clip, sigma=sigma), record
 
 
 def _write_encoder(run_dir: Path, enc: D.Encoder) -> None:
@@ -147,7 +149,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     data = D.encode(ds, D.fit_encoder(ds))
-    dp_cfg, dp_report = _resolve_dp(cfg, data.n_rows)
+    dp_cfg, dp_record = _resolve_dp(cfg, data.n_rows)
     run_dir = _fresh_dir(cfg.output_dir)
     shutil.copyfile(args.config, run_dir / "config.yaml")
     (run_dir / "checkpoints").mkdir()
@@ -160,12 +162,8 @@ def cmd_train(args) -> int:
         "variant": cfg.variant,
         "seed": cfg.seed,
     }
-    if dp_report is not None:
-        manifest["dp"] = {
-            "clip": cfg.dp.clip,
-            "epsilon_target": cfg.dp.epsilon,
-            **dataclasses.asdict(dp_report),
-        }
+    if dp_record is not None:
+        manifest["dp"] = dp_record
     try:
         trainer = fg.train(
             cfg.variant, data, cfg.split, cfg.gan, dp_cfg, RngStream(cfg.seed, "train")
@@ -310,9 +308,12 @@ def cmd_audit(args) -> int:
         if acfg.rows > ds.n_rows:
             raise CliError(f"audit.rows={acfg.rows} exceeds dataset size {ds.n_rows}")
         ds = D.subset(ds, np.arange(acfg.rows))
+    if cfg.gan.batch_size > ds.n_rows - 1:
+        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {ds.n_rows - 1} "
+                       "rows of the leave-one-out world")
     target = _select_target(ds, acfg, args.select, args.target)
-    # one sigma, calibrated for the n-1 rows of the leave-one-out world
-    dp_cfg, dp_report = _resolve_dp(cfg, ds.n_rows - 1)
+    # one mechanism for both worlds, calibrated for the leave-one-out world
+    dp_cfg, dp_record = _resolve_dp(cfg, ds.n_rows - 1)
     acfg = dataclasses.replace(acfg, dp=dp_cfg)
     out = _fresh_dir(args.out if args.out else cfg.output_dir)
     root = RngStream(cfg.seed, "audit")
@@ -344,11 +345,8 @@ def cmd_audit(args) -> int:
             for mode, rep in results.items()
         },
     }
-    if dp_report is not None:
-        body["dp"] = {
-            "sigma": dp_report.sigma,
-            "epsilon_external": dp_report.epsilon_external,
-        }
+    if dp_record is not None:
+        body["dp"] = dp_record
     with open(out / "audit_report.yaml", "w", encoding="utf-8") as f:
         yaml.safe_dump(body, f, sort_keys=True)
     _write_manifest(out, {"status": "completed", "created_utc": started,
@@ -362,8 +360,6 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_accountant_report(args) -> int:
-    if not 0 <= args.gamma <= 1:
-        raise CliError(f"gamma {args.gamma} outside [0, 1]")
     rep = dpmod.budget_report(args.sigma, args.gamma, args.steps, args.delta)
     print(f"sigma={rep.sigma} gamma={rep.gamma} steps={rep.steps} delta={rep.delta}")
     print(
@@ -385,8 +381,6 @@ def cmd_accountant_report(args) -> int:
 
 
 def cmd_accountant_calibrate(args) -> int:
-    if not 0 <= args.gamma <= 1:
-        raise CliError(f"gamma {args.gamma} outside [0, 1]")
     sigma = dpmod.calibrate(args.epsilon, args.delta, args.gamma, args.steps)
     achieved, alpha = dpmod.pipeline_epsilon(
         sigma, args.gamma, args.steps, args.delta

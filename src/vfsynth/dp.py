@@ -4,7 +4,8 @@ The mechanism clips a whole first-layer gradient slice (weights and biases
 jointly) to L2 norm C and adds per-coordinate Gaussian noise of standard
 deviation ``sigma * 2C`` — the factor 2 is the triangle-inequality sensitivity
 of a clipped gradient difference. One noised release then satisfies
-``(alpha, alpha / (2 sigma^2))``-RDP for every order alpha.
+``(alpha, alpha / (2 sigma^2))``-RDP for every order alpha. A
+:class:`DpConfig` is just that pair (C, sigma): training reads nothing else.
 
 The accountant works on one fixed grid of integer orders, ``ALPHAS`` =
 2 .. ``ALPHA_MAX``; a curve is a float array of epsilon(alpha) over it, so
@@ -12,6 +13,9 @@ composing two mechanisms is adding their curves. The pipeline is the
 per-release curve, optional subsampling amplification (each step touches a
 random fraction gamma of the rows), linear composition over steps, and
 conversion to an (epsilon, delta) guarantee by minimizing over the grid.
+Its functions take the sampling rate gamma and the release count as
+arguments; the caller derives them from the run (batch / rows and epochs x
+critic steps) and the :class:`BudgetReport` records them next to sigma.
 ``calibrate`` inverts the whole pipeline to find the smallest noise
 multiplier meeting a target budget: it doubles (stopping at ``SIGMA_MAX``
 rather than past it) or halves a bracket within [``SIGMA_MIN``,
@@ -63,22 +67,17 @@ REL_WIDTH = 1e-3  # relative width at which the sigma bisection stops
 
 @dataclass(frozen=True)
 class DpConfig:
-    """Resolved mechanism parameters for one training run."""
+    """The mechanism a training run applies: clip bound C and noise
+    multiplier sigma."""
 
     clip: float
     sigma: float
-    sampling_rate: float  # batch / dataset size
-    steps: int  # total noised releases = epochs * discriminator steps
 
     def __post_init__(self):
         if self.clip <= 0:
             raise ValueError("clip bound must be positive")
         if self.sigma <= 0:
             raise ValueError("noise multiplier must be positive")
-        if not 0 < self.sampling_rate <= 1:
-            raise ValueError("sampling rate must be in (0, 1]")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
 
 
 class CalibrationError(ValueError):

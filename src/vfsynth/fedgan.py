@@ -512,18 +512,6 @@ class Trainer:
             raise DataError(
                 f"batch size {cfg.batch_size} exceeds dataset size {data.n_rows}"
             )
-        if dp is not None:
-            gamma = cfg.batch_size / data.n_rows
-            if not math.isclose(dp.sampling_rate, gamma, rel_tol=1e-9):
-                raise ValueError(
-                    f"DpConfig sampling rate {dp.sampling_rate} does not match "
-                    f"batch/dataset = {gamma}"
-                )
-            if dp.steps != cfg.epochs * cfg.disc_steps:
-                raise ValueError(
-                    f"DpConfig steps {dp.steps} do not match "
-                    f"epochs*disc_steps = {cfg.epochs * cfg.disc_steps}"
-                )
         self.variant = variant
         self.cfg = cfg
         self.dp = dp

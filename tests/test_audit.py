@@ -12,6 +12,7 @@ from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
 from vfsynth.config import load_config
+from vfsynth.dp import DpConfig
 from vfsynth.rng import RngStream
 
 
@@ -417,8 +418,10 @@ class TestShadowRows:
                                  cfg.gan, cfg.dp, rng.child("shadow", world, m))
                 yield world, m, enc, model
 
-    def test_assd_rows_match_replica(self):
-        ds, cfg, rng = mixed_dataset(16, seed=30), tiny_audit_cfg(), RngStream(31)
+    # under DP both worlds train with the one mechanism the audit was given
+    @pytest.mark.parametrize("dp", [None, DpConfig(clip=1.0, sigma=1.0)], ids=["no_dp", "dp"])
+    def test_assd_rows_match_replica(self, dp):
+        ds, cfg, rng = mixed_dataset(16, seed=30), tiny_audit_cfg(dp=dp), RngStream(31)
         sets = A.train_shadows_assd(ds, 4, self.split, cfg, rng)
         for row, (world, m, _, model) in enumerate(self._replicas(ds, 4, cfg, rng)):
             synth = d.decode(model.sample(ds.n_rows, rng.child("synth", world, m),
@@ -427,8 +430,9 @@ class TestShadowRows:
             assert np.array_equal(sets.features["naive"][row], A.extract_naive(synth))
             assert np.array_equal(sets.features["correlation"][row], A.extract_corr(synth))
 
-    def test_asif_rows_match_replica(self):
-        ds, cfg, rng = mixed_dataset(16, seed=32), tiny_audit_cfg(), RngStream(33)
+    @pytest.mark.parametrize("dp", [None, DpConfig(clip=1.0, sigma=1.0)], ids=["no_dp", "dp"])
+    def test_asif_rows_match_replica(self, dp):
+        ds, cfg, rng = mixed_dataset(16, seed=32), tiny_audit_cfg(dp=dp), RngStream(33)
         sets = A.train_shadows_asif(ds, 7, self.split, cfg, rng)
         for row, (world, _, enc, model) in enumerate(self._replicas(ds, 7, cfg, rng)):
             views = fg.partition(d.encode(ds, enc), self.split).views

@@ -16,6 +16,13 @@ from vfsynth.config import ConfigError, load_config
 from vfsynth.rng import RngStream
 
 
+# the dp block of a train manifest and of an audit report
+DP_RECORD_KEYS = [
+    "alpha_external", "alpha_internal", "clip", "delta", "epsilon_external",
+    "epsilon_internal", "epsilon_target", "gamma", "sigma", "steps",
+]
+
+
 def write_toy_csv(path, n=32, seed=0):
     rng = RngStream(seed, "clicsv")
     rows = ["a,b,k"]
@@ -331,10 +338,7 @@ class TestTrainCommand:
         text = (tmp_path / "run" / "manifest.yaml").read_text()
         assert "  epsilon_target: 10.0\n" in text and "  clip: 1.0\n" in text
         dp = yaml.safe_load(text)["dp"]
-        assert sorted(dp) == [
-            "alpha_external", "alpha_internal", "clip", "delta", "epsilon_external",
-            "epsilon_internal", "epsilon_target", "gamma", "sigma", "steps",
-        ]
+        assert sorted(dp) == DP_RECORD_KEYS
         # 32 rows, batch 8, 3 epochs x 2 critic steps
         sigma = calibrate(10.0, 1e-3, 8 / 32, 6)
         want = budget_report(sigma, 8 / 32, 6, 1e-3)
@@ -559,8 +563,8 @@ class TestAuditCommand:
         assert (manifest["created_utc"], manifest["completed_utc"]) == ("event-0", "event-2")
 
     def test_audit_with_dp(self, tmp_path):
-        # sigma is calibrated for the n-1 rows of the leave-one-out world;
-        # each world trains at its own sampling rate with that sigma
+        # one sigma, calibrated for the n-1 rows of the leave-one-out world,
+        # for both worlds; the report carries the train manifest's dp record
         cfg_path = toy_config(
             tmp_path,
             n=24,
@@ -584,19 +588,32 @@ class TestAuditCommand:
         assert rc == 0
         rep = yaml.safe_load((tmp_path / "aud" / "audit_report.yaml").read_text())
         assert rep["dp_enabled"] is True
-        want = budget_report(rep["dp"]["sigma"], 8 / 23, 2, 1e-3)
-        assert rep["dp"]["epsilon_external"] == want.epsilon_external
-        assert rep["dp"]["epsilon_external"] <= 10.0
+        dp = rep["dp"]
+        assert sorted(dp) == DP_RECORD_KEYS
+        # 24 rows, so the leave-one-out world has 23; 2 epochs x 1 critic step
+        sigma = calibrate(10.0, 1e-3, 8 / 23, 2)
+        want = budget_report(sigma, 8 / 23, 2, 1e-3)
+        assert (dp["clip"], dp["epsilon_target"]) == (1.0, 10.0)
+        assert (dp["sigma"], dp["gamma"], dp["steps"], dp["delta"]) == (sigma, 8 / 23, 2, 1e-3)
+        assert (dp["epsilon_external"], dp["alpha_external"]) == (
+            want.epsilon_external, want.alpha_external)
+        assert (dp["epsilon_internal"], dp["alpha_internal"]) == (
+            want.epsilon_internal, want.alpha_internal)
+        assert dp["epsilon_external"] <= 10.0
 
-    def test_audit_dp_batch_larger_than_loo_world_rejected(self, tmp_path, capsys):
-        cfg_path = toy_config(
-            tmp_path, n=8,
-            extra={"audit": {"modes": ["assd"], "shadows": 6, "target": 0},
-                   "dp": {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}},
-        )
-        rc = main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")])
-        assert rc == 1
-        assert "exceeds the 7 rows" in capsys.readouterr().err
+    @pytest.mark.parametrize("dp", [None, {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}],
+                             ids=["no_dp", "dp"])
+    def test_audit_dp_batch_larger_than_loo_world_rejected(self, tmp_path, capsys, dp):
+        extra = {"audit": {"modes": ["assd"], "shadows": 6, "target": 0}}
+        if dp is not None:
+            extra["dp"] = dp
+        cfg_path = toy_config(tmp_path, n=8, extra=extra)
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "exceeds the 7 rows of the leave-one-out world" in err
+        assert not out.exists()
 
     def test_select_nn_deterministic(self, tmp_path):
         cfg_path = toy_config(
@@ -767,6 +784,10 @@ class TestAccountantCommand:
         assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
 
     def test_gamma_out_of_range(self, capsys):
-        assert main(["accountant", "report", "--sigma", "1", "--gamma", "1.5",
-                     "--steps", "1", "--delta", "1e-5"]) == 1
-        assert "gamma" in capsys.readouterr().err
+        # the accountant's own range check names gamma, for either command
+        for argv in (["report", "--sigma", "1"], ["calibrate", "--epsilon", "1"]):
+            for gamma in ("1.5", "-0.1", "nan"):
+                assert main(["accountant", *argv, "--gamma", gamma,
+                             "--steps", "1", "--delta", "1e-5"]) == 1
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error:") and "gamma" in err[0]

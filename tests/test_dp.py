@@ -425,9 +425,10 @@ class TestBudgetReport:
 
 class TestDpConfig:
     def test_validation(self):
-        ok = dp.DpConfig(1.0, 1.0, 0.1, 100)
-        assert ok.sigma == 1.0
-        with pytest.raises(ValueError):
-            dp.DpConfig(0.0, 1.0, 0.1, 100)
-        with pytest.raises(ValueError):
-            dp.DpConfig(1.0, 1.0, 1.5, 100)
+        ok = dp.DpConfig(1.0, 2.0)
+        assert (ok.clip, ok.sigma) == (1.0, 2.0)
+        with pytest.raises(ValueError, match="clip"):
+            dp.DpConfig(0.0, 1.0)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="noise multiplier"):
+                dp.DpConfig(1.0, sigma)

@@ -563,10 +563,7 @@ class TestDpWiring:
     def test_mechanism_hits_first_layer_of_each_d1_only(self, monkeypatch):
         data, split = toy_table(n=16, seed=11)
         cfg = small_cfg(disc_steps=2, epochs=1)
-        dpc = DpConfig(
-            clip=1.0, sigma=1.0,
-            sampling_rate=cfg.batch_size / 16, steps=cfg.epochs * cfg.disc_steps,
-        )
+        dpc = DpConfig(clip=1.0, sigma=1.0)
         calls = []
         orig = fg.apply_mechanism
 
@@ -579,13 +576,6 @@ class TestDpWiring:
         # 2 parties x 2 disc iters x 1 epoch, each on the d1 gradient, whose
         # layer 0 the mechanism noises (test_dp::TestNoise)
         assert calls == [(len(cfg.disc_part1_hidden) + 1, 1.0, 1.0)] * 4
-
-    def test_dp_config_mismatch_rejected(self):
-        data, split = toy_table(n=16)
-        cfg = small_cfg()
-        bad = DpConfig(1.0, 1.0, 0.9, cfg.epochs * cfg.disc_steps)
-        with pytest.raises(ValueError, match="sampling rate"):
-            fg.train(fg.VFLGAN, data, split, cfg, bad, RngStream(0))
 
     def test_non_dp_runs_are_noise_free(self):
         # same stream, two runs: bit-identical (no hidden randomness)
