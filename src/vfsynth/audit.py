@@ -38,7 +38,7 @@ from . import data as D
 from . import fedgan as fg
 from .dp import DpConfig
 from .forest import predict_scores, train_forest
-from .nn import forward as nn_forward
+from .nn import output as nn_output
 from .rng import RngStream
 
 __all__ = [
@@ -278,7 +278,7 @@ def _asif_job(args):
     # the FULL dataset, encoded with the world's encoder, through D_i^1
     views = fg.partition(D.encode(full_ds, enc), split).views
     feats = np.hstack(
-        [nn_forward(p.d1, v)[0] for p, v in zip(trainer.parties, views)]
+        [nn_output(p.d1, v) for p, v in zip(trainer.parties, views)]
     )
     return {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
 

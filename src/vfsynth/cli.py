@@ -106,13 +106,10 @@ def _float_repr(v) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_dp(cfg: RunConfig, n_rows: int):
-    """The mechanism for ``n_rows`` rows and the ``dp`` record written with
-    it; the one place that derives gamma (batch / rows) and the step count."""
+    """The mechanism for ``n_rows`` rows (a batch or more) and the ``dp`` record
+    written with it; the one place that derives gamma and the step count."""
     if cfg.dp is None:
         return None, None
-    if cfg.gan.batch_size > n_rows:
-        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {n_rows} rows "
-                       "the DP noise is calibrated for")
     gamma = cfg.gan.batch_size / n_rows
     steps = cfg.gan.epochs * cfg.gan.disc_steps
     sigma = dpmod.calibrate(cfg.dp.epsilon, cfg.dp.delta, gamma, steps)
@@ -149,12 +146,14 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     data = D.encode(ds, D.fit_encoder(ds))
+    if cfg.gan.batch_size > data.n_rows:
+        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {data.n_rows} rows "
+                       f"of {cfg.dataset_path}")
     dp_cfg, dp_record = _resolve_dp(cfg, data.n_rows)
     run_dir = _fresh_dir(cfg.output_dir)
     shutil.copyfile(args.config, run_dir / "config.yaml")
     (run_dir / "checkpoints").mkdir()
     (run_dir / "logs").mkdir()
-    (run_dir / "reports").mkdir()
     started = _utc_now()
     manifest = {
         "status": "running",

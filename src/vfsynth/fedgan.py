@@ -326,12 +326,6 @@ class Party:
         self.adam_d1 = AdamState.for_mlp(self.d1)
         self.adam_d2 = None if self.d2 is None else AdamState.for_mlp(self.d2)
 
-    # -- generation --------------------------------------------------------
-
-    def synth_batch(self, z: np.ndarray):
-        logits, tape = nn.forward(self.g, z)
-        return self.head.forward(logits, self.gumbel), tape
-
     # -- discriminator side -------------------------------------------------
 
     def critic_forward(self, x, x_tilde):
@@ -492,8 +486,7 @@ def generate_from(
     z = rng.child("z").normal(n, latent_dim)
     parts = []
     for i, (g, head) in enumerate(zip(generators, heads)):
-        logits, _ = nn.forward(g, z)
-        parts.append(head.forward(logits, rng.child("gumbel", i)))
+        parts.append(head.forward(nn.output(g, z), rng.child("gumbel", i)))
     return EncodedDataset(np.hstack(parts), encoder)
 
 
@@ -545,8 +538,10 @@ class Trainer:
         idx = self.batch_stream.subsample(self.n_rows, cfg.batch_size)
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
         losses: dict[str, float] = {}
+        # the critic step reads no generator tape
         features = [
-            p.critic_forward(p.view[idx], p.synth_batch(z)[0]) for p in self.parties
+            p.critic_forward(p.view[idx], p.head.forward(nn.output(p.g, z), p.gumbel))
+            for p in self.parties
         ]
         replies = [None] * len(self.parties)
         if self.server is not None:
@@ -566,7 +561,8 @@ class Trainer:
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
         passes = []
         for p in self.parties:
-            x_tilde, tape_g = p.synth_batch(z)
+            logits, tape_g = nn.forward(p.g, z)
+            x_tilde = p.head.forward(logits, p.gumbel)
             passes.append((x_tilde, tape_g, nn.forward(p.d1, x_tilde)[1]))
         total = 0.0
         replies = [None] * len(self.parties)

@@ -8,6 +8,12 @@ gradient requires differentiating through the recorded reverse pass (double
 backprop). Both activations are piecewise linear, so ``phi'' = 0`` (taken as
 0 at the kink) and that path needs no curvature pass.
 
+:func:`forward` and :func:`gradient_penalty` keep a tape: every layer's input
+and pre-activation, which the reverse passes read. :func:`output` runs the
+same layer loop and keeps none, so a pass whose intermediates nothing reads
+(sampling, the frozen critic of an audit) holds about two layer-sized arrays
+instead of the whole stack; its output is bit-identical to ``forward``'s.
+
 Matrices are float64 ndarrays with rows as batch samples; layer weights have
 shape (in, out) so a layer computes ``h @ W + b``. A network's parameters are
 one contiguous float64 vector, per layer the row-major weights and then the
@@ -34,6 +40,7 @@ __all__ = [
     "AdamState",
     "init_mlp",
     "forward",
+    "output",
     "backward",
     "gradient_penalty",
     "interpolate",
@@ -156,23 +163,40 @@ def init_mlp(
     return Mlp(np.concatenate(params), widths, activations)
 
 
-def _run(layers, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
-    h = batch
-    inputs, pre = [], []
+def _run(layers, h: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    """The one layer loop. With a tape, every layer's input and pre-activation
+    are appended to it; without, each is dropped once used, so at most two
+    arrays of a layer's width (pre-activation, activation) are alive."""
     for layer in layers:
-        inputs.append(h)
         a = h @ layer.w
         a += layer.b
-        pre.append(a)
+        if tape is not None:
+            tape.inputs.append(h)
+            tape.pre.append(a)
+        del h
         h = _act(layer.activation, a)
-    return h, Tape(inputs, pre, h)
+        del a
+    return h
 
 
-def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
+def _check_batch(mlp: Mlp, batch: np.ndarray) -> None:
     if batch.ndim != 2 or batch.shape[1] != mlp.in_width:
         raise ValueError(
             f"batch width {batch.shape} does not match network input {mlp.in_width}"
         )
+
+
+def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """The network's output and the tape :func:`backward` reads."""
+    _check_batch(mlp, batch)
+    tape = Tape([], [], None)
+    tape.output = _run(mlp.layers, batch, tape)
+    return tape.output, tape
+
+
+def output(mlp: Mlp, batch: np.ndarray) -> np.ndarray:
+    """``forward(mlp, batch)[0]``, bit for bit, keeping no tape."""
+    _check_batch(mlp, batch)
     return _run(mlp.layers, batch)
 
 
@@ -227,7 +251,8 @@ def gradient_penalty(
     n_layers = len(layers)
     rows = x_hat.shape[0]
 
-    out, tape = _run(layers, x_hat)
+    tape = Tape([], [], None)
+    out = _run(layers, x_hat, tape)
 
     # reverse pass, recording the per-layer cotangents it produces
     gs = [None] * n_layers  # cotangent on the pre-activation a_l

@@ -227,6 +227,8 @@ class TestTrainCommand:
         assert len(log) == 4  # header + 3 epochs
         manifest = yaml.safe_load((run / "manifest.yaml").read_text())
         assert manifest["status"] == "completed"
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoints", "config.yaml", "encoder.yaml", "logs", "manifest.yaml"]
         # every inventoried digest verifies
         import hashlib
 
@@ -308,6 +310,18 @@ class TestTrainCommand:
         cfg_path = toy_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), f"--seed={seed}"]) == 1
         assert "seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("dp", [None, {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}],
+                             ids=["no_dp", "dp"])
+    def test_batch_larger_than_dataset_rejected(self, tmp_path, capsys, dp):
+        # 6 rows, batch 8: one error line before the run directory exists,
+        # so a rerun with a fixed config can use the same --out
+        cfg_path = toy_config(tmp_path, n=6, extra=None if dp is None else {"dp": dp})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "batch size 8 exceeds the 6 rows" in err
         assert not (tmp_path / "run").exists()
 
     def test_refuses_nonempty_output(self, tmp_path):

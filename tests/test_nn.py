@@ -138,8 +138,26 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         mlp = nn.init_mlp([4, 2], RngStream(0))
-        with pytest.raises(ValueError):
-            nn.forward(mlp, np.zeros((3, 5)))
+        for run in (nn.forward, nn.output):
+            with pytest.raises(ValueError):
+                run(mlp, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("widths,out_act,rows", [
+        ([4, 8, 6, 3], "identity", 7),
+        ([4, 8, 6, 3], "leaky_relu", 7),
+        ([5, 6, 1], "identity", 9),
+        ([4, 8, 3], "leaky_relu", 0),
+    ], ids=["identity", "leaky", "one_wide", "no_rows"])
+    def test_output_bit_equal_to_forward(self, widths, out_act, rows):
+        rng = RngStream(13, "output")
+        mlp = nn.init_mlp(widths, rng.child("init"), out_activation=out_act)
+        batch = rng.normal(rows, widths[0])
+        kept = batch.copy()
+        got = nn.output(mlp, batch)
+        want, _ = nn.forward(mlp, batch)
+        assert got.shape == (rows, widths[-1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(batch, kept)  # input untouched
 
     def test_deterministic(self):
         rng = RngStream(11)
