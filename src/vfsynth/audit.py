@@ -76,9 +76,6 @@ def thread_count() -> int:
     return count
 
 
-# variants whose parties hold a first critic part D_i^1 for ASIF to probe
-_SPLIT_CRITIC = (fg.VFLGAN, fg.VFLGAN_BASE)
-
 # least values; the attack's AUC needs two test shadows per world
 _INTS = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
          "synthetic_rows": 1, "train_count": 1, "test_count": 2}
@@ -124,9 +121,14 @@ class AuditConfig:
                 raise ValueError(f"audit.{name} must list names from {allowed}, got {got!r}")
         if self.select not in (None, "outlier", "nn"):
             raise ValueError(f"audit.select must be outlier or nn, got {self.select!r}")
-        if "asif" in self.modes and self.variant not in _SPLIT_CRITIC:
-            raise ValueError(f"audit.modes: asif needs a split-critic variant "
-                             f"{_SPLIT_CRITIC}, got {self.variant!r}")
+        # ASIF probes the D_i^1 whose features parties send to a server
+        if "asif" in self.modes and self.variant not in fg.SERVER_VARIANTS:
+            raise ValueError(f"audit.modes: asif needs a variant with a server critic "
+                             f"{fg.SERVER_VARIANTS}, got {self.variant!r}")
+        if ("assd" in self.modes and "correlation" in self.feature_kinds
+                and self.synthetic_rows == 1):
+            raise ValueError("audit.synthetic_rows must be at least 2 with correlation "
+                             "features, got 1")
         tr, te = self.split_counts()
         if tr + te > self.shadows:
             raise ValueError(f"audit.train_count + audit.test_count ({tr} + {te}) "
@@ -318,8 +320,8 @@ def train_shadows_asif(
     """Full trainings per world; the whole dataset is pushed through each
     trained first discriminator part and the per-record feature matrix is
     summarized with the configured extractors."""
-    if cfg.variant not in _SPLIT_CRITIC:
-        raise ValueError("intermediate-feature auditing needs a split-critic variant")
+    if cfg.variant not in fg.SERVER_VARIANTS:
+        raise ValueError("intermediate-feature auditing needs a variant with a server critic")
     return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job, ds)
 
 

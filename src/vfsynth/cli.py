@@ -59,6 +59,11 @@ def _fresh_dir(path: str) -> Path:
     return out
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise CliError(f"--seed must be an integer in [0, 2**64), got {seed}")
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -193,6 +198,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed)
     if args.n < 0:
         raise CliError(f"--n must be a row count of 0 or more, got {args.n}")
     run_dir = Path(args.run)
@@ -226,6 +232,7 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    _check_seed(args.seed)
     started = _utc_now()
     cfg = load_config(args.config)
     target = args.target or cfg.schema.target
@@ -302,6 +309,7 @@ def cmd_audit(args) -> int:
     if cfg.audit is None:
         raise CliError("config has no audit section")
     acfg = cfg.audit
+    au.thread_count()  # a bad VFSYNTH_THREADS fails before any output exists
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     if acfg.rows is not None:
         if acfg.rows > ds.n_rows:

@@ -54,8 +54,11 @@ class DpTarget:
             fg.check_setting(f"dp.{f.name}", f.type, v)
             # stored as floats: an integer epsilon is written as 10.0
             object.__setattr__(self, f.name, float(v))
-        if self.epsilon <= 0 or not 0 < self.delta < 1 or self.clip <= 0:
-            raise ValueError("dp section values out of range")
+        for name in ("epsilon", "clip"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"dp.{name} must be > 0, got {getattr(self, name)}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"dp.delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)

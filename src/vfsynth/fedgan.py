@@ -21,9 +21,14 @@ Four variants share one scheduler:
   column, i.e. ``vertigan`` on the one-party split of :func:`trained_split`.
 
 The last two draw D_i^1 and then D_i^2 from one stream, which gives the draws
-of one critic split after the feature layer; all four variants step their
-critics through the same code, minus the server. Every gradient is a vector
-in its network's parameter layout (see :mod:`vfsynth.nn`).
+of one critic split after the feature layer. Every critic is a WGAN-GP
+critic whose terms come from one routine, :func:`_critic_terms`: D_i^2 with
+the parts ``(D_i^1, D_i^2)`` and D_s with the parts ``(D_s,)``, scoring its
+own inputs. :func:`_generator_terms` gives the generator's loss on D_i^2
+(weight 1) and on D_s (weight ``lambda_gen_server``). Each role steps its
+own critic: a party D_i^1 and D_i^2 in :meth:`Party.critic_update`, the
+server D_s in :meth:`Server.disc_step`. Every gradient is a vector in its
+network's parameter layout (see :mod:`vfsynth.nn`).
 
 One epoch is ``disc_steps`` discriminator iterations followed by one
 generator iteration; the minibatch is resampled every discriminator
@@ -66,6 +71,7 @@ __all__ = [
     "VERTIGAN",
     "CENTRAL",
     "VARIANTS",
+    "SERVER_VARIANTS",
     "GanConfig",
     "PartitionedData",
     "partition",
@@ -83,6 +89,8 @@ VFLGAN_BASE = "vflgan_base"
 VERTIGAN = "vertigan"
 CENTRAL = "central"
 VARIANTS = (VFLGAN, VFLGAN_BASE, VERTIGAN, CENTRAL)
+# variants whose parties send intermediate features to a server critic
+SERVER_VARIANTS = (VFLGAN, VFLGAN_BASE)
 
 
 class ProtocolFault(RuntimeError):
@@ -119,6 +127,13 @@ def check_setting(key: str, annotation: str, v) -> None:
         raise ValueError(f"{key} must be {want}, got {v!r}{hint}")
 
 
+_GAN_POSITIVE = ("latent_dim", "feature_dim", "eta_g", "eta_d", "eta_server",
+                 "batch_size", "disc_steps", "gumbel_temperature")
+# the Frechet distance needs two rows; a smaller fd_sample_cap would disable
+# the best-checkpoint selection without saying so
+_GAN_LEAST = {"epochs": 0, "lambda_gp": 0, "fd_sample_cap": 2}
+
+
 @dataclass(frozen=True)
 class GanConfig:
     latent_dim: int = 32
@@ -144,24 +159,12 @@ class GanConfig:
         for f in fields(self):  # f.type is the annotation's source text
             if f.type != "str":
                 check_setting(f"gan.{f.name}", f.type, getattr(self, f.name))
-        positive = (
-            self.latent_dim,
-            self.feature_dim,
-            self.eta_g,
-            self.eta_d,
-            self.eta_server,
-            self.batch_size,
-            self.disc_steps,
-            self.gumbel_temperature,
-        )
-        if any(v <= 0 for v in positive) or self.epochs < 0:
-            raise ValueError("gan values out of range")
-        if self.lambda_gp < 0:
-            raise ValueError(f"gan.lambda_gp must be >= 0, got {self.lambda_gp}")
-        if self.fd_sample_cap < 2:
-            # the Frechet distance needs two rows; fewer would disable the
-            # best-checkpoint selection without saying so
-            raise ValueError(f"gan.fd_sample_cap must be >= 2, got {self.fd_sample_cap}")
+        for name in _GAN_POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"gan.{name} must be > 0, got {getattr(self, name)}")
+        for name, least in _GAN_LEAST.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"gan.{name} must be >= {least}, got {getattr(self, name)}")
         if self.numeric_activation not in ("identity", "tanh"):
             raise ValueError("gan.numeric_activation must be 'identity' or 'tanh'")
 
@@ -269,8 +272,36 @@ def _check_messages(messages, cfg: GanConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# roles
+# roles, and the WGAN-GP terms every critic and generator shares
 # ---------------------------------------------------------------------------
+
+def _critic_terms(parts, x, x_tilde, features, beta, lambda_gp):
+    """WGAN-GP loss of the critic ``parts`` (applied in order), one gradient
+    per part and the loss cotangents on the real and synthetic ``features``,
+    the head ``parts[-1]``'s inputs. The penalty is taken on the whole critic
+    at interpolations of ``x`` and ``x_tilde`` drawn from ``beta``; only the
+    head gets the real and synthetic terms."""
+    head = parts[-1]
+    f, f_tilde = features
+    w = 1.0 / f.shape[0]
+    out_r, tape_r = nn.forward(head, f)
+    out_s, tape_s = nn.forward(head, f_tilde)
+    head_r, cot_r = nn.backward(head, tape_r, np.full_like(out_r, -w))
+    head_s, cot_s = nn.backward(head, tape_s, np.full_like(out_s, w))
+    x_hat = nn.interpolate(x, x_tilde, beta)
+    penalty, grads = nn.gradient_penalty(parts, x_hat, lambda_gp)
+    grads[-1] = head_r + head_s + grads[-1]
+    loss = -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
+    return loss, grads, cot_r, cot_s
+
+
+def _generator_terms(head, f_tilde, weight):
+    """The generator's loss on a critic head, -weight * mean head(f~), and
+    its cotangent on ``f_tilde``."""
+    out, tape = nn.forward(head, f_tilde)
+    _, cot = nn.backward(head, tape, np.full_like(out, -weight / f_tilde.shape[0]))
+    return -weight * float(np.mean(out)), cot
+
 
 class Party:
     """One data holder. Sees only its own column view and its own streams.
@@ -291,27 +322,18 @@ class Party:
         width = view.shape[1]
         gen_widths = [cfg.latent_dim, *cfg.gen_hidden, width]
         self.n_backbone = 0  # length of the parameter prefix shared in vertigan
-        if variant in (VFLGAN, VFLGAN_BASE):
+        if variant in SERVER_VARIANTS:
             self.g = nn.init_mlp(gen_widths, rng.child("init", "g", index))
             d_rngs = rng.child("init", "d1", index), rng.child("init", "d2", index)
         else:  # vertigan / central: plain critic, generator = backbone + head
             # the backbone draws from a stream shared by every party, so all
             # parties start (and stay) with bit-identical backbone parameters
-            bb_widths = [cfg.latent_dim, *cfg.gen_hidden]
-            if len(bb_widths) >= 2:
-                backbone = nn.init_mlp(
-                    bb_widths, rng.child("init", "gb"),
-                    out_activation="leaky_relu",
-                )
-                head = nn.init_mlp(
-                    [bb_widths[-1], width], rng.child("init", "gh", index)
-                )
-                self.g = nn.stack(backbone, head)
+            self.g = nn.init_mlp(gen_widths[-2:], rng.child("init", "gh", index))
+            if cfg.gen_hidden:
+                backbone = nn.init_mlp(gen_widths[:-1], rng.child("init", "gb"),
+                                       out_activation="leaky_relu")
+                self.g = nn.stack(backbone, self.g)
                 self.n_backbone = backbone.params.size
-            else:
-                self.g = nn.init_mlp(
-                    [cfg.latent_dim, width], rng.child("init", "gh", index)
-                )
             # one stream for the whole critic: D_i^2 continues D_i^1's draws
             d_rngs = (rng.child("init", "d", index),) * 2
         self.d1 = nn.init_mlp(
@@ -352,18 +374,11 @@ class Party:
         losses = {}
         cot_r = cot_s = None  # loss cotangents on the features
         if self.d2 is not None:
-            w = 1.0 / x.shape[0]
-            out_r, t2_r = nn.forward(self.d2, tape_r.output)
-            out_s, t2_s = nn.forward(self.d2, tape_s.output)
-            d2_real, cot_r = nn.backward(self.d2, t2_r, np.full_like(out_r, -w))
-            d2_synth, cot_s = nn.backward(self.d2, t2_s, np.full_like(out_s, w))
-            x_hat = nn.interpolate(x, x_tilde, self.beta)
-            penalty, (p1, p2) = nn.gradient_penalty(
-                (self.d1, self.d2), x_hat, self.cfg.lambda_gp
+            loss, (p1, d2_grad), cot_r, cot_s = _critic_terms(
+                (self.d1, self.d2), x, x_tilde, (tape_r.output, tape_s.output),
+                self.beta, self.cfg.lambda_gp,
             )
-            losses[f"d{self.index + 1}"] = (
-                -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
-            )
+            losses[f"d{self.index + 1}"] = loss
         if reply is not None:
             lam = self.cfg.lambda_server
             up_r, up_s = lam * reply.d_real, lam * reply.d_synth
@@ -373,9 +388,7 @@ class Party:
         d1_grad += nn.backward(self.d1, tape_s, cot_s)[0]
         if self.d2 is not None:
             d1_grad += p1
-            self.d2, self.adam_d2 = nn.adam_step(
-                self.d2, d2_real + d2_synth + p2, self.adam_d2, self.cfg.eta_d
-            )
+            self.d2, self.adam_d2 = nn.adam_step(self.d2, d2_grad, self.adam_d2, self.cfg.eta_d)
         if dp is not None:
             apply_mechanism(self.d1, d1_grad, dp.sigma, dp.clip, self.dpnoise)
         self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grad, self.adam_d1, self.cfg.eta_d)
@@ -402,7 +415,8 @@ class Server:
         return np.split(m, self.n_parties, axis=1)
 
     def disc_step(self, features: list[FeatureUp]):
-        """Server loss, its own gradients, and the per-party feature grads.
+        """One Adam step on the shared critic; returns its loss and the
+        per-party feature gradients.
 
         The gradient penalty is taken on per-row interpolations of the
         concatenated features, treated as fresh inputs (no gradient flows
@@ -410,36 +424,23 @@ class Server:
         """
         f = np.hstack([m.real for m in features])
         f_tilde = np.hstack([m.synth for m in features])
-        batch = f.shape[0]
-        out_r, tape_r = nn.forward(self.ds, f)
-        out_s, tape_s = nn.forward(self.ds, f_tilde)
-        grads_r, d_f = nn.backward(self.ds, tape_r, np.full_like(out_r, -1.0 / batch))
-        grads_s, d_ft = nn.backward(self.ds, tape_s, np.full_like(out_s, 1.0 / batch))
-        f_hat = nn.interpolate(f, f_tilde, self.beta)
-        penalty, (grads_p,) = nn.gradient_penalty((self.ds,), f_hat, self.cfg.lambda_gp)
-        loss = -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
-        own = grads_r + grads_s + grads_p
-        down = [
+        loss, (grad,), d_f, d_ft = _critic_terms(
+            (self.ds,), f, f_tilde, (f, f_tilde), self.beta, self.cfg.lambda_gp
+        )
+        self.ds, self.adam = nn.adam_step(self.ds, grad, self.adam, self.cfg.eta_server)
+        return loss, [
             FeatureGradDown(i, dr, dsn)
             for i, (dr, dsn) in enumerate(zip(self._split(d_f), self._split(d_ft)))
         ]
-        return loss, own, down
 
     def gen_scores(self, features: list[FeatureUp]):
         """Server term of the generator loss and its feature gradients."""
         f_tilde = np.hstack([m.synth for m in features])
-        batch = f_tilde.shape[0]
-        out, tape = nn.forward(self.ds, f_tilde)
-        scale = -self.cfg.lambda_gen_server / batch
-        _, d_ft = nn.backward(self.ds, tape, np.full_like(out, scale))
-        loss = -self.cfg.lambda_gen_server * float(np.mean(out))
+        loss, d_ft = _generator_terms(self.ds, f_tilde, self.cfg.lambda_gen_server)
         return loss, [
             FeatureGradDown(i, None, d)
             for i, d in enumerate(self._split(d_ft))
         ]
-
-    def apply_update(self, grad: np.ndarray):
-        self.ds, self.adam = nn.adam_step(self.ds, grad, self.adam, self.cfg.eta_server)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +517,8 @@ class Trainer:
             Party(i, v, b, cfg, variant, rng)
             for i, (v, b) in enumerate(zip(trained.views, trained.blocks))
         ]
-        if variant in (VFLGAN, VFLGAN_BASE):
-            self.server = Server(cfg, len(self.parties), rng)
-        else:
-            self.server = None
+        self.server = (Server(cfg, len(self.parties), rng)
+                       if variant in SERVER_VARIANTS else None)
         # every party draws its batch rows from this one stream, which is how
         # row alignment between parties is realized in-process
         self.batch_stream = rng.child("batch")
@@ -547,9 +546,8 @@ class Trainer:
         if self.server is not None:
             up = [FeatureUp(p.index, *f) for p, f in zip(self.parties, features)]
             _check_messages(up, cfg)
-            losses["ds"], server_grads, replies = self.server.disc_step(up)
+            losses["ds"], replies = self.server.disc_step(up)
             _check_messages(replies, cfg)
-            self.server.apply_update(server_grads)
         for p, reply in zip(self.parties, replies):
             losses.update(p.critic_update(reply, self.dp))
         return losses
@@ -577,12 +575,9 @@ class Trainer:
             # server and local cotangents are summed on the features
             cot = None if reply is None else reply.d_synth
             if p.d2 is not None:
-                out, tape_c = nn.forward(p.d2, tape_f.output)
-                _, d_local = nn.backward(
-                    p.d2, tape_c, np.full_like(out, -1.0 / cfg.batch_size)
-                )
+                loss, d_local = _generator_terms(p.d2, tape_f.output, 1.0)
                 cot = d_local if cot is None else cot + d_local
-                total += -float(np.mean(out))
+                total += loss
             _, d_xt = nn.backward(p.d1, tape_f, cot)
             g_grads, _ = nn.backward(p.g, tape_g, p.head.backward(x_tilde, d_xt))
             grads.append(g_grads)

@@ -594,6 +594,12 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="audit.modes"):
             tiny_audit_cfg(modes=("assd", "asif"), variant=variant)
 
+    # one synthetic row is refused only where ASSD would take its correlation
+    # matrix (test_cli); ASIF summarizes every row, not the synthetic ones
+    @pytest.mark.parametrize("kw", [dict(feature_kinds=("naive",)), dict(modes=("asif",))])
+    def test_one_synthetic_row_accepted_without_assd_correlation(self, kw):
+        assert tiny_audit_cfg(synthetic_rows=1, **kw).synthetic_rows == 1
+
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):
             tiny_audit_cfg(feature_kinds=("histogram",))

@@ -266,6 +266,19 @@ class TestTrainCommand:
         assert err.startswith("error:") and f"dp.{field}" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("field,value,bound", [
+        ("epsilon", 0.0, "> 0"), ("epsilon", -1.0, "> 0"), ("clip", 0.0, "> 0"),
+        ("delta", 0.0, "(0, 1)"), ("delta", 1.0, "(0, 1)"),
+    ])
+    def test_out_of_range_dp_setting_rejected(self, tmp_path, capsys, field, value, bound):
+        dp = {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0, field: value}
+        cfg_path = toy_config(tmp_path, extra={"dp": dp})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: dp.{field} must")
+        assert bound in err[0] and repr(value) in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_dp_section_needs_epsilon_and_delta(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path, extra={"dp": {"delta": 1e-3}})
         assert main(["train", "--config", str(cfg_path)]) == 1
@@ -533,6 +546,19 @@ class TestEvalCommand:
         assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "eval"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_rejected_before_any_input_is_read(tmp_path, capsys, command, seed):
+    # none of the inputs exists, so the one error line is the seed's
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    inputs = {"generate": ["--run", missing, "--n", "5"],
+              "eval": ["--real", missing, "--synth", missing, "--config", missing]}
+    assert main([command, *inputs[command], "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed") and seed in err[0]
+    assert not out.exists()
+
+
 class TestAuditCommand:
     def test_audit_end_to_end_small(self, tmp_path):
         cfg_path = toy_config(
@@ -662,6 +688,9 @@ class TestAuditCommand:
         ({"shadows": 4}, "audit.test_count"),  # the 70/30 split leaves 1
         ({"shadows": 6, "train_count": 3, "test_count": 1}, "audit.test_count"),
         ({"shadows": 2, "train_count": 1}, "audit.shadows"),
+        # one synthetic row has no correlation matrix
+        ({"shadows": 4, "train_count": 2, "test_count": 2, "synthetic_rows": 1,
+          "feature_kinds": ["naive", "correlation"]}, "audit.synthetic_rows"),
     ])
     def test_unrunnable_attack_split_rejected_before_training(
         self, tmp_path, capsys, monkeypatch, audit, field
@@ -733,6 +762,19 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and want in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_bad_thread_count_rejected_before_the_output_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("VFSYNTH_THREADS", "abc")
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn", "train_count": 2, "test_count": 2}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: VFSYNTH_THREADS")
         assert not out.exists()
 
     def test_too_few_shadows_rejected(self, tmp_path):

@@ -156,7 +156,10 @@ class TestQualityFd:
 class TestGanConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("lambda_gp", -0.5), ("lambda_gp", -1e-9), ("fd_sample_cap", 1), ("fd_sample_cap", 0)],
+        [("lambda_gp", -0.5), ("lambda_gp", -1e-9), ("fd_sample_cap", 1), ("fd_sample_cap", 0),
+         ("latent_dim", 0), ("feature_dim", -1), ("eta_g", 0.0), ("eta_d", -1e-4),
+         ("eta_server", 0.0), ("batch_size", 0), ("disc_steps", 0),
+         ("gumbel_temperature", 0.0), ("epochs", -1)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -212,13 +215,10 @@ class StubServer:
         ]
 
     def disc_step(self, features):
-        return 0.0, None, self._zeros(features)
+        return 0.0, self._zeros(features)
 
     def gen_scores(self, features):
         return 0.0, self._zeros(features)
-
-    def apply_update(self, grads):
-        pass
 
 
 class TestServerCoupling:
@@ -449,6 +449,26 @@ class TestVertigan:
         assert len(p.d1.layers) == len(cfg.disc_part1_hidden) + 1
         assert p.d1.out_width == cfg.feature_dim
         assert same_params(params_of(nn.stack(p.d1, p.d2)), params_of(want))
+
+    @pytest.mark.parametrize("variant", [fg.VERTIGAN, fg.CENTRAL])
+    def test_no_hidden_layers_give_a_bare_head(self, variant):
+        # gen_hidden empty: no backbone, and each party's generator is its
+        # head alone, drawn from ("init", "gh", i)
+        data, split = toy_table()
+        cfg = small_cfg(gen_hidden=(), epochs=3)
+        root = RngStream(36, "bare")
+        trainer = fg.Trainer(variant, data, split, cfg, None, root)
+        views = fg.partition(data, fg.trained_split(variant, split)).views
+        assert len(trainer.parties) == len(views)
+        for i, (p, view) in enumerate(zip(trainer.parties, views)):
+            want = nn.init_mlp([cfg.latent_dim, view.shape[1]], root.child("init", "gh", i))
+            assert p.n_backbone == 0
+            assert (p.g.widths, p.g.activations) == (want.widths, want.activations)
+            assert same_params(params_of(p.g), params_of(want))
+        trainer.run()
+        assert len(trainer.log.records) == 3
+        assert all(p.n_backbone == 0 for p in trainer.parties)
+        assert all(math.isfinite(r.loss_g) for r in trainer.log.records)
 
     def test_single_party_vertigan_equals_central(self):
         # one party holding all columns: the HFL sum degenerates and the run
