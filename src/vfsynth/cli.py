@@ -242,13 +242,13 @@ def cmd_eval(args) -> int:
         raise CliError(f"target attribute {target!r} is not in the schema")
     real = D.load_csv(args.real, cfg.schema)
     synth = D.load_csv(args.synth, cfg.schema)
+    out = _fresh_dir(args.out)  # before the evaluation, which can take minutes
     enc = D.fit_encoder(real)
     fd = M.frechet_distance(
         M.dataset_stats(D.encode(real, enc)),
         M.dataset_stats(D.encode(synth, enc)),
     )
     report = M.utility_fourway(real, synth, target, RngStream(args.seed, "eval"))
-    out = _fresh_dir(args.out)
     body = {
         "frechet_distance": float(fd),
         "total_difference": report.total_difference,

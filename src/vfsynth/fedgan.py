@@ -275,32 +275,36 @@ def _check_messages(messages, cfg: GanConfig) -> None:
 # roles, and the WGAN-GP terms every critic and generator shares
 # ---------------------------------------------------------------------------
 
+def _head_terms(head, f, seed):
+    """One pass of a critic head over ``f`` under the constant output
+    cotangent ``seed``: the head's gradient, the cotangent on ``f`` and the
+    mean score. The tape lives only inside this call."""
+    out, tape = nn.forward(head, f)
+    grad, cot = nn.backward(head, tape, np.full_like(out, seed))
+    return grad, cot, float(np.mean(out))
+
+
 def _critic_terms(parts, x, x_tilde, features, beta, lambda_gp):
     """WGAN-GP loss of the critic ``parts`` (applied in order), one gradient
     per part and the loss cotangents on the real and synthetic ``features``,
     the head ``parts[-1]``'s inputs. The penalty is taken on the whole critic
     at interpolations of ``x`` and ``x_tilde`` drawn from ``beta``; only the
-    head gets the real and synthetic terms."""
-    head = parts[-1]
-    f, f_tilde = features
-    w = 1.0 / f.shape[0]
-    out_r, tape_r = nn.forward(head, f)
-    out_s, tape_s = nn.forward(head, f_tilde)
-    head_r, cot_r = nn.backward(head, tape_r, np.full_like(out_r, -w))
-    head_s, cot_s = nn.backward(head, tape_s, np.full_like(out_s, w))
-    x_hat = nn.interpolate(x, x_tilde, beta)
-    penalty, grads = nn.gradient_penalty(parts, x_hat, lambda_gp)
+    head gets the real and synthetic terms. The penalty runs first, then one
+    head pass at a time, so no two of these passes hold their arrays at once."""
+    penalty, grads = nn.gradient_penalty(
+        parts, nn.interpolate(x, x_tilde, beta), lambda_gp)
+    w = 1.0 / x.shape[0]
+    head_r, cot_r, mean_r = _head_terms(parts[-1], features[0], -w)
+    head_s, cot_s, mean_s = _head_terms(parts[-1], features[1], w)
     grads[-1] = head_r + head_s + grads[-1]
-    loss = -float(np.mean(out_r)) + float(np.mean(out_s)) + penalty
-    return loss, grads, cot_r, cot_s
+    return -mean_r + mean_s + penalty, grads, cot_r, cot_s
 
 
 def _generator_terms(head, f_tilde, weight):
     """The generator's loss on a critic head, -weight * mean head(f~), and
     its cotangent on ``f_tilde``."""
-    out, tape = nn.forward(head, f_tilde)
-    _, cot = nn.backward(head, tape, np.full_like(out, -weight / f_tilde.shape[0]))
-    return -weight * float(np.mean(out)), cot
+    _, cot, mean = _head_terms(head, f_tilde, -weight / f_tilde.shape[0])
+    return -weight * mean, cot
 
 
 class Party:
@@ -347,18 +351,20 @@ class Party:
         self.adam_g = AdamState.for_mlp(self.g)
         self.adam_d1 = AdamState.for_mlp(self.d1)
         self.adam_d2 = None if self.d2 is None else AdamState.for_mlp(self.d2)
+        self._step_tapes = None  # D_i^1's tapes between critic forward and update
 
     # -- discriminator side -------------------------------------------------
 
     def critic_forward(self, x, x_tilde):
         """Run D_i^1 once on the real and once on the synthetic rows.
 
-        Returns the features ``(f_i, f~_i)``; the tapes stay with the party
-        until :meth:`critic_update`.
+        Returns the features ``(f_i, f~_i)``. The two tapes (whose first
+        inputs are the rows) stay with the party until the next
+        :meth:`critic_update`, which reads and releases them; between steps
+        the party holds no critic-step array.
         """
-        self._rows = (x, x_tilde)
-        self._tapes = (nn.forward(self.d1, x)[1], nn.forward(self.d1, x_tilde)[1])
-        return self._tapes[0].output, self._tapes[1].output
+        self._step_tapes = (nn.forward(self.d1, x)[1], nn.forward(self.d1, x_tilde)[1])
+        return self._step_tapes[0].output, self._step_tapes[1].output
 
     def critic_update(self, reply: FeatureGradDown | None,
                       dp: DpConfig | None) -> dict[str, float]:
@@ -368,15 +374,20 @@ class Party:
         are summed on the features, then go back through D_i^1 once per row
         set; the gradient penalty is taken on the critic ``(d1, d2)``. Returns
         the local loss keyed by role (``d<i+1>``), empty without D_i^2.
+        ProtocolFault without a :meth:`critic_forward` since the last update.
         """
-        x, x_tilde = self._rows
-        tape_r, tape_s = self._tapes
+        if self._step_tapes is None:
+            raise ProtocolFault(
+                f"party {self.index}: critic update without a critic forward pass"
+            )
+        tape_r, tape_s = self._step_tapes
+        self._step_tapes = None
         losses = {}
         cot_r = cot_s = None  # loss cotangents on the features
         if self.d2 is not None:
             loss, (p1, d2_grad), cot_r, cot_s = _critic_terms(
-                (self.d1, self.d2), x, x_tilde, (tape_r.output, tape_s.output),
-                self.beta, self.cfg.lambda_gp,
+                (self.d1, self.d2), tape_r.inputs[0], tape_s.inputs[0],
+                (tape_r.output, tape_s.output), self.beta, self.cfg.lambda_gp,
             )
             losses[f"d{self.index + 1}"] = loss
         if reply is not None:

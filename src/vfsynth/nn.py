@@ -8,11 +8,15 @@ gradient requires differentiating through the recorded reverse pass (double
 backprop). Both activations are piecewise linear, so ``phi'' = 0`` (taken as
 0 at the kink) and that path needs no curvature pass.
 
-:func:`forward` and :func:`gradient_penalty` keep a tape: every layer's input
-and pre-activation, which the reverse passes read. :func:`output` runs the
-same layer loop and keeps none, so a pass whose intermediates nothing reads
-(sampling, the frozen critic of an audit) holds about two layer-sized arrays
-instead of the whole stack; its output is bit-identical to ``forward``'s.
+:func:`forward` and :func:`gradient_penalty` keep a tape (:class:`Tape`):
+every layer's input and the output, no pre-activations. The reverse passes
+take each layer's derivative from its activation, which is exact: leaky-ReLU
+``max(a, slope * a) > 0`` holds exactly where ``a > 0``, zeros of either sign,
+subnormals and NaN included, and an identity layer's derivative is ones
+either way. :func:`output` runs the same layer loop and keeps no tape, so a
+pass whose intermediates nothing reads (sampling, the frozen critic of an
+audit) holds about two layer-sized arrays instead of the whole stack; its
+output is bit-identical to ``forward``'s.
 
 Matrices are float64 ndarrays with rows as batch samples; layer weights have
 shape (in, out) so a layer computes ``h @ W + b``. A network's parameters are
@@ -124,11 +128,16 @@ class Mlp:
 
 @dataclass
 class Tape:
-    """Recorded forward intermediates: layer inputs and pre-activations."""
+    """Each layer's input and the network's output. Layer ``l``'s activation,
+    from which its derivative is taken, is ``inputs[l + 1]`` (``output`` for
+    the last layer)."""
 
     inputs: list[np.ndarray]
-    pre: list[np.ndarray]
     output: np.ndarray
+
+    def activations(self) -> list[np.ndarray]:
+        """Each layer's activation, in layer order."""
+        return self.inputs[1:] + [self.output]
 
 
 # Branch-free leaky-ReLU. As 0 <= LEAKY_SLOPE < 1, a > 0 gives slope * a <= a
@@ -164,15 +173,15 @@ def init_mlp(
 
 
 def _run(layers, h: np.ndarray, tape: Tape | None = None) -> np.ndarray:
-    """The one layer loop. With a tape, every layer's input and pre-activation
-    are appended to it; without, each is dropped once used, so at most two
-    arrays of a layer's width (pre-activation, activation) are alive."""
+    """The one layer loop. With a tape, every layer's input is appended to
+    it; without, each is dropped once used. Either way a pre-activation is
+    dropped once activated, so beyond the tape at most two arrays of a
+    layer's width (pre-activation, activation) are alive."""
     for layer in layers:
         a = h @ layer.w
         a += layer.b
         if tape is not None:
             tape.inputs.append(h)
-            tape.pre.append(a)
         del h
         h = _act(layer.activation, a)
         del a
@@ -189,7 +198,7 @@ def _check_batch(mlp: Mlp, batch: np.ndarray) -> None:
 def forward(mlp: Mlp, batch: np.ndarray) -> tuple[np.ndarray, Tape]:
     """The network's output and the tape :func:`backward` reads."""
     _check_batch(mlp, batch)
-    tape = Tape([], [], None)
+    tape = Tape([], None)
     tape.output = _run(mlp.layers, batch, tape)
     return tape.output, tape
 
@@ -209,8 +218,9 @@ def backward(
     """
     if output_grad.shape != tape.output.shape:
         raise ValueError("output_grad shape does not match the taped output")
-    if len(tape.pre) != len(mlp.layers) or any(
-        t.shape[1] != l.w.shape[1] for t, l in zip(tape.pre, mlp.layers)
+    acts = tape.activations()
+    if len(acts) != len(mlp.layers) or any(
+        t.shape[1] != l.w.shape[1] for t, l in zip(acts, mlp.layers)
     ):
         raise ValueError("stale tape: recorded shapes do not match the network")
     grad = np.empty_like(mlp.params)
@@ -218,7 +228,7 @@ def backward(
     delta = output_grad
     for l in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[l]
-        g = delta * _act_deriv(layer.activation, tape.pre[l])
+        g = delta * _act_deriv(layer.activation, acts[l])
         dw, db = views[l]
         np.matmul(tape.inputs[l].T, g, out=dw)
         g.sum(axis=0, out=db)
@@ -251,16 +261,19 @@ def gradient_penalty(
     n_layers = len(layers)
     rows = x_hat.shape[0]
 
-    tape = Tape([], [], None)
-    out = _run(layers, x_hat, tape)
+    tape = Tape([], None)
+    tape.output = _run(layers, x_hat, tape)
+    acts = tape.activations()
+    del tape
 
-    # reverse pass, recording the per-layer cotangents it produces
+    # reverse pass, recording the per-layer cotangents it produces; each
+    # activation is dropped once its derivative is taken
     gs = [None] * n_layers  # cotangent on the pre-activation a_l
     phi1 = [None] * n_layers
-    delta = np.ones_like(out)
+    delta = np.ones_like(acts[-1])
     for l in range(n_layers - 1, -1, -1):
         layer = layers[l]
-        phi1[l] = _act_deriv(layer.activation, tape.pre[l])
+        phi1[l] = _act_deriv(layer.activation, acts.pop())
         gs[l] = delta * phi1[l]
         delta = gs[l] @ layer.w.T
     u = delta  # (rows, in): per-row input gradient of the critic

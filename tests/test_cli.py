@@ -534,6 +534,26 @@ class TestEvalCommand:
         assert log == ["clock", "work", "clock"]
         assert (manifest["created_utc"], manifest["completed_utc"]) == ("event-0", "event-2")
 
+    def test_non_empty_out_fails_before_the_evaluation(self, tmp_path, capsys, monkeypatch):
+        from vfsynth import metrics
+
+        def never(*args, **kwargs):
+            pytest.fail("utility_fourway ran before --out was checked")
+
+        monkeypatch.setattr(metrics, "utility_fourway", never)
+        cfg_path = toy_config(tmp_path, n=40)
+        cfg = load_config(cfg_path)
+        out = tmp_path / "ev"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        rc = main(["eval", "--real", cfg.dataset_path, "--synth", cfg.dataset_path,
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not empty" in err[0]
+        assert [f.name for f in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept\n"
+
     def test_missing_target_named(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path)
         cfg = load_config(cfg_path)

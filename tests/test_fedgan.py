@@ -128,6 +128,28 @@ class TestTrainBasics:
         with np.errstate(invalid="ignore"):
             assert math.isnan(trainer._quality_fd(1))
 
+    def test_critic_update_without_a_forward_pass_is_a_protocol_fault(self):
+        data, split = toy_table()
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(4))
+        trainer.discriminator_step()
+        p = trainer.parties[1]
+        before = params_of(nn.stack(p.d1, p.d2))
+        with pytest.raises(fg.ProtocolFault, match="party 1"):
+            p.critic_update(None, None)
+        assert same_params(params_of(nn.stack(p.d1, p.d2)), before)
+
+    @pytest.mark.parametrize("variant", fg.VARIANTS)
+    def test_no_critic_step_state_outlives_the_epoch(self, variant):
+        data, split = toy_table()
+        trainer = fg.Trainer(variant, data, split, small_cfg(), None, RngStream(4))
+        trainer.step_epoch()
+        for p in trainer.parties:
+            held = [x for v in vars(p).values()
+                    for x in (v if isinstance(v, tuple) else (v,))]
+            assert not any(isinstance(v, nn.Tape) for v in held)
+            with pytest.raises(fg.ProtocolFault, match=f"party {p.index}"):
+                p.critic_update(None, None)
+
     def test_discriminator_step_leaves_generators_untouched(self):
         data, split = toy_table()
         trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(4))

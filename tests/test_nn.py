@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,15 +76,23 @@ def stacked_critic(rng):
     return nn.stack(*critic_parts(rng))
 
 
+def pre_activations(mlp, batch):
+    """Every layer's pre-activation, re-evaluated outside the tape."""
+    pre, h = [], batch
+    for layer in mlp.layers:
+        pre.append(h @ layer.w + layer.b)
+        h = ACT_FNS[layer.activation](pre[-1])
+    return pre
+
+
 def sample_net_away_from_kinks(rng, build, batch_size=5, margin=1e-2):
     """Random net + batch whose pre-activations stay clear of leaky-ReLU
     kinks, so finite differences see a locally smooth function."""
     for _ in range(200):
         mlp = build(rng.child("init", rng.integers(0, 2**31)))
         batch = rng.normal(batch_size, mlp.in_width)
-        _, tape = nn.forward(mlp, batch)
         if any(l.activation == "leaky_relu" and float(np.abs(a).min()) < margin
-               for l, a in zip(mlp.layers, tape.pre)):
+               for l, a in zip(mlp.layers, pre_activations(mlp, batch))):
             continue
         return mlp, batch
     raise AssertionError("could not sample a kink-free configuration")
@@ -116,6 +126,13 @@ class TestLeakyKernels:
         want = np.where(a > 0.0, 1.0, nn.LEAKY_SLOPE)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_derivative_at_the_activation_equals_it_at_the_pre_activation(self):
+        # the tape keeps activations only: -5e-324 activates to -0.0, NaN to NaN
+        a = np.vstack([self.inputs(), [[np.nan, -np.nan, np.inf, -np.inf, 1e-320, -1e-320]]])
+        got = nn._act_deriv("leaky_relu", nn._act("leaky_relu", a))
+        want = nn._act_deriv("leaky_relu", a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 # --------------------------------------------------------------------------
 # forward
@@ -135,6 +152,20 @@ class TestForward:
             out, tape = nn.forward(mlp, batch)
             assert np.array_equal(out, straight_line_forward(mlp, batch))
             assert np.array_equal(tape.output, out)
+
+    @pytest.mark.parametrize("out_act", nn.ACTIVATIONS)
+    def test_tape_holds_each_layer_input_and_the_output(self, out_act):
+        rng = RngStream(14, "tape")
+        mlp = nn.init_mlp([4, 8, 6, 3], rng.child("init"), out_activation=out_act)
+        batch = rng.normal(7, 4)
+        out, tape = nn.forward(mlp, batch)
+        assert [f.name for f in dataclasses.fields(nn.Tape)] == ["inputs", "output"]
+        assert len(tape.inputs) == len(mlp.layers)
+        assert tape.inputs[0] is batch and tape.output is out
+        for layer, pre, act in zip(mlp.layers, pre_activations(mlp, batch),
+                                   tape.activations()):
+            assert np.array_equal(act, ACT_FNS[layer.activation](pre))
+        assert tape.activations()[-1] is out
 
     def test_dimension_mismatch(self):
         mlp = nn.init_mlp([4, 2], RngStream(0))
