@@ -324,18 +324,24 @@ def cmd_audit(args) -> int:
     acfg = dataclasses.replace(acfg, dp=dp_cfg)
     out = _fresh_dir(args.out if args.out else cfg.output_dir)
     root = RngStream(cfg.seed, "audit")
+    manifest = {"created_utc": started, "seed": cfg.seed}
     results = {}
-    for mode in acfg.modes:
-        trainer = au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
-        sets = trainer(ds, target, cfg.split, acfg, root.child(mode))
-        report = au.run_attack(sets, acfg, root.child(mode, "attack"))
-        results[mode] = report
-        for kind in acfg.feature_kinds:
-            _write_feature_csv(
-                out / f"features_{mode}_{kind}.csv",
-                sets.features[kind],
-                sets.labels,
-            )
+    try:
+        for mode in acfg.modes:
+            trainer = au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
+            sets = trainer(ds, target, cfg.split, acfg, root.child(mode))
+            report = au.run_attack(sets, acfg, root.child(mode, "attack"))
+            results[mode] = report
+            for kind in acfg.feature_kinds:
+                _write_feature_csv(
+                    out / f"features_{mode}_{kind}.csv",
+                    sets.features[kind],
+                    sets.labels,
+                )
+    except Exception as exc:
+        _write_manifest(out, {**manifest, "status": "failed", "error": str(exc),
+                              "completed_utc": _utc_now()})
+        raise
     body = {
         "target_index": int(target),
         "shadows_per_world": acfg.shadows,
@@ -356,8 +362,7 @@ def cmd_audit(args) -> int:
         body["dp"] = dp_record
     with open(out / "audit_report.yaml", "w", encoding="utf-8") as f:
         yaml.safe_dump(body, f, sort_keys=True)
-    _write_manifest(out, {"status": "completed", "created_utc": started,
-                          "completed_utc": _utc_now(), "seed": cfg.seed})
+    _write_manifest(out, {**manifest, "status": "completed", "completed_utc": _utc_now()})
     print(out)
     return 0
 

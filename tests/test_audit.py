@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -219,15 +220,15 @@ class TestVulnerableNn:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.argmax(want) == 480
 
-    @pytest.mark.parametrize("block_rows", [None, 1, 3, 7])
-    def test_tied_mutual_pair_goes_to_the_lower_index(self, monkeypatch, block_rows):
+    @pytest.mark.parametrize("tile", [None, 1, 3, 7])
+    def test_tied_mutual_pair_goes_to_the_lower_index(self, monkeypatch, tile):
         # records 4 and 13 are each other's nearest and farther from the rest
-        # than any other record is from its nearest. At one row per block the
-        # pair's cosine, taken once per orientation (u[rows] @ u.T), differs
+        # than any other record is from its nearest. Taken once per
+        # orientation (u[i] @ u[j] and u[j] @ u[i]), the pair's cosine differs
         # in the last bit for several of these draws; its distances must not.
         n, k = 14, 11
-        if block_rows is not None:
-            monkeypatch.setattr(A, "_NN_BLOCK_BYTES", 8 * n * block_rows)
+        if tile is not None:
+            monkeypatch.setattr(A, "_NN_TILE", tile)
         schema = d.Schema(tuple(d.Attribute(f"x{i}", "continuous") for i in range(k)))
         for seed in range(25):
             rng = RngStream(seed, "nntie")
@@ -302,12 +303,12 @@ class TestNearestNeighborDistances:
         # the nonzero row sees cosine 0 against both -> distance 1
         assert dist[2] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 7])
-    def test_blocks_match_the_dense_oracle(self, monkeypatch, block_rows):
-        # 23 rows: no block size divides them; zero rows in both attribute
-        # blocks, at block edges and inside blocks
+    @pytest.mark.parametrize("tile", [1, 3, 7])
+    def test_blocks_match_the_dense_oracle(self, monkeypatch, tile):
+        # 23 rows: no tile size divides them; zero rows in both attribute
+        # blocks, at tile edges and inside tiles
         n = 23
-        monkeypatch.setattr(A, "_NN_BLOCK_BYTES", 8 * n * block_rows)
+        monkeypatch.setattr(A, "_NN_TILE", tile)
         rng = RngStream(19, "nnblocks")
         cat = np.eye(4)[rng.integers(0, 4, size=n)]
         cont = rng.normal(n, 3)
@@ -328,18 +329,30 @@ class TestNearestNeighborDistances:
             A.nearest_neighbor_distances(np.ones(cat_shape), np.ones(cont_shape), 0.5, 0.5)
         assert str(cat_shape) in str(info.value) and str(cont_shape) in str(info.value)
 
-    def test_memory_is_bounded_by_the_block(self):
-        # one 3,000 x 3,000 float64 matrix alone is 68.7 MiB
+    @staticmethod
+    def _traced_peak(n):
+        """tracemalloc peak of one wine-shaped call at n rows, and its input bytes."""
         rng = RngStream(3, "nnmem")
-        cat = np.eye(6)[rng.integers(0, 6, size=3000)]
-        cont = rng.normal(3000, 11)
+        cat = np.eye(6)[rng.integers(0, 6, size=n)]
+        cont = rng.normal(n, 11)
         tracemalloc.start()
         try:
             A.nearest_neighbor_distances(cat, cont, 1 / 12, 11 / 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, cat.nbytes + cont.nbytes
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one 3,000 x 3,000 float64 matrix alone is 68.7 MiB
+        peak, _ = self._traced_peak(3000)
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [1599, 20_000])
+    def test_memory_does_not_grow_with_the_rows(self, n):
+        # the unit rows copy the input once; beyond that, a few tiles
+        peak, input_bytes = self._traced_peak(n)
+        assert peak <= 2 * input_bytes + 4 * 8 * A._NN_TILE**2
 
 
 def tiny_audit_cfg(**kw):
@@ -453,6 +466,59 @@ class TestShadowRows:
         assert np.array_equal(out[0].labels, out[1].labels)
         for kind in cfg.feature_kinds:
             assert np.array_equal(out[0].features[kind], out[1].features[kind])
+
+
+class TestWorkerHandOff:
+    """The pool's workers get the ensemble's inputs once, as initializer
+    arguments; the work items are the (world, m) keys."""
+
+    split = d.VerticalSplit(((0, 1), (2,)))
+
+    @pytest.mark.parametrize("mode", ["assd", "asif"])
+    def test_inputs_reach_each_worker_once(self, monkeypatch, mode):
+        import concurrent.futures
+
+        pools = []
+
+        class InProcessPool:
+            """Runs the initializer and the mapped calls here, recording both."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                self.initargs = initargs
+                initializer(*initargs)
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                self.fn, self.items = fn, list(items)
+                return [fn(item) for item in self.items]
+
+        trainer = getattr(A, f"train_shadows_{mode}")
+        ds, cfg = mixed_dataset(16, seed=36), tiny_audit_cfg()
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")
+        want = trainer(ds, 5, self.split, cfg, RngStream(37))
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "2")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(A, "_worker_batch", None)  # restored after the test
+        got = trainer(ds, 5, self.split, cfg, RngStream(37))
+
+        [pool] = pools
+        assert pool.items == [(w, m) for w in (0, 1) for m in range(cfg.shadows)]
+        for item in pool.items:
+            assert len(pickle.dumps((pool.fn, item))) <= 1024
+        worlds = pool.initargs[1][0]
+        assert [w.n_rows for w in worlds] == [ds.n_rows - 1, ds.n_rows]
+        assert np.array_equal(worlds[0].columns[0], np.delete(ds.columns[0], 5))
+        assert all(np.array_equal(a, b) for a, b in zip(worlds[1].columns, ds.columns))
+        assert np.array_equal(got.labels, want.labels)
+        for kind in cfg.feature_kinds:
+            assert np.array_equal(got.features[kind], want.features[kind])
 
 
 class TestQualityLog:

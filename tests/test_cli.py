@@ -797,6 +797,29 @@ class TestAuditCommand:
         assert len(err) == 1 and err[0].startswith("error: VFSYNTH_THREADS")
         assert not out.exists()
 
+    def test_failed_audit_marked(self, tmp_path, capsys, monkeypatch):
+        # ASSD finishes and writes its features; an ASIF job then diverges
+        from vfsynth import audit as au
+
+        def boom(batch, key):
+            raise fg.TrainingDiverged("non-finite loss at epoch 1, role d1")
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")
+        monkeypatch.setattr(au, "_asif_job", boom)
+        audit = {"modes": ["assd", "asif"], "shadows": 4, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn",
+                 "train_count": 2, "test_count": 2}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "non-finite loss at epoch 1, role d1"
+        assert sorted(manifest["inventory"]) == ["features_assd_naive.csv"]
+        assert not (out / "audit_report.yaml").exists()
+
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(
             tmp_path,
