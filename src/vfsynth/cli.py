@@ -7,13 +7,20 @@ success or 1 with a diagnostic line on stderr. Given the same config and
 seed, every emitted checkpoint, log, and report is byte-identical across
 reruns; manifests additionally carry wall-clock timestamps and content
 digests of every file in the run directory.
+
+``train``, ``eval`` and ``audit`` share one run-directory lifecycle,
+``_run_dir``: the manifest reads ``running`` on entry and ``completed``, or
+``failed`` with the error, on exit (an interrupt included), and is replaced
+atomically. ``generate`` reads a run only through ``_completed_run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import os
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -68,38 +75,65 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _write_yaml(path: Path, body: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        yaml.safe_dump(body, f, sort_keys=True)
+
+
 def _inventory(run_dir: Path) -> dict[str, str]:
     out = {}
     for p in sorted(run_dir.rglob("*")):
-        if p.is_file() and p.name != "manifest.yaml":
+        if p.is_file() and p.name not in ("manifest.yaml", "manifest.yaml.tmp"):
             out[str(p.relative_to(run_dir))] = _sha256(p)
     return out
 
 
 def _write_manifest(run_dir: Path, body: dict) -> None:
-    body = dict(body)
-    body["manifest_version"] = 1
-    body["package_version"] = __version__
-    body["inventory"] = _inventory(run_dir)
-    with open(run_dir / "manifest.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(body, f, sort_keys=True)
+    # the manifest vouches for every other file, so it alone needs the rename
+    tmp = run_dir / "manifest.yaml.tmp"
+    _write_yaml(tmp, {**body, "manifest_version": 1, "package_version": __version__,
+                      "inventory": _inventory(run_dir)})
+    os.replace(tmp, run_dir / "manifest.yaml")
 
 
-def _read_manifest(run_dir: Path) -> dict:
+@contextlib.contextmanager
+def _run_dir(path: str, record: dict):
+    """Make the fresh directory ``path`` and yield it, its manifest reading
+    ``running`` until the body ends: then ``completed`` with ``record`` as the
+    body left it, or ``failed`` with the error, which propagates."""
+    out = _fresh_dir(path)
+    record["created_utc"] = _utc_now()
+    _write_manifest(out, {**record, "status": "running"})
+    try:
+        yield out
+        record["status"] = "completed"
+    except BaseException as exc:  # an interrupt must leave a manifest too
+        record.update(status="failed", error=str(exc) or type(exc).__name__)
+        raise
+    finally:
+        record["completed_utc"] = _utc_now()
+        _write_manifest(out, record)
+
+
+def _completed_run(run_dir: Path, *rels: str) -> None:
+    """Refuse ``run_dir`` unless its manifest says it completed and each of
+    ``rels`` still has the digest the manifest recorded."""
     path = run_dir / "manifest.yaml"
     if not path.exists():
         raise CliError(f"{run_dir} has no manifest.yaml")
-    with open(path, "r", encoding="utf-8") as f:
-        return yaml.safe_load(f)
-
-
-def _verify_digest(run_dir: Path, manifest: dict, rel: str) -> None:
-    want = manifest.get("inventory", {}).get(rel)
-    if want is None:
-        raise CliError(f"{rel} is not in the run manifest inventory")
-    got = _sha256(run_dir / rel)
-    if got != want:
-        raise CliError(f"{rel} digest mismatch: file was modified after the run")
+    try:
+        manifest = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError:
+        manifest = None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("inventory"), dict)):
+        raise CliError(f"{path} is not a run manifest")
+    if manifest.get("status") != "completed":
+        raise CliError(f"run {run_dir} did not complete (status: {manifest.get('status')})")
+    for rel in rels:
+        if rel not in manifest["inventory"]:
+            raise CliError(f"{rel} is not in the run manifest inventory")
+        if _sha256(run_dir / rel) != manifest["inventory"][rel]:
+            raise CliError(f"{rel} digest mismatch: file was modified after the run")
 
 
 def _float_repr(v) -> str:
@@ -125,12 +159,10 @@ def _resolve_dp(cfg: RunConfig, n_rows: int):
 
 
 def _write_encoder(run_dir: Path, enc: D.Encoder) -> None:
-    body = {
+    _write_yaml(run_dir / "encoder.yaml", {
         "mu": [float(v) for v in enc.mu],
         "sigma": [float(v) for v in enc.sigma],
-    }
-    with open(run_dir / "encoder.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(body, f, sort_keys=True)
+    })
 
 
 def _read_encoder(run_dir: Path, schema: D.Schema) -> D.Encoder:
@@ -155,40 +187,24 @@ def cmd_train(args) -> int:
         raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {data.n_rows} rows "
                        f"of {cfg.dataset_path}")
     dp_cfg, dp_record = _resolve_dp(cfg, data.n_rows)
-    run_dir = _fresh_dir(cfg.output_dir)
-    shutil.copyfile(args.config, run_dir / "config.yaml")
-    (run_dir / "checkpoints").mkdir()
-    (run_dir / "logs").mkdir()
-    started = _utc_now()
-    manifest = {
-        "status": "running",
-        "created_utc": started,
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-    }
+    record = {"variant": cfg.variant, "seed": cfg.seed}
     if dp_record is not None:
-        manifest["dp"] = dp_record
-    try:
+        record["dp"] = dp_record
+    with _run_dir(cfg.output_dir, record) as run_dir:
+        shutil.copyfile(args.config, run_dir / "config.yaml")
+        (run_dir / "checkpoints").mkdir()
+        (run_dir / "logs").mkdir()
         trainer = fg.train(
             cfg.variant, data, cfg.split, cfg.gan, dp_cfg, RngStream(cfg.seed, "train")
         )
-    except Exception as exc:
-        manifest["status"] = "failed"
-        manifest["error"] = str(exc)
-        manifest["completed_utc"] = _utc_now()
-        _write_manifest(run_dir, manifest)
-        raise
-    trainer.log.to_csv(run_dir / "logs" / "train_log.csv")
-    for which, best in (("final", False), ("best", True)):
-        gens = trainer.generators(best)
-        write_checkpoint(run_dir / "checkpoints" / f"{which}.ckpt",
-                         {f"g{i}": g for i, g in enumerate(gens)})
-    _write_encoder(run_dir, data.encoder)
-    manifest["status"] = "completed"
-    manifest["completed_utc"] = _utc_now()
-    manifest["best_epoch"] = trainer.log.best_epoch
-    manifest["best_fd"] = float(trainer.log.best_fd)
-    _write_manifest(run_dir, manifest)
+        trainer.log.to_csv(run_dir / "logs" / "train_log.csv")
+        for which, best in (("final", False), ("best", True)):
+            gens = trainer.generators(best)
+            write_checkpoint(run_dir / "checkpoints" / f"{which}.ckpt",
+                             {f"g{i}": g for i, g in enumerate(gens)})
+        _write_encoder(run_dir, data.encoder)
+        record["best_epoch"] = trainer.log.best_epoch
+        record["best_fd"] = float(trainer.log.best_fd)
     print(run_dir)
     return 0
 
@@ -202,15 +218,9 @@ def cmd_generate(args) -> int:
     if args.n < 0:
         raise CliError(f"--n must be a row count of 0 or more, got {args.n}")
     run_dir = Path(args.run)
-    manifest = _read_manifest(run_dir)
-    if manifest.get("status") != "completed":
-        raise CliError(f"run {run_dir} did not complete (status: {manifest.get('status')})")
-    _verify_digest(run_dir, manifest, "config.yaml")
+    rel = f"checkpoints/{'best' if args.best else 'final'}.ckpt"
+    _completed_run(run_dir, "config.yaml", rel, "encoder.yaml")
     cfg = load_config(run_dir / "config.yaml")
-    which = "best" if args.best else "final"
-    rel = f"checkpoints/{which}.ckpt"
-    _verify_digest(run_dir, manifest, rel)
-    _verify_digest(run_dir, manifest, "encoder.yaml")
     models = read_checkpoint(run_dir / rel)
     enc = _read_encoder(run_dir, cfg.schema)
     heads = [
@@ -233,42 +243,40 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_seed(args.seed)
-    started = _utc_now()
     cfg = load_config(args.config)
     target = args.target or cfg.schema.target
     if target is None:
         raise CliError("no target attribute: pass --target or set schema.target")
     if target not in cfg.schema.names:
         raise CliError(f"target attribute {target!r} is not in the schema")
+    if cfg.schema.attributes[cfg.schema.index_of(target)].kind != "categorical":
+        raise CliError(f"target attribute {target!r} must be categorical")
     real = D.load_csv(args.real, cfg.schema)
     synth = D.load_csv(args.synth, cfg.schema)
-    out = _fresh_dir(args.out)  # before the evaluation, which can take minutes
-    enc = D.fit_encoder(real)
-    fd = M.frechet_distance(
-        M.dataset_stats(D.encode(real, enc)),
-        M.dataset_stats(D.encode(synth, enc)),
-    )
-    report = M.utility_fourway(real, synth, target, RngStream(args.seed, "eval"))
-    body = {
-        "frechet_distance": float(fd),
-        "total_difference": report.total_difference,
-        "settings": {
-            name: {"accuracy": acc, "f1": f1}
-            for name, acc, f1 in report.as_rows()
-        },
-        "target": target,
-        "seed": args.seed,
-    }
-    with open(out / "report.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(body, f, sort_keys=True)
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("setting,accuracy,f1\n")
-        for name, acc, f1 in report.as_rows():
-            f.write(f"{name},{_float_repr(acc)},{_float_repr(f1)}\n")
-        f.write(f"FD,{_float_repr(fd)},\n")
-        f.write(f"TOTAL_DIFFERENCE,{_float_repr(report.total_difference)},\n")
-    _write_manifest(out, {"status": "completed", "created_utc": started,
-                          "completed_utc": _utc_now(), "seed": args.seed})
+    # made before the evaluation, which can take minutes
+    with _run_dir(args.out, {"seed": args.seed}) as out:
+        enc = D.fit_encoder(real)
+        fd = M.frechet_distance(
+            M.dataset_stats(D.encode(real, enc)),
+            M.dataset_stats(D.encode(synth, enc)),
+        )
+        report = M.utility_fourway(real, synth, target, RngStream(args.seed, "eval"))
+        _write_yaml(out / "report.yaml", {
+            "frechet_distance": float(fd),
+            "total_difference": report.total_difference,
+            "settings": {
+                name: {"accuracy": acc, "f1": f1}
+                for name, acc, f1 in report.as_rows()
+            },
+            "target": target,
+            "seed": args.seed,
+        })
+        with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f:
+            f.write("setting,accuracy,f1\n")
+            for name, acc, f1 in report.as_rows():
+                f.write(f"{name},{_float_repr(acc)},{_float_repr(f1)}\n")
+            f.write(f"FD,{_float_repr(fd)},\n")
+            f.write(f"TOTAL_DIFFERENCE,{_float_repr(report.total_difference)},\n")
     print(out)
     return 0
 
@@ -304,7 +312,6 @@ def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
 
 
 def cmd_audit(args) -> int:
-    started = _utc_now()
     cfg = load_config(args.config)
     if cfg.audit is None:
         raise CliError("config has no audit section")
@@ -322,47 +329,33 @@ def cmd_audit(args) -> int:
     # one mechanism for both worlds, calibrated for the leave-one-out world
     dp_cfg, dp_record = _resolve_dp(cfg, ds.n_rows - 1)
     acfg = dataclasses.replace(acfg, dp=dp_cfg)
-    out = _fresh_dir(args.out if args.out else cfg.output_dir)
     root = RngStream(cfg.seed, "audit")
-    manifest = {"created_utc": started, "seed": cfg.seed}
     results = {}
-    try:
+    with _run_dir(args.out if args.out else cfg.output_dir, {"seed": cfg.seed}) as out:
         for mode in acfg.modes:
             trainer = au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
             sets = trainer(ds, target, cfg.split, acfg, root.child(mode))
-            report = au.run_attack(sets, acfg, root.child(mode, "attack"))
-            results[mode] = report
+            results[mode] = au.run_attack(sets, acfg, root.child(mode, "attack"))
             for kind in acfg.feature_kinds:
                 _write_feature_csv(
                     out / f"features_{mode}_{kind}.csv",
                     sets.features[kind],
                     sets.labels,
                 )
-    except Exception as exc:
-        _write_manifest(out, {**manifest, "status": "failed", "error": str(exc),
-                              "completed_utc": _utc_now()})
-        raise
-    body = {
-        "target_index": int(target),
-        "shadows_per_world": acfg.shadows,
-        "repeats": acfg.repeats,
-        "dp_enabled": dp_cfg is not None,
-        "results": {
-            mode: {
-                kind: {
-                    "auc_mean": rep.auc_mean[kind],
-                    "auc_std": rep.auc_std[kind],
-                }
-                for kind in rep.auc_mean
-            }
-            for mode, rep in results.items()
-        },
-    }
-    if dp_record is not None:
-        body["dp"] = dp_record
-    with open(out / "audit_report.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(body, f, sort_keys=True)
-    _write_manifest(out, {**manifest, "status": "completed", "completed_utc": _utc_now()})
+        body = {
+            "target_index": int(target),
+            "shadows_per_world": acfg.shadows,
+            "repeats": acfg.repeats,
+            "dp_enabled": dp_cfg is not None,
+            "results": {
+                mode: {kind: {"auc_mean": rep.auc_mean[kind], "auc_std": rep.auc_std[kind]}
+                       for kind in rep.auc_mean}
+                for mode, rep in results.items()
+            },
+        }
+        if dp_record is not None:
+            body["dp"] = dp_record
+        _write_yaml(out / "audit_report.yaml", body)
     print(out)
     return 0
 

@@ -343,6 +343,8 @@ class TestTrainCommand:
         run.mkdir()
         (run / "junk").write_text("x")
         assert main(["train", "--config", str(cfg_path)]) == 1
+        # refused before anything is written, the manifest included
+        assert [p.name for p in run.iterdir()] == ["junk"]
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg_path = toy_config(tmp_path)
@@ -389,6 +391,42 @@ class TestTrainCommand:
         manifest = yaml.safe_load((tmp_path / "run" / "manifest.yaml").read_text())
         assert manifest["status"] == "failed"
         assert "epoch 1" in manifest["error"]
+
+    def test_interrupted_run_marked(self, tmp_path, monkeypatch):
+        # an interrupt is no Exception, but it still leaves a failed manifest
+        cfg_path = toy_config(tmp_path)
+
+        def interrupt(*a, **k):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("vfsynth.cli.fg.train", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--config", str(cfg_path)])
+        run = tmp_path / "run"
+        manifest = yaml.safe_load((run / "manifest.yaml").read_text())
+        assert (manifest["status"], manifest["error"]) == ("failed", "KeyboardInterrupt")
+        assert sorted(manifest["inventory"]) == ["config.yaml"]
+        assert not (run / "manifest.yaml.tmp").exists()
+
+    def test_manifest_reads_running_during_training(self, tmp_path, monkeypatch, capsys):
+        # a run killed mid-training says what it is, and generate refuses it
+        cfg_path = toy_config(tmp_path)
+        run = tmp_path / "run"
+        real_train, seen = fg.train, []
+
+        def observed_train(*args):
+            seen.append(yaml.safe_load((run / "manifest.yaml").read_text())["status"])
+            seen.append(main(["generate", "--run", str(run), "--n", "5", "--seed", "1",
+                              "--out", str(tmp_path / "s.csv")]))
+            return real_train(*args)
+
+        monkeypatch.setattr("vfsynth.cli.fg.train", observed_train)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert seen == ["running", 1]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not complete (status: running)" in err[0]
+        assert not (tmp_path / "s.csv").exists()
+        assert yaml.safe_load((run / "manifest.yaml").read_text())["status"] == "completed"
 
 
 class TestGenerateCommand:
@@ -481,6 +519,22 @@ class TestGenerateCommand:
         assert rc == 1
         assert "config.yaml digest mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "list"])
+    def test_bad_manifest_gives_one_error_line(self, tmp_path, capsys, damage):
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "run" / "manifest.yaml"
+        text = manifest.read_text()
+        cut = text.index("created_utc: '") + len("created_utc: '") + 4  # inside a quote
+        manifest.write_text({"empty": "", "truncated": text[:cut],
+                             "list": "- config.yaml\n- encoder.yaml\n"}[damage])
+        out = tmp_path / "s.csv"
+        assert main(["generate", "--run", str(tmp_path / "run"), "--n", "5",
+                     "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "manifest.yaml" in err[0]
+        assert not out.exists()
+
 
 def clock_around(monkeypatch, module, name, **kwargs):
     """Log clock reads and calls of ``module.name`` (given ``kwargs``) in
@@ -564,6 +618,15 @@ class TestEvalCommand:
         ])
         assert rc == 1
         assert "nope" in capsys.readouterr().err
+
+    def test_numeric_target_rejected_before_any_input_is_read(self, tmp_path, capsys):
+        # the CSVs do not exist, so the one error line is the target's
+        missing, out = str(tmp_path / "missing.csv"), tmp_path / "ev"
+        assert main(["eval", "--real", missing, "--synth", missing, "--target", "a",
+                     "--config", str(toy_config(tmp_path)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: target attribute 'a' must be categorical"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "eval"])
@@ -819,6 +882,18 @@ class TestAuditCommand:
         assert manifest["error"] == "non-finite loss at epoch 1, role d1"
         assert sorted(manifest["inventory"]) == ["features_assd_naive.csv"]
         assert not (out / "audit_report.yaml").exists()
+
+    def test_refuses_nonempty_output(self, tmp_path, capsys):
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn", "train_count": 2, "test_count": 2}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        out = tmp_path / "aud"
+        out.mkdir()
+        (out / "junk").write_text("x")
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not empty" in err[0]
+        assert [p.name for p in out.iterdir()] == ["junk"]
 
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(
