@@ -64,6 +64,7 @@ __all__ = [
 
 FEATURE_KINDS = ("naive", "correlation")
 AUDIT_MODES = ("assd", "asif")
+SELECT_RULES = ("outlier", "nn")
 
 
 def thread_count() -> int:
@@ -81,8 +82,8 @@ def thread_count() -> int:
 
 
 # least values; the attack's AUC needs two test shadows per world
-_INTS = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
-         "synthetic_rows": 1, "train_count": 1, "test_count": 2}
+_AUDIT_LEAST = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
+                "synthetic_rows": 1, "train_count": 1, "test_count": 2}
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class AuditConfig:
     modes: tuple[str, ...] = ("assd",)
     feature_kinds: tuple[str, ...] = FEATURE_KINDS
     target: int | None = None
-    select: str | None = None  # "outlier" | "nn"
+    select: str | None = None  # one of SELECT_RULES
     rows: int | None = None  # restrict the dataset to its first rows
     synthetic_rows: int | None = None  # defaults to the dataset size
     train_count: int | None = None
@@ -111,20 +112,8 @@ class AuditConfig:
     dp: DpConfig | None = None
 
     def __post_init__(self):
-        for name, least in _INTS.items():
-            v = getattr(self, name)
-            if v is None and name not in ("shadows", "repeats"):
-                continue
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"audit.{name} must be an integer, got {v!r}")
-            if v < least:
-                raise ValueError(f"audit.{name} must be at least {least}, got {v}")
-        for name, allowed in (("modes", AUDIT_MODES), ("feature_kinds", FEATURE_KINDS)):
-            got = getattr(self, name)
-            if not isinstance(got, tuple) or not all(v in allowed for v in got):
-                raise ValueError(f"audit.{name} must list names from {allowed}, got {got!r}")
-        if self.select not in (None, "outlier", "nn"):
-            raise ValueError(f"audit.select must be outlier or nn, got {self.select!r}")
+        fg.check_settings(self, "audit", _AUDIT_LEAST, choices={
+            "modes": AUDIT_MODES, "feature_kinds": FEATURE_KINDS, "select": SELECT_RULES})
         # ASIF probes the D_i^1 whose features parties send to a server
         if "asif" in self.modes and self.variant not in fg.SERVER_VARIANTS:
             raise ValueError(f"audit.modes: asif needs a variant with a server critic "
@@ -265,12 +254,11 @@ def _run_jobs(job, batch, keys):
     """``job(batch, key)`` for each key, in worker processes.
 
     ``batch`` holds what every job of the ensemble reads: both worlds, the
-    config, the split, the stream and the job's extra argument. It reaches
-    each worker once, through the pool's initializer, so the work items are
-    the small ``(world, m)`` keys alone. With one worker the same jobs run
-    in this process on the same inputs. Jobs are pure functions of their
-    inputs with their own derived streams, so the execution backend cannot
-    affect any number.
+    config, the split and the stream. It reaches each worker once, through
+    the pool's initializer, so the work items are the small ``(world, m)``
+    keys alone. With one worker the same jobs run in this process on the
+    same inputs. Jobs are pure functions of their inputs with their own
+    derived streams, so the execution backend cannot affect any number.
     """
     workers = min(thread_count(), len(keys))
     if workers <= 1:
@@ -284,18 +272,20 @@ def _run_jobs(job, batch, keys):
 
 
 def _assd_job(batch, key):
-    worlds, cfg, split, rng, synth_rows = batch
+    worlds, cfg, split, rng = batch
     world, m = key
     world_ds = worlds[world]
     data = D.encode(world_ds, D.fit_encoder(world_ds))
     trainer = fg.train(cfg.variant, data, split, cfg.gan, cfg.dp,
                        rng.child("shadow", world, m))
+    # by default as many rows as the full dataset, world 1
+    synth_rows = cfg.synthetic_rows or worlds[1].n_rows
     synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
     return {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
 
 
 def _asif_job(batch, key):
-    worlds, cfg, split, rng, full_ds = batch
+    worlds, cfg, split, rng = batch
     world, m = key
     world_ds = worlds[world]
     enc = D.fit_encoder(world_ds)
@@ -305,21 +295,21 @@ def _asif_job(batch, key):
     for _ in range(cfg.gan.epochs):
         trainer.step_epoch()
     # the FULL dataset, encoded with the world's encoder, through D_i^1
-    views = fg.partition(D.encode(full_ds, enc), split).views
+    views = fg.partition(D.encode(worlds[1], enc), split).views
     feats = np.hstack(
         [nn_output(p.d1, v) for p, v in zip(trainer.parties, views)]
     )
     return {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
 
 
-def _shadow_sets(ds, target_index, split, cfg, rng, job, extra) -> FeatureSets:
+def _shadow_sets(ds, target_index, split, cfg, rng, job) -> FeatureSets:
     """``job`` for shadows m < M of world 0 (target out), then of world 1,
     every job with the one ``cfg``."""
     if not 0 <= target_index < ds.n_rows:
         raise D.DataError(f"target index {target_index} out of range")
     worlds = (D.leave_one_out(ds, target_index), ds)
     keys = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(job, (worlds, cfg, split, rng, extra), keys)
+    rows = _run_jobs(job, (worlds, cfg, split, rng), keys)
     features = {k: np.vstack([r[k] for r in rows]) for k in cfg.feature_kinds}
     labels = np.array([world for world, _ in keys], dtype=np.int64)
     return FeatureSets(features, labels)
@@ -333,8 +323,7 @@ def train_shadows_assd(
     rng: RngStream,
 ) -> FeatureSets:
     """Shadow generators per world; features of their synthetic outputs."""
-    synth_rows = cfg.synthetic_rows or ds.n_rows
-    return _shadow_sets(ds, target_index, split, cfg, rng, _assd_job, synth_rows)
+    return _shadow_sets(ds, target_index, split, cfg, rng, _assd_job)
 
 
 def train_shadows_asif(
@@ -349,7 +338,7 @@ def train_shadows_asif(
     summarized with the configured extractors."""
     if cfg.variant not in fg.SERVER_VARIANTS:
         raise ValueError("intermediate-feature auditing needs a variant with a server critic")
-    return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job, ds)
+    return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job)
 
 
 # ---------------------------------------------------------------------------

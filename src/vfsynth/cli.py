@@ -296,7 +296,7 @@ def _select_target(ds: D.TabularDataset, acfg, override_select, override_target)
             return au.find_vulnerable_outlier(ds)[0]
         if select == "nn":
             return au.find_vulnerable_nn(ds)
-        # the config loader requires a target or a select rule
+        # the config loader requires exactly one of a target and a select rule
         name, target = "audit.target", acfg.target
     if not 0 <= target < ds.n_rows:
         raise CliError(f"{name} {target} is out of range for the {ds.n_rows} audited rows")
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="leave-one-out membership-inference audit")
     p.add_argument("--config", required=True)
-    p.add_argument("--select", choices=("outlier", "nn"), default=None)
+    p.add_argument("--select", choices=au.SELECT_RULES, default=None)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)

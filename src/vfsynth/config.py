@@ -1,7 +1,8 @@
 """Run configuration: a versioned YAML document with a validating loader.
 
 Top-level keys (see README for the full reference); an unknown key in any
-section is an error:
+section is an error, and ``fedgan.check_settings`` types, bounds and
+name-checks the keys of ``gan``, ``dp`` and ``audit``:
 
 * ``config_version`` — must be 1.
 * ``dataset`` — ``path`` plus ``schema`` (ordered ``attributes`` with
@@ -12,15 +13,15 @@ section is an error:
 * ``variant`` — vflgan | vflgan_base | vertigan | central.
 * ``seed`` — integer base seed; every stream in the run derives from it.
 * ``output_dir`` — run directory to create.
-* ``gan`` — optional ``GanConfig`` overrides, type-checked by ``GanConfig``.
+* ``gan`` — optional ``GanConfig`` overrides.
 * ``dp`` — optional ``DpTarget``: ``epsilon``, ``delta``, ``clip``, finite
   numbers; the noise multiplier is calibrated by the accountant before
   training.
 * ``audit`` — optional ``AuditConfig`` settings: ``modes`` (assd/asif),
-  ``shadows``, ``repeats``, ``feature_kinds``, ``target`` index or
-  ``select`` (outlier|nn), ``rows``, ``synthetic_rows``, ``train_count``,
-  ``test_count``. ``AuditConfig`` checks them and takes the run's
-  ``variant`` and ``gan``.
+  ``shadows``, ``repeats``, ``feature_kinds``, exactly one of a ``target``
+  index and a ``select`` rule (outlier|nn), ``rows``, ``synthetic_rows``,
+  ``train_count``, ``test_count``. ``AuditConfig`` takes the run's
+  ``variant`` and ``gan``. Its lists must be non-empty and distinct.
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ class DpTarget:
     clip: float = 1.0
 
     def __post_init__(self):
+        fg.check_settings(self, "dp", {}, positive=("epsilon", "clip"))
         for f in fields(self):
-            v = getattr(self, f.name)
-            fg.check_setting(f"dp.{f.name}", f.type, v)
             # stored as floats: an integer epsilon is written as 10.0
-            object.__setattr__(self, f.name, float(v))
-        for name in ("epsilon", "clip"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"dp.{name} must be > 0, got {getattr(self, name)}")
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if not 0 < self.delta < 1:
             raise ValueError(f"dp.delta must lie in (0, 1), got {self.delta}")
 
@@ -179,8 +176,9 @@ def load_config(path) -> RunConfig:
     audit = None
     if doc.get("audit") is not None:
         audit = _section(AuditConfig, doc["audit"], "audit", variant=variant, gan=gan)
-        if audit.target is None and audit.select is None:
-            raise ConfigError("audit needs an explicit target or a select rule")
+        if (audit.target is None) == (audit.select is None):
+            raise ConfigError("audit needs an explicit target or a select rule: "
+                              "set exactly one of audit.target and audit.select")
     try:
         return RunConfig(
             dataset_path=str(_require(dataset, "path", "dataset")),

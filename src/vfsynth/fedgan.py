@@ -101,30 +101,47 @@ class TrainingDiverged(RuntimeError):
     """A loss became non-finite; names the epoch and role."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def check_setting(key: str, annotation: str, v) -> None:
-    """Reject a config value of the wrong type, naming it ``<section>.<field>``."""
-    if annotation == "int":
-        ok, want = _is_int(v), "an integer"
-    elif annotation == "float":
-        ok = _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-        want = "a finite number"
-    else:  # hidden-layer widths
-        ok = isinstance(v, tuple) and all(_is_int(w) and w > 0 for w in v)
-        want = "a list of positive integers"
-    if not ok:
-        hint = ""
-        if annotation == "float" and isinstance(v, str):
-            try:
-                float(v)
-                hint = ("; YAML reads a number without a dot, such as 1e-4, "
-                        "as a string: write 1.0e-4")
-            except ValueError:
-                pass
-        raise ValueError(f"{key} must be {want}, got {v!r}{hint}")
+def check_settings(obj, section: str, least: dict, positive=(), choices=None) -> None:
+    """Check each field of the settings dataclass ``obj`` by its annotation:
+    ``int`` (not a bool), finite ``float``, ``tuple[int, ...]`` of positive
+    widths, ``X | None`` (also None); others are not checked. A ``choices``
+    field is one of its names, or a non-empty list of distinct names. Then
+    ``positive`` fields must be > 0 and ``least`` ones at least their value."""
+    for f in fields(obj):
+        key, v = f"{section}.{f.name}", getattr(obj, f.name)
+        kind, names = f.type.removesuffix(" | None"), (choices or {}).get(f.name)
+        if v is None and kind != f.type:
+            continue
+        if names and kind == "tuple[str, ...]":
+            ok = (isinstance(v, tuple) and len(v) > 0 and all(n in names for n in v)
+                  and len(set(v)) == len(v))
+            want = f"a non-empty list of distinct names from {names}"
+        elif names:
+            ok, want = v in names, f"one of {names}"
+        elif kind == "int":
+            ok, want = type(v) is int, "an integer"  # a bool is an int subclass
+        elif kind == "float":
+            ok = type(v) is int or (isinstance(v, float) and math.isfinite(v))
+            want = "a finite number"
+        elif kind == "tuple[int, ...]":  # hidden-layer widths
+            ok = isinstance(v, tuple) and all(type(w) is int and w > 0 for w in v)
+            want = "a list of positive integers"
+        else:
+            continue
+        if not ok:
+            hint = ""
+            if kind == "float" and isinstance(v, str):
+                try:
+                    float(v)
+                    hint = ("; YAML reads a number without a dot, such as 1e-4, "
+                            "as a string: write 1.0e-4")
+                except ValueError:
+                    pass
+            raise ValueError(f"{key} must be {want}, got {v!r}{hint}")
+        if f.name in positive and v <= 0:
+            raise ValueError(f"{key} must be > 0, got {v}")
+        if f.name in least and v < least[f.name]:
+            raise ValueError(f"{key} must be >= {least[f.name]}, got {v}")
 
 
 _GAN_POSITIVE = ("latent_dim", "feature_dim", "eta_g", "eta_d", "eta_server",
@@ -156,17 +173,8 @@ class GanConfig:
     fd_sample_cap: int = 2048
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's source text
-            if f.type != "str":
-                check_setting(f"gan.{f.name}", f.type, getattr(self, f.name))
-        for name in _GAN_POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"gan.{name} must be > 0, got {getattr(self, name)}")
-        for name, least in _GAN_LEAST.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"gan.{name} must be >= {least}, got {getattr(self, name)}")
-        if self.numeric_activation not in ("identity", "tanh"):
-            raise ValueError("gan.numeric_activation must be 'identity' or 'tanh'")
+        check_settings(self, "gan", _GAN_LEAST, _GAN_POSITIVE,
+                       {"numeric_activation": ("identity", "tanh")})
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,19 @@ class TestAuditConfig:
         with pytest.raises(ValueError):
             tiny_audit_cfg(feature_kinds=("histogram",))
 
+    # an empty list trained every shadow for an empty report; a repeated
+    # name trained and wrote the same ensemble twice
+    @pytest.mark.parametrize("field,value", [
+        ("modes", ()), ("modes", ("assd", "assd")), ("modes", "assd"),
+        ("feature_kinds", ()), ("feature_kinds", ("naive", "correlation", "naive")),
+        ("feature_kinds", "naive"),
+    ], ids=["modes-empty", "modes-repeated", "modes-string",
+            "kinds-empty", "kinds-repeated", "kinds-string"])
+    def test_name_lists_must_be_non_empty_and_distinct(self, field, value):
+        with pytest.raises(ValueError, match=rf"^audit\.{field} must be a non-empty list "
+                                             "of distinct names"):
+            tiny_audit_cfg(**{field: value})
+
 
 class TestThreadCount:
     def test_unset_defaults_to_cpu_count(self, monkeypatch):

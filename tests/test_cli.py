@@ -213,6 +213,22 @@ class TestConfig:
         p = toy_config(tmp_path, extra={"audit": {"shadows": 6}})
         with pytest.raises(ConfigError, match="target"):
             load_config(p)
+        # both: the select rule's record was audited and the target ignored
+        p = toy_config(tmp_path, extra={"audit": {"shadows": 6, "target": 5, "select": "nn"}})
+        with pytest.raises(ConfigError, match="exactly one of audit.target and audit.select"):
+            load_config(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("modes", []), ("modes", ["assd", "assd"]), ("modes", "assd"),
+        ("feature_kinds", []), ("feature_kinds", ["naive", "naive"]),
+        ("feature_kinds", "naive"),
+    ], ids=["modes-empty", "modes-repeated", "modes-string",
+            "kinds-empty", "kinds-repeated", "kinds-string"])
+    def test_audit_name_lists_must_be_non_empty_and_distinct(self, tmp_path, field, value):
+        audit = {"shadows": 6, "select": "nn", field: value}
+        p = toy_config(tmp_path, extra={"audit": audit})
+        with pytest.raises(ConfigError, match=f"audit.{field} must be a non-empty list"):
+            load_config(p)
 
 
 class TestTrainCommand:

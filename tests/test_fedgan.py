@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
-from vfsynth.config import load_config
+from vfsynth.audit import AuditConfig
+from vfsynth.config import _RUN_FIELDS, DpTarget, load_config
 from vfsynth.dp import DpConfig
 from vfsynth.metrics import dataset_stats, frechet_distance, stats_from_matrix
 from vfsynth.rng import RngStream
@@ -190,6 +192,35 @@ class TestGanConfig:
     def test_boundary_values_accepted(self):
         cfg = small_cfg(lambda_gp=0.0, fd_sample_cap=2)
         assert cfg.lambda_gp == 0.0 and cfg.fd_sample_cap == 2
+
+
+# each config section, the arguments it cannot go without, and its keys: every
+# field but the run's variant, GAN and DP settings, which AuditConfig is handed
+SECTIONS = [("gan", fg.GanConfig, {}), ("dp", DpTarget, {"epsilon": 10.0, "delta": 1e-3}),
+            ("audit", AuditConfig, {})]
+SECTION_KEYS = [(section, cls, base, f) for section, cls, base in SECTIONS
+                for f in fields(cls) if f.name not in _RUN_FIELDS]
+
+
+class TestCheckSettings:
+    """``check_settings`` checks every key of the gan, dp and audit sections."""
+
+    # a key added without a check accepts True and fails here
+    @pytest.mark.parametrize("section,cls,base,f", SECTION_KEYS,
+                             ids=[f"{s}.{f.name}" for s, _, _, f in SECTION_KEYS])
+    def test_every_key_rejects_a_bool(self, section, cls, base, f):
+        with pytest.raises(ValueError, match=rf"^{section}\.{f.name} must be "):
+            cls(**{**base, f.name: True})
+
+    # gan and dp have float keys; audit has none yet
+    FLOATS = [(s, cls, base, f) for s, cls, base, f in SECTION_KEYS if f.type == "float"]
+
+    @pytest.mark.parametrize("section,cls,base,f", FLOATS,
+                             ids=[f"{s}.{f.name}" for s, _, _, f in FLOATS])
+    def test_float_given_as_yaml_string_gets_the_hint(self, section, cls, base, f):
+        with pytest.raises(ValueError, match=rf"^{section}\.{f.name} must be a finite "
+                                             r"number, got '1e-4'.*write 1\.0e-4"):
+            cls(**{**base, f.name: "1e-4"})
 
 
 class TestMonolithEquivalence:
