@@ -1,9 +1,11 @@
 """Command-line front end and run-directory persistence.
 
 Commands: ``train``, ``generate``, ``eval``, ``audit``, and the accountant
-subcommands ``accountant report`` / ``accountant calibrate``. Every command
-writes into a fresh directory, never mutates its inputs, and exits 0 on
-success or 1 with a diagnostic line on stderr. Given the same config and
+subcommands ``accountant report`` / ``accountant calibrate``. ``train``,
+``eval`` and ``audit`` write a fresh directory; ``generate`` writes a new file
+and never overwrites one; ``accountant`` prints to stdout, plus an optional
+curve file. No command mutates its inputs, and each exits 0 on success or 1
+with a diagnostic line on stderr. Given the same config and
 seed, every emitted checkpoint, log, and report is byte-identical across
 reruns; manifests additionally carry wall-clock timestamps and content
 digests of every file in the run directory.
@@ -136,10 +138,6 @@ def _completed_run(run_dir: Path, *rels: str) -> None:
             raise CliError(f"{rel} digest mismatch: file was modified after the run")
 
 
-def _float_repr(v) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -217,6 +215,8 @@ def cmd_generate(args) -> int:
     _check_seed(args.seed)
     if args.n < 0:
         raise CliError(f"--n must be a row count of 0 or more, got {args.n}")
+    if os.path.lexists(args.out):
+        raise CliError(f"--out {args.out} exists; generate never overwrites a file")
     run_dir = Path(args.run)
     rel = f"checkpoints/{'best' if args.best else 'final'}.ckpt"
     _completed_run(run_dir, "config.yaml", rel, "encoder.yaml")
@@ -271,12 +271,9 @@ def cmd_eval(args) -> int:
             "target": target,
             "seed": args.seed,
         })
-        with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f:
-            f.write("setting,accuracy,f1\n")
-            for name, acc, f1 in report.as_rows():
-                f.write(f"{name},{_float_repr(acc)},{_float_repr(f1)}\n")
-            f.write(f"FD,{_float_repr(fd)},\n")
-            f.write(f"TOTAL_DIFFERENCE,{_float_repr(report.total_difference)},\n")
+        D.write_csv(out / "metrics.csv", ["setting", "accuracy", "f1"], [
+            *report.as_rows(), ("FD", fd, ""),
+            ("TOTAL_DIFFERENCE", report.total_difference, "")])
     print(out)
     return 0
 
@@ -304,11 +301,9 @@ def _select_target(ds: D.TabularDataset, acfg, override_select, override_target)
 
 
 def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        cols = ",".join(f"f{i}" for i in range(x.shape[1]))
-        f.write(f"label,{cols}\n")
-        for row, y in zip(x, labels):
-            f.write(str(int(y)) + "," + ",".join(_float_repr(v) for v in row) + "\n")
+    # a row at a time: all of x as Python lists at once raises the peak memory
+    D.write_csv(path, ["label", *(f"f{i}" for i in range(x.shape[1]))],
+                ([y, *row.tolist()] for y, row in zip(labels.tolist(), x)))
 
 
 def cmd_audit(args) -> int:
@@ -377,10 +372,7 @@ def cmd_accountant_report(args) -> int:
     )
     if args.curve:
         curve = dpmod.pipeline_curve(args.sigma, args.gamma, args.steps)
-        with open(args.curve, "w", encoding="utf-8", newline="") as f:
-            f.write("alpha,epsilon\n")
-            for a, e in zip(dpmod.ALPHAS, curve):
-                f.write(f"{int(a)},{_float_repr(e)}\n")
+        D.write_csv(args.curve, ["alpha", "epsilon"], zip(dpmod.ALPHAS, curve))
         print(args.curve)
     return 0
 

@@ -29,6 +29,7 @@ __all__ = [
     "EncodedDataset",
     "VerticalSplit",
     "load_csv",
+    "write_csv",
     "fit_encoder",
     "encode",
     "decode",
@@ -124,13 +125,22 @@ class TabularDataset:
         return tuple(out)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(self.schema.names)
-            for i in range(self.n_rows):
-                writer.writerow(
-                    [v if isinstance(v, str) else repr(v) for v in self.raw_row(i)]
-                )
+        write_csv(path, self.schema.names, (self.raw_row(i) for i in range(self.n_rows)))
+
+
+def write_csv(path, header, rows) -> None:
+    r"""The one CSV writer: ``header``, then ``rows``, as UTF-8 with ``"\n"`` line
+    ends. A ``str`` cell is written as is, a Python or numpy integer in decimal
+    and any other number as ``repr(float(v))``, never as ``np.float64(...)``."""
+    def cell(v) -> str:
+        if type(v) is float or not isinstance(v, (str, int, np.integer)):
+            return repr(float(v))
+        return v if isinstance(v, str) else str(int(v))
+
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(list(map(cell, row)) for row in rows)
 
 
 def _parse_cell(attr: Attribute, cell: str, line: int):

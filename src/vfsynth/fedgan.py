@@ -52,14 +52,13 @@ synthetic rows from it.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import nn
-from .data import DataError, EncodedDataset, Encoder, VerticalSplit
+from .data import DataError, EncodedDataset, Encoder, VerticalSplit, write_csv
 from .dp import DpConfig, apply_mechanism
 from .metrics import frechet_distance, stats_from_matrix
 from .nn import AdamState, Mlp
@@ -132,9 +131,9 @@ def check_settings(obj, section: str, least: dict, positive=(), choices=None) ->
             hint = ""
             if kind == "float" and isinstance(v, str):
                 try:
-                    float(v)
-                    hint = ("; YAML reads a number without a dot, such as 1e-4, "
-                            "as a string: write 1.0e-4")
+                    if math.isfinite(float(v)):  # not 'nan' or 'inf'
+                        hint = ("; YAML reads a number without a dot, such as 1e-4, "
+                                "as a string: write 1.0e-4")
                 except ValueError:
                     pass
             raise ValueError(f"{key} must be {want}, got {v!r}{hint}")
@@ -489,14 +488,7 @@ class TrainLog:
             self.best_epoch = rec.epoch
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["epoch", "fd", "loss_d1", "loss_d2", "loss_ds", "loss_g"])
-            for r in self.records:
-                w.writerow(
-                    [r.epoch] + [repr(v) for v in
-                                 (r.fd, r.loss_d1, r.loss_d2, r.loss_ds, r.loss_g)]
-                )
+        write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, self.records))
 
 
 def generate_from(

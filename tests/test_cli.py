@@ -241,6 +241,7 @@ class TestTrainCommand:
         assert (run / "checkpoints" / "best.ckpt").exists()
         log = (run / "logs" / "train_log.csv").read_text().strip().split("\n")
         assert len(log) == 4  # header + 3 epochs
+        assert log[0] == "epoch,fd,loss_d1,loss_d2,loss_ds,loss_g"
         manifest = yaml.safe_load((run / "manifest.yaml").read_text())
         assert manifest["status"] == "completed"
         assert sorted(p.name for p in run.iterdir()) == [
@@ -474,6 +475,24 @@ class TestGenerateCommand:
         d.decode(trainer.sample(20, RngStream(9, "generate"), best=True)).to_csv(want)
         assert out.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("existing", ["run-config", "unrelated"])
+    def test_existing_output_refused_and_left_untouched(self, tmp_path, capsys, existing):
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == 0
+        capsys.readouterr()
+        run = tmp_path / "run"
+        out = run / "config.yaml" if existing == "run-config" else tmp_path / "kept.csv"
+        if existing == "unrelated":
+            out.write_text("kept\n")
+        before = out.read_bytes()
+        assert main(["generate", "--run", str(run), "--n", "5", "--seed", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out") and str(out) in err[0]
+        assert out.read_bytes() == before
+        # the run it would have overwritten still generates
+        assert main(["generate", "--run", str(run), "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_unwritable_output_gives_one_error_line(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path)
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -591,6 +610,8 @@ class TestEvalCommand:
         lines = (tmp_path / "ev" / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "setting,accuracy,f1"
         assert len(lines) == 7  # 4 settings + FD + total difference
+        assert lines[-2:] == [f"FD,{float(rep['frechet_distance'])!r},",
+                              f"TOTAL_DIFFERENCE,{float(rep['total_difference'])!r},"]
 
     def test_manifest_start_time_taken_first(self, tmp_path, monkeypatch):
         from vfsynth import metrics

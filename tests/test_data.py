@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -287,3 +288,15 @@ class TestSubsampleAndLeaveOneOut:
         assert np.allclose(back.columns[0], ds.columns[0])
         assert np.array_equal(back.columns[1], ds.columns[1])
         assert np.array_equal(back.columns[2], ds.columns[2])
+        # a category holding the delimiter and the quote is written quoted
+        odd = d.Attribute("c", "categorical", ("x", 'y, "z"'))
+        schema = d.Schema((*ds.schema.attributes[:2], odd))
+        ds = d.TabularDataset(schema, (ds.columns[0][:2], ds.columns[1][:2],
+                                       np.array([1, 0])))
+        ds.to_csv(p)
+        assert p.read_text().split("\n")[1].endswith(',"y, ""z"""')
+        assert d.load_csv(p, schema).raw_row(0) == ds.raw_row(0)
+        # numpy scalars print as plain numbers; a str cell is written as is
+        d.write_csv(p, ["i", "x", "e"], [(np.int64(7), np.float64(0.1), ""),
+                                         (3, math.nan, "s")])
+        assert p.read_bytes() == b"i,x,e\n7,0.1,\n3,nan,s\n"

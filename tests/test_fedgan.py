@@ -222,6 +222,14 @@ class TestCheckSettings:
                                              r"number, got '1e-4'.*write 1\.0e-4"):
             cls(**{**base, f.name: "1e-4"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,cls,base,f", FLOATS,
+                             ids=[f"{s}.{f.name}" for s, _, _, f in FLOATS])
+    def test_non_finite_yaml_string_gets_no_hint(self, section, cls, base, f, value):
+        with pytest.raises(ValueError, match=rf"^{section}\.{f.name} must be a finite "
+                                             rf"number, got '{value}'$"):
+            cls(**{**base, f.name: value})
+
 
 class TestMonolithEquivalence:
     def test_single_step_toy(self):
