@@ -4,7 +4,7 @@ Commands: ``train``, ``generate``, ``eval``, ``audit``, and the accountant
 subcommands ``accountant report`` / ``accountant calibrate``. ``train``,
 ``eval`` and ``audit`` write a fresh directory; ``generate`` writes a new file
 and never overwrites one; ``accountant`` prints to stdout, plus an optional
-curve file. No command mutates its inputs, and each exits 0 on success or 1
+new curve file. No command mutates its inputs, and each exits 0 on success or 1
 with a diagnostic line on stderr. Given the same config and
 seed, every emitted checkpoint, log, and report is byte-identical across
 reruns; manifests additionally carry wall-clock timestamps and content
@@ -360,6 +360,8 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_accountant_report(args) -> int:
+    if args.curve and os.path.lexists(args.curve):
+        raise CliError(f"--curve {args.curve} exists; accountant never overwrites a file")
     rep = dpmod.budget_report(args.sigma, args.gamma, args.steps, args.delta)
     print(f"sigma={rep.sigma} gamma={rep.gamma} steps={rep.steps} delta={rep.delta}")
     print(
@@ -437,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gamma", type=float, required=True)
     r.add_argument("--steps", type=int, required=True)
     r.add_argument("--delta", type=float, required=True)
-    r.add_argument("--curve", default=None, help="write the composed curve as CSV")
+    r.add_argument("--curve", default=None,
+                   help="write the composed curve as CSV to a new file")
     r.set_defaults(func=cmd_accountant_report)
     c = acc.add_parser("calibrate", help="smallest sigma meeting a budget")
     c.add_argument("--epsilon", type=float, required=True)

@@ -1,6 +1,7 @@
 """Counter-based splittable random streams.
 
-Every source of randomness in this package is an :class:`RngStream`. A stream
+Every source of randomness in this package is an :class:`RngStream` (a
+forest's per-node feature draws hash keys drawn from one). A stream
 is identified by a 64-bit base seed plus a label path; the path is hashed into
 the key of a counter-based Philox generator, so
 
@@ -8,8 +9,8 @@ the key of a counter-based Philox generator, so
 * distinct paths yield independent sequences, and
 * drawing from one stream never affects any other stream.
 
-The last property is what lets parties, shadow-model jobs, and forest trees
-run in any order (or in parallel) without changing a single reported number.
+The last property is what lets parties and shadow-model jobs run in any
+order (or in parallel) without changing a single reported number.
 """
 
 from __future__ import annotations

@@ -586,6 +586,31 @@ class TestRunAttack:
         r2 = A.run_attack(sets, cfg, RngStream(6, "det"))
         assert r1 == r2
 
+    def test_one_forest_per_kind_and_repeat(self, monkeypatch):
+        # the benchmark's attack_forests check counts these calls: one forest
+        # trained and scored per (feature kind, repeat), none batched
+        calls = {"train_forest": 0, "predict_scores": 0}
+
+        def counted(name):
+            real = getattr(A, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(A, name, counted(name))
+        naive = self._labeled(n_per=12, gap=1.0, seed=8)
+        x = naive.features["naive"]
+        sets = A.FeatureSets({"naive": x, "correlation": x[:, :3]}, naive.labels)
+        cfg = tiny_audit_cfg(
+            shadows=12, train_count=8, test_count=4,
+            feature_kinds=("naive", "correlation"), repeats=3,
+        )
+        A.run_attack(sets, cfg, RngStream(9))
+        assert calls == {"train_forest": 2 * 3, "predict_scores": 2 * 3}
+
     def test_split_too_large_rejected_at_config(self):
         with pytest.raises(ValueError, match="exceeds"):
             tiny_audit_cfg(

@@ -971,6 +971,17 @@ class TestAccountantCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "c.csv" in err[0]
 
+    def test_existing_curve_refused_untouched(self, tmp_path, capsys):
+        curve = tmp_path / "keep.txt"
+        curve.write_text("keep\n")
+        assert main(["accountant", "report", "--sigma", "1", "--gamma", "0.1",
+                     "--steps", "10", "--delta", "1e-5", "--curve", str(curve)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the report is computed
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--curve" in err[0]
+        assert curve.read_text() == "keep\n"
+
     def test_calibrate_round_trip(self, capsys):
         assert main(["accountant", "calibrate", "--epsilon", "5.302585",
                      "--delta", "1e-5", "--gamma", "1", "--steps", "1"]) == 0

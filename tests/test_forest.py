@@ -64,6 +64,42 @@ def loop_best_split(x, y, n_classes):
     return best_feat, float(best_thresh)
 
 
+def recursive_tree(x, y, n_classes, rows, key, k):
+    """Plain recursive builder, the exact oracle of the level-wise one.
+
+    Each node keeps its bootstrap rows as a list with duplicates, splits with
+    the column-by-column scan on the builder's feature draw for its key, and
+    recurses left, then right; the nodes are numbered breadth-first at the end.
+    """
+    def grow(idx, key):
+        counts = np.bincount(y[idx], minlength=n_classes)
+        node = [int(np.argmax(counts)), None]
+        if counts.max() == len(idx):
+            return node
+        feats = F._node_features(np.array([key]), x.shape[1], k)[0]
+        found = loop_best_split(x[np.ix_(idx, feats)], y[idx], n_classes)
+        if found is not None:
+            j, thresh = found
+            mask = x[idx, feats[j]] <= thresh
+            lkey, rkey = F._child_keys(np.array([key]), k)
+            node[1] = (int(feats[j]), thresh, grow(idx[mask], lkey[0]),
+                       grow(idx[~mask], rkey[0]))
+        return node
+
+    order = [grow(np.sort(rows), key)]
+    columns = ([], [], [], [], [])  # feature, threshold, left, right, leaf
+    for leaf_class, split in order:  # the list grows while it is walked
+        if split is None:
+            cells = (-1, 0.0, -1, -1, leaf_class)
+        else:
+            cells = (split[0], split[1], len(order), len(order) + 1, leaf_class)
+            order += [split[2], split[3]]
+        for column, cell in zip(columns, cells):
+            column.append(cell)
+    return F.Tree(*(np.array(c, dtype=np.float64 if i == 1 else np.int64)
+                    for i, c in enumerate(columns)))
+
+
 def random_split_input(rng):
     """Rounded values (ties), some constant columns, 2 to 6 classes."""
     n = int(rng.integers(2, 80))
@@ -142,6 +178,29 @@ class TestBestSplit:
         assert j == 0 and 1.0 < t < 2.0
 
 
+class TestNodeFeatures:
+    def test_distinct_sorted_and_uniform_over_subsets(self):
+        keys = RngStream(18).integers(0, 2**63, size=24000).view(np.uint64)
+        feats = F._node_features(keys, 6, 3)
+        assert feats.shape == (24000, 3)
+        assert np.all(feats[:, :-1] < feats[:, 1:])
+        assert feats.min() == 0 and feats.max() == 5
+        # all C(6, 3) = 20 subsets, each near 1/20 of the draws
+        codes = (feats * np.array([36, 6, 1])).sum(axis=1)
+        subsets, freq = np.unique(codes, return_counts=True)
+        assert len(subsets) == 20
+        assert np.all(np.abs(freq - 1200) < 150)
+
+    def test_every_feature_when_k_is_d(self):
+        keys = np.arange(5, dtype=np.uint64)
+        assert np.array_equal(F._node_features(keys, 4, 4), np.tile(np.arange(4), (5, 1)))
+
+    def test_children_keys_differ_from_parent_and_each_other(self):
+        keys = RngStream(19).integers(0, 2**63, size=1000).view(np.uint64)
+        lkey, rkey = F._child_keys(keys, 3)
+        assert len(np.unique(np.concatenate([keys, lkey, rkey]))) == 3000
+
+
 class TestForest:
     def test_separable_blobs_high_accuracy(self):
         rng = RngStream(1, "blobs")
@@ -157,7 +216,7 @@ class TestForest:
         model = F.train_forest(x, y, 2, trees=1, rng=rng)
         # rows that actually appear in the bootstrap are perfectly replayed
         tree = model.trees[0]
-        boot = RngStream(2, "tree", 0).integers(0, 4, size=4)
+        boot = RngStream(2).child("bootstrap").integers(0, 4, size=(1, 4))[0]
         seen = np.unique(boot)
         pred = F.predict(model, x[seen])
         assert np.array_equal(pred, y[seen])
@@ -194,15 +253,30 @@ class TestForest:
             assert np.array_equal(t1.threshold, t2.threshold)
             assert np.array_equal(t1.leaf, t2.leaf)
 
-    def test_trees_match_loop_oracle(self, monkeypatch):
-        rng = RngStream(13)
-        x = np.round(rng.normal(90, 20), 1)
-        y = rng.integers(0, 4, size=90)
-        fast = F.train_forest(x, y, 4, trees=8, rng=RngStream(14))
-        monkeypatch.setattr(F, "best_split", loop_best_split)
-        slow = F.train_forest(x, y, 4, trees=8, rng=RngStream(14))
-        assert len(fast.trees) == len(slow.trees) == 8
-        for a, b in zip(fast.trees, slow.trees):
+    @pytest.mark.parametrize("n,d,seed", [(90, 20, 13), (150, 6, 14), (40, 60, 15)])
+    def test_trees_match_recursive_oracle(self, n, d, seed):
+        data = RngStream(seed, "oracle")
+        x = np.round(data.normal(n, d), 1)
+        y = data.integers(0, 3, size=n)
+        rng = RngStream(seed, "fit")
+        model = F.train_forest(x, y, 3, trees=8, rng=rng)
+        k = max(1, int(np.sqrt(d)))
+        boot = F._bootstrap(rng, 8, n)
+        keys = F._root_keys(rng, 8)
+        assert len(model.trees) == 8
+        for t, got in enumerate(model.trees):
+            want = recursive_tree(x, y, 3, boot[t], keys[t], k)
+            for name in ("feature", "threshold", "left", "right", "leaf"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, name)
+
+    def test_first_trees_are_the_smaller_forest(self):
+        rng = RngStream(16)
+        x = np.round(rng.normal(60, 9), 1)
+        y = rng.integers(0, 3, size=60)
+        big = F.train_forest(x, y, 3, trees=7, rng=RngStream(17))
+        small = F.train_forest(x, y, 3, trees=3, rng=RngStream(17))
+        for a, b in zip(small.trees, big.trees):
             for name in ("feature", "threshold", "left", "right", "leaf"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
@@ -237,9 +311,9 @@ class TestForest:
         rng = RngStream(8)
         x, y = blobs(rng, n_per=25, sep=0.5)
         model = F.train_forest(x, y, 2, trees=5, rng=rng.child("fit"))
-        for t, tree in enumerate(model.trees):
-            boot = rng.child("fit").child("tree", t).integers(0, len(y), size=len(y))
-            assert np.array_equal(F._tree_leaf_classes(tree, x[boot]), y[boot])
+        boots = rng.child("fit").child("bootstrap").integers(0, len(y), size=(5, len(y)))
+        for tree, boot in zip(model.trees, boots):
+            assert np.array_equal(F.predict(F.Forest(2, [tree]), x[boot]), y[boot])
 
     def test_pinned_tree_digest(self):
         # feature/threshold/left/right and each node's majority class of
@@ -254,5 +328,5 @@ class TestForest:
                 for a in (t.feature, t.threshold, t.left, t.right, t.leaf):
                     h.update(a.tobytes())
         assert h.hexdigest() == (
-            "549f0d12a7af72fa184cb76fe7818134eca142acec28152be3639e528ccef983"
+            "0e6fe69a1c5d5e95c92e40a80442eb532ccd1c8db7f0b8060f1eb65dc2531a89"
         )
