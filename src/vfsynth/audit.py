@@ -1,9 +1,11 @@
 """Leave-one-out membership-inference auditing.
 
-Two attack surfaces: published synthetic datasets (shadow generators trained
-with and without one fixed target record, features extracted from their
-outputs) and the protocol's intermediate features (full trainings per world,
-the whole dataset pushed through the trained first discriminator parts).
+Shadow trainings run with and without one fixed target record, and two
+attack surfaces read them: published synthetic datasets (ASSD, features of
+each shadow's best-epoch sample) and the protocol's intermediate features
+(ASIF, the whole dataset pushed through each shadow's trained first
+discriminator parts). Each shadow trains once, whatever the modes, so the
+two modes' estimates are paired.
 A decision-forest adversary is trained on balanced labeled features over
 repeated random train/test splits; the report carries the AUC mean and
 standard deviation per feature kind.
@@ -53,8 +55,7 @@ __all__ = [
     "extract_corr",
     "naive_features_matrix",
     "corr_features_matrix",
-    "train_shadows_assd",
-    "train_shadows_asif",
+    "train_shadows",
     "run_attack",
     "auc",
     "find_vulnerable_outlier",
@@ -271,74 +272,56 @@ def _run_jobs(job, batch, keys):
         return list(pool.map(_run_key, keys))
 
 
-def _assd_job(batch, key):
-    worlds, cfg, split, rng = batch
-    world, m = key
-    world_ds = worlds[world]
-    data = D.encode(world_ds, D.fit_encoder(world_ds))
-    trainer = fg.train(cfg.variant, data, split, cfg.gan, cfg.dp,
-                       rng.child("shadow", world, m))
-    # by default as many rows as the full dataset, world 1
-    synth_rows = cfg.synthetic_rows or worlds[1].n_rows
-    synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
-    return {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
-
-
-def _asif_job(batch, key):
+def _shadow_job(batch, key):
+    """Train shadow ``(world, m)`` once; each of ``cfg.modes`` reads its
+    features from that one trainer."""
     worlds, cfg, split, rng = batch
     world, m = key
     world_ds = worlds[world]
     enc = D.fit_encoder(world_ds)
-    # only the final D_i^1 are read, so the epochs skip the quality log
     trainer = fg.Trainer(cfg.variant, D.encode(world_ds, enc), split, cfg.gan, cfg.dp,
                          rng.child("shadow", world, m))
+    # only ASSD reads the per-epoch FD, to sample the best epoch; the FD draws
+    # from its own stream, so the final D_i^1 are the same either way
+    epoch = trainer.run_epoch if "assd" in cfg.modes else trainer.step_epoch
     for _ in range(cfg.gan.epochs):
-        trainer.step_epoch()
-    # the FULL dataset, encoded with the world's encoder, through D_i^1
-    views = fg.partition(D.encode(worlds[1], enc), split).views
-    feats = np.hstack(
-        [nn_output(p.d1, v) for p, v in zip(trainer.parties, views)]
-    )
-    return {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
+        epoch()
+    rows = {}
+    if "assd" in cfg.modes:
+        # by default as many rows as the full dataset, world 1
+        synth_rows = cfg.synthetic_rows or worlds[1].n_rows
+        synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
+        rows["assd"] = {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
+    if "asif" in cfg.modes:
+        # the FULL dataset, encoded with the world's encoder, through D_i^1
+        views = fg.partition(D.encode(worlds[1], enc), split).views
+        feats = np.hstack([nn_output(p.d1, v) for p, v in zip(trainer.parties, views)])
+        rows["asif"] = {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
+    return rows
 
 
-def _shadow_sets(ds, target_index, split, cfg, rng, job) -> FeatureSets:
-    """``job`` for shadows m < M of world 0 (target out), then of world 1,
-    every job with the one ``cfg``."""
-    if not 0 <= target_index < ds.n_rows:
-        raise D.DataError(f"target index {target_index} out of range")
+def train_shadows(
+    ds: D.TabularDataset,
+    target_index: int,
+    split: D.VerticalSplit,
+    cfg: AuditConfig,
+    rng: RngStream,
+) -> dict[str, FeatureSets]:
+    """Shadows m < M of world 0 (target out), then of world 1, each trained
+    once with the one ``cfg``; per mode of ``cfg.modes``, their features.
+
+    ASSD summarizes a shadow's best-epoch synthetic sample; ASIF pushes the
+    whole dataset through the shadow's trained first discriminator parts and
+    summarizes the per-record feature matrix."""
     worlds = (D.leave_one_out(ds, target_index), ds)
     keys = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(job, (worlds, cfg, split, rng), keys)
-    features = {k: np.vstack([r[k] for r in rows]) for k in cfg.feature_kinds}
+    rows = _run_jobs(_shadow_job, (worlds, cfg, split, rng), keys)
     labels = np.array([world for world, _ in keys], dtype=np.int64)
-    return FeatureSets(features, labels)
-
-
-def train_shadows_assd(
-    ds: D.TabularDataset,
-    target_index: int,
-    split: D.VerticalSplit,
-    cfg: AuditConfig,
-    rng: RngStream,
-) -> FeatureSets:
-    """Shadow generators per world; features of their synthetic outputs."""
-    return _shadow_sets(ds, target_index, split, cfg, rng, _assd_job)
-
-
-def train_shadows_asif(
-    ds: D.TabularDataset,
-    target_index: int,
-    split: D.VerticalSplit,
-    cfg: AuditConfig,
-    rng: RngStream,
-) -> FeatureSets:
-    """Full trainings per world; the whole dataset is pushed through each
-    trained first discriminator part and the per-record feature matrix is
-    summarized with the configured extractors."""
-    if cfg.variant not in fg.SERVER_VARIANTS:
-        raise ValueError("intermediate-feature auditing needs a variant with a server critic")
-    return _shadow_sets(ds, target_index, split, cfg, rng, _asif_job)
+    return {
+        mode: FeatureSets({k: np.vstack([r[mode][k] for r in rows]) for k in cfg.feature_kinds},
+                          labels)
+        for mode in cfg.modes
+    }
 
 
 # ---------------------------------------------------------------------------

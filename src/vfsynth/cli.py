@@ -117,9 +117,9 @@ def _run_dir(path: str, record: dict):
         _write_manifest(out, record)
 
 
-def _completed_run(run_dir: Path, *rels: str) -> None:
-    """Refuse ``run_dir`` unless its manifest says it completed and each of
-    ``rels`` still has the digest the manifest recorded."""
+def _completed_run(run_dir: Path, *rels: str) -> dict:
+    """The manifest of ``run_dir``; refuse the run unless it completed and
+    each of ``rels`` still has the digest the manifest recorded."""
     path = run_dir / "manifest.yaml"
     if not path.exists():
         raise CliError(f"{run_dir} has no manifest.yaml")
@@ -136,6 +136,7 @@ def _completed_run(run_dir: Path, *rels: str) -> None:
             raise CliError(f"{rel} is not in the run manifest inventory")
         if _sha256(run_dir / rel) != manifest["inventory"][rel]:
             raise CliError(f"{rel} digest mismatch: file was modified after the run")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,12 @@ def cmd_generate(args) -> int:
         raise CliError(f"--out {args.out} exists; generate never overwrites a file")
     run_dir = Path(args.run)
     rel = f"checkpoints/{'best' if args.best else 'final'}.ckpt"
-    _completed_run(run_dir, "config.yaml", rel, "encoder.yaml")
+    manifest = _completed_run(run_dir, "config.yaml", rel, "encoder.yaml")
+    # with no finite FD logged, best.ckpt holds the final, maybe untrained, generators
+    best_epoch = manifest.get("best_epoch")
+    if args.best and not (isinstance(best_epoch, int) and best_epoch >= 1):
+        raise CliError(f"run {run_dir} has no best epoch (best_epoch: {best_epoch}); "
+                       "drop --best to sample the final model")
     cfg = load_config(run_dir / "config.yaml")
     models = read_checkpoint(run_dir / rel)
     enc = _read_encoder(run_dir, cfg.schema)
@@ -253,6 +259,11 @@ def cmd_eval(args) -> int:
         raise CliError(f"target attribute {target!r} must be categorical")
     real = D.load_csv(args.real, cfg.schema)
     synth = D.load_csv(args.synth, cfg.schema)
+    for flag, path, table in (("--real", args.real, real), ("--synth", args.synth, synth)):
+        # an empty test fold would make every metric of its regime nan
+        if table.n_rows < M.FOLDS:
+            raise CliError(f"{flag} {path} has {table.n_rows} rows; the four-way "
+                           f"evaluation needs at least {M.FOLDS}, one per fold")
     # made before the evaluation, which can take minutes
     with _run_dir(args.out, {"seed": args.seed}) as out:
         enc = D.fit_encoder(real)
@@ -327,9 +338,9 @@ def cmd_audit(args) -> int:
     root = RngStream(cfg.seed, "audit")
     results = {}
     with _run_dir(args.out if args.out else cfg.output_dir, {"seed": cfg.seed}) as out:
-        for mode in acfg.modes:
-            trainer = au.train_shadows_assd if mode == "assd" else au.train_shadows_asif
-            sets = trainer(ds, target, cfg.split, acfg, root.child(mode))
+        # every mode reads the one ensemble, on the stream ASSD has always used
+        ensemble = au.train_shadows(ds, target, cfg.split, acfg, root.child("assd"))
+        for mode, sets in ensemble.items():
             results[mode] = au.run_attack(sets, acfg, root.child(mode, "attack"))
             for kind in acfg.feature_kinds:
                 _write_feature_csv(

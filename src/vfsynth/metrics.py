@@ -186,13 +186,16 @@ def _fold_eval(x_train, y_train, x_test, y_test, folds, n_classes, trees, rng):
     return float(np.mean(accs)), float(np.mean(f1s))
 
 
+FOLDS = 10  # cross-validation folds of the four-way utility
+
+
 def utility_fourway(
     real: D.TabularDataset,
     synth: D.TabularDataset,
     target: str,
     rng: RngStream,
     trees: int = 100,
-    folds: int = 10,
+    folds: int = FOLDS,
 ) -> UtilityReport:
     """Four-regime decision-forest utility of a synthetic dataset.
 

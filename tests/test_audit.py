@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -377,7 +378,7 @@ class TestShadows:
     def test_assd_shapes_and_balance(self):
         ds = mixed_dataset(16, seed=12)
         split = d.VerticalSplit(((0, 1), (2,)))
-        sets = A.train_shadows_assd(ds, 3, split, tiny_audit_cfg(), RngStream(13))
+        sets = A.train_shadows(ds, 3, split, tiny_audit_cfg(), RngStream(13))["assd"]
         assert sorted(sets.features.keys()) == ["correlation", "naive"]
         for kind, x in sets.features.items():
             assert x.shape[0] == 6  # 2 worlds x 3 shadows
@@ -387,43 +388,55 @@ class TestShadows:
     def test_assd_feature_length_constant(self):
         ds = mixed_dataset(16, seed=14)
         split = d.VerticalSplit(((0, 1), (2,)))
-        sets = A.train_shadows_assd(ds, 0, split, tiny_audit_cfg(), RngStream(15))
+        sets = A.train_shadows(ds, 0, split, tiny_audit_cfg(), RngStream(15))["assd"]
         x = sets.features["naive"]
         assert len({row.shape for row in x}) == 1
 
     def test_asif_feature_width(self):
         ds = mixed_dataset(16, seed=16)
         split = d.VerticalSplit(((0, 1), (2,)))
-        cfg = tiny_audit_cfg(feature_kinds=("naive",))
-        sets = A.train_shadows_asif(ds, 1, split, cfg, RngStream(17))
+        cfg = tiny_audit_cfg(modes=("asif",), feature_kinds=("naive",))
+        ensemble = A.train_shadows(ds, 1, split, cfg, RngStream(17))
+        assert list(ensemble) == ["asif"]
         # per-record feature matrix has 2 * feature_dim columns; naive gives
         # 3 summaries per column
-        assert sets.features["naive"].shape == (6, 3 * 2 * cfg.gan.feature_dim)
-
-    def test_asif_rejects_non_split_variant(self):
-        ds = mixed_dataset(16, seed=18)
-        split = d.VerticalSplit(((0, 1), (2,)))
-        cfg = tiny_audit_cfg(variant=fg.CENTRAL)
-        with pytest.raises(ValueError):
-            A.train_shadows_asif(ds, 0, split, cfg, RngStream(19))
+        assert ensemble["asif"].features["naive"].shape == (6, 3 * 2 * cfg.gan.feature_dim)
 
     def test_different_seeds_give_different_features(self):
         ds = mixed_dataset(16, seed=20)
         split = d.VerticalSplit(((0, 1), (2,)))
         cfg = tiny_audit_cfg(feature_kinds=("naive",))
-        sets = A.train_shadows_assd(ds, 0, split, cfg, RngStream(21))
+        sets = A.train_shadows(ds, 0, split, cfg, RngStream(21))["assd"]
         x = sets.features["naive"]
         assert not np.allclose(x[3], x[4])  # two world-1 shadows differ
 
 
+BOTH_MODES = ("assd", "asif")
+# one mode alone, and both: every requested set goes through one pool
+MODE_SETS = pytest.mark.parametrize(
+    "modes", [("assd",), ("asif",), BOTH_MODES], ids=["assd", "asif", "assd+asif"])
+
+
 class TestShadowRows:
-    """Each shadow row equals a straight-line replica of its job."""
+    """Each shadow row of both modes equals a straight-line replica trained
+    once; the modes read the same shadows."""
 
     split = d.VerticalSplit(((0, 1), (2,)))
+    target = 4
 
-    def _replicas(self, ds, target, cfg, rng):
-        """(world, encoder, model) per row: world 0 leaves the target out."""
-        worlds = (d.leave_one_out(ds, target), ds)
+    # under DP both worlds train with the one mechanism the audit was given
+    @pytest.fixture(scope="class", params=[None, DpConfig(clip=1.0, sigma=1.0)],
+                    ids=["no_dp", "dp"])
+    def two_modes(self, request):
+        """(ds, cfg, rng, the two-mode ensemble, its replicas)."""
+        ds, rng = mixed_dataset(16, seed=30), RngStream(31)
+        cfg = tiny_audit_cfg(modes=BOTH_MODES, dp=request.param)
+        ensemble = A.train_shadows(ds, self.target, self.split, cfg, rng)
+        return ds, cfg, rng, ensemble, list(self._replicas(ds, cfg, rng))
+
+    def _replicas(self, ds, cfg, rng):
+        """(world, m, encoder, model) per row: world 0 leaves the target out."""
+        worlds = (d.leave_one_out(ds, self.target), ds)
         for world in (0, 1):
             for m in range(cfg.shadows):
                 enc = d.fit_encoder(worlds[world])
@@ -431,23 +444,20 @@ class TestShadowRows:
                                  cfg.gan, cfg.dp, rng.child("shadow", world, m))
                 yield world, m, enc, model
 
-    # under DP both worlds train with the one mechanism the audit was given
-    @pytest.mark.parametrize("dp", [None, DpConfig(clip=1.0, sigma=1.0)], ids=["no_dp", "dp"])
-    def test_assd_rows_match_replica(self, dp):
-        ds, cfg, rng = mixed_dataset(16, seed=30), tiny_audit_cfg(dp=dp), RngStream(31)
-        sets = A.train_shadows_assd(ds, 4, self.split, cfg, rng)
-        for row, (world, m, _, model) in enumerate(self._replicas(ds, 4, cfg, rng)):
+    def test_assd_rows_match_replica(self, two_modes):
+        ds, _, rng, ensemble, replicas = two_modes
+        sets = ensemble["assd"]
+        for row, (world, m, _, model) in enumerate(replicas):
             synth = d.decode(model.sample(ds.n_rows, rng.child("synth", world, m),
                                           best=True))
             assert sets.labels[row] == world
             assert np.array_equal(sets.features["naive"][row], A.extract_naive(synth))
             assert np.array_equal(sets.features["correlation"][row], A.extract_corr(synth))
 
-    @pytest.mark.parametrize("dp", [None, DpConfig(clip=1.0, sigma=1.0)], ids=["no_dp", "dp"])
-    def test_asif_rows_match_replica(self, dp):
-        ds, cfg, rng = mixed_dataset(16, seed=32), tiny_audit_cfg(dp=dp), RngStream(33)
-        sets = A.train_shadows_asif(ds, 7, self.split, cfg, rng)
-        for row, (world, _, enc, model) in enumerate(self._replicas(ds, 7, cfg, rng)):
+    def test_asif_rows_match_replica(self, two_modes):
+        ds, _, _, ensemble, replicas = two_modes
+        sets = ensemble["asif"]
+        for row, (world, _, enc, model) in enumerate(replicas):
             views = fg.partition(d.encode(ds, enc), self.split).views
             feats = np.hstack([nn.forward(p.d1, v)[0] for p, v in zip(model.parties, views)])
             assert sets.labels[row] == world
@@ -455,17 +465,45 @@ class TestShadowRows:
             assert np.array_equal(sets.features["correlation"][row],
                                   A.corr_features_matrix(feats))
 
-    @pytest.mark.parametrize("mode", ["assd", "asif"])
-    def test_worker_count_does_not_change_features(self, monkeypatch, mode):
-        trainer = getattr(A, f"train_shadows_{mode}")
-        ds, cfg = mixed_dataset(16, seed=34), tiny_audit_cfg()
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_one_mode_alone_gives_its_rows_of_two(self, two_modes, mode):
+        # an ASIF-only ensemble skips the quality log, yet its shadows end
+        # where the two-mode ensemble's do
+        ds, cfg, rng, ensemble, _ = two_modes
+        alone = A.train_shadows(ds, self.target, self.split,
+                                dataclasses.replace(cfg, modes=(mode,)), rng)
+        assert list(alone) == [mode]
+        assert np.array_equal(alone[mode].labels, ensemble[mode].labels)
+        for kind in cfg.feature_kinds:
+            assert np.array_equal(alone[mode].features[kind], ensemble[mode].features[kind])
+
+    def test_two_modes_train_each_shadow_once(self, monkeypatch):
+        built = []
+
+        class Counted(fg.Trainer):
+            def __init__(self, *args):
+                built.append(args[-1].path)
+                super().__init__(*args)
+
+        monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every build in-process
+        monkeypatch.setattr(fg, "Trainer", Counted)
+        cfg = tiny_audit_cfg(modes=BOTH_MODES)
+        A.train_shadows(mixed_dataset(16, seed=30), 4, self.split, cfg, RngStream(31))
+        assert len(built) == len(set(built)) == 2 * cfg.shadows
+
+    @MODE_SETS
+    def test_worker_count_does_not_change_features(self, monkeypatch, modes):
+        ds, cfg = mixed_dataset(16, seed=34), tiny_audit_cfg(modes=modes)
         out = []
         for threads in ("1", "2"):
             monkeypatch.setenv("VFSYNTH_THREADS", threads)
-            out.append(trainer(ds, 2, self.split, cfg, RngStream(35)))
-        assert np.array_equal(out[0].labels, out[1].labels)
-        for kind in cfg.feature_kinds:
-            assert np.array_equal(out[0].features[kind], out[1].features[kind])
+            out.append(A.train_shadows(ds, 2, self.split, cfg, RngStream(35)))
+        assert list(out[0]) == list(out[1]) == list(modes)
+        for mode in modes:
+            assert np.array_equal(out[0][mode].labels, out[1][mode].labels)
+            for kind in cfg.feature_kinds:
+                assert np.array_equal(out[0][mode].features[kind],
+                                      out[1][mode].features[kind])
 
 
 class TestWorkerHandOff:
@@ -474,8 +512,8 @@ class TestWorkerHandOff:
 
     split = d.VerticalSplit(((0, 1), (2,)))
 
-    @pytest.mark.parametrize("mode", ["assd", "asif"])
-    def test_inputs_reach_each_worker_once(self, monkeypatch, mode):
+    @MODE_SETS
+    def test_inputs_reach_each_worker_once(self, monkeypatch, modes):
         import concurrent.futures
 
         pools = []
@@ -498,17 +536,16 @@ class TestWorkerHandOff:
                 self.fn, self.items = fn, list(items)
                 return [fn(item) for item in self.items]
 
-        trainer = getattr(A, f"train_shadows_{mode}")
-        ds, cfg = mixed_dataset(16, seed=36), tiny_audit_cfg()
+        ds, cfg = mixed_dataset(16, seed=36), tiny_audit_cfg(modes=modes)
         monkeypatch.setenv("VFSYNTH_THREADS", "1")
-        want = trainer(ds, 5, self.split, cfg, RngStream(37))
+        want = A.train_shadows(ds, 5, self.split, cfg, RngStream(37))
 
         monkeypatch.setenv("VFSYNTH_THREADS", "2")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(A, "_worker_batch", None)  # restored after the test
-        got = trainer(ds, 5, self.split, cfg, RngStream(37))
+        got = A.train_shadows(ds, 5, self.split, cfg, RngStream(37))
 
-        [pool] = pools
+        [pool] = pools  # one pool, and one job per shadow, whatever the modes
         assert pool.items == [(w, m) for w in (0, 1) for m in range(cfg.shadows)]
         for item in pool.items:
             assert len(pickle.dumps((pool.fn, item))) <= 1024
@@ -516,9 +553,11 @@ class TestWorkerHandOff:
         assert [w.n_rows for w in worlds] == [ds.n_rows - 1, ds.n_rows]
         assert np.array_equal(worlds[0].columns[0], np.delete(ds.columns[0], 5))
         assert all(np.array_equal(a, b) for a, b in zip(worlds[1].columns, ds.columns))
-        assert np.array_equal(got.labels, want.labels)
-        for kind in cfg.feature_kinds:
-            assert np.array_equal(got.features[kind], want.features[kind])
+        assert list(got) == list(want) == list(modes)
+        for mode in modes:
+            assert np.array_equal(got[mode].labels, want[mode].labels)
+            for kind in cfg.feature_kinds:
+                assert np.array_equal(got[mode].features[kind], want[mode].features[kind])
 
 
 class TestQualityLog:
@@ -526,7 +565,7 @@ class TestQualityLog:
 
     split = d.VerticalSplit(((0, 1), (2,)))
 
-    def _fd_calls(self, monkeypatch, trainer):
+    def _fd_calls(self, monkeypatch, cfg):
         calls = []
         real = fg.Trainer._quality_fd
 
@@ -536,16 +575,17 @@ class TestQualityLog:
 
         monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
         monkeypatch.setattr(fg.Trainer, "_quality_fd", counting)
-        trainer(mixed_dataset(16, seed=36), 5, self.split, tiny_audit_cfg(), RngStream(37))
+        A.train_shadows(mixed_dataset(16, seed=36), 5, self.split, cfg, RngStream(37))
         return len(calls)
 
     def test_assd_logs_every_epoch(self, monkeypatch):
-        cfg = tiny_audit_cfg()
+        # once per shadow epoch, though ASIF reads the same shadows
+        cfg = tiny_audit_cfg(modes=BOTH_MODES)
         want = 2 * cfg.shadows * cfg.gan.epochs
-        assert self._fd_calls(monkeypatch, A.train_shadows_assd) == want
+        assert self._fd_calls(monkeypatch, cfg) == want
 
     def test_asif_skips_the_quality_log(self, monkeypatch):
-        assert self._fd_calls(monkeypatch, A.train_shadows_asif) == 0
+        assert self._fd_calls(monkeypatch, tiny_audit_cfg(modes=("asif",))) == 0
 
 
 class TestRunAttack:
@@ -631,17 +671,17 @@ class TestStubbedEndToEnd:
         # trainer stubbed to echo its training data: the only difference
         # between worlds is the target record, and the adversary becomes
         # perfectly accurate
-        class EchoModel:
-            def __init__(self, enc_ds):
-                self.enc_ds = enc_ds
+        class EchoTrainer:
+            def __init__(self, variant, data, split, cfg, dp, rng):
+                self.data = data
+
+            def run_epoch(self):
+                pass
 
             def sample(self, n, rng, best=False):
-                return self.enc_ds
+                return self.data
 
-        def stub_train(variant, data, split, cfg, dp, rng):
-            return EchoModel(data)
-
-        monkeypatch.setattr(A.fg, "train", stub_train)
+        monkeypatch.setattr(A.fg, "Trainer", EchoTrainer)
 
         ds = mixed_dataset(20, seed=22)
         # make the target clearly distinctive
@@ -653,7 +693,7 @@ class TestStubbedEndToEnd:
         cfg = tiny_audit_cfg(
             shadows=8, train_count=5, test_count=3, feature_kinds=("naive",)
         )
-        sets = A.train_shadows_assd(ds, 5, split, cfg, RngStream(23))
+        sets = A.train_shadows(ds, 5, split, cfg, RngStream(23))["assd"]
         rep = A.run_attack(sets, cfg, RngStream(24))
         assert rep.auc_mean["naive"] == 1.0
 

@@ -554,6 +554,22 @@ class TestGenerateCommand:
         assert rc == 1
         assert "config.yaml digest mismatch" in capsys.readouterr().err
 
+    def test_best_refused_without_a_best_epoch(self, tmp_path, capsys):
+        # no epoch logs an FD, so best.ckpt holds the untrained generators
+        cfg_path = toy_config(tmp_path, extra={"gan": {
+            "latent_dim": 4, "gen_hidden": [8], "disc_part1_hidden": [8], "feature_dim": 4,
+            "disc_part2_hidden": [8], "server_hidden": [8], "batch_size": 8, "epochs": 0}})
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        run, out = tmp_path / "run", tmp_path / "s.csv"
+        assert main(["generate", "--run", str(run), "--best", "--n", "5", "--seed", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "best_epoch: -1" in err[0]
+        assert not out.exists()
+        assert main(["generate", "--run", str(run), "--n", "5", "--seed", "1",
+                     "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("damage", ["empty", "truncated", "list"])
     def test_bad_manifest_gives_one_error_line(self, tmp_path, capsys, damage):
         assert main(["train", "--config", str(toy_config(tmp_path))]) == 0
@@ -645,6 +661,25 @@ class TestEvalCommand:
         assert [f.name for f in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept\n"
 
+    # 3 rows leave 7 of the 10 test folds empty and the metrics nan; a
+    # header-only table failed only after --out was made
+    @pytest.mark.parametrize("side", ["--real", "--synth"])
+    @pytest.mark.parametrize("rows", [3, 0], ids=["3-rows", "header-only"])
+    def test_fewer_rows_than_folds_refused_before_out(self, tmp_path, capsys, side, rows):
+        cfg_path = toy_config(tmp_path, n=40)
+        full = load_config(cfg_path).dataset_path
+        short = tmp_path / "short.csv"
+        with open(full, encoding="utf-8") as f:
+            short.write_text("".join(f.readlines()[:rows + 1]))
+        tables = {"--real": full, "--synth": full, side: str(short)}
+        out = tmp_path / "ev"
+        assert main(["eval", *(a for flag, path in tables.items() for a in (flag, path)),
+                     "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {side} {short} has {rows} rows; the four-way evaluation "
+                       "needs at least 10, one per fold"]
+        assert not out.exists()
+
     def test_missing_target_named(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path)
         cfg = load_config(cfg_path)
@@ -716,7 +751,7 @@ class TestAuditCommand:
         audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
                  "select": "nn", "train_count": 2, "test_count": 2}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
-        log = clock_around(monkeypatch, au, "train_shadows_assd")
+        log = clock_around(monkeypatch, au, "train_shadows")
         assert main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")]) == 0
         manifest = yaml.safe_load((tmp_path / "aud" / "manifest.yaml").read_text())
         assert log == ["clock", "work", "clock"]
@@ -898,14 +933,15 @@ class TestAuditCommand:
         assert not out.exists()
 
     def test_failed_audit_marked(self, tmp_path, capsys, monkeypatch):
-        # ASSD finishes and writes its features; an ASIF job then diverges
+        # a shadow job diverges: both modes read that one ensemble, so
+        # neither has features and no CSV is written
         from vfsynth import audit as au
 
         def boom(batch, key):
             raise fg.TrainingDiverged("non-finite loss at epoch 1, role d1")
 
         monkeypatch.setenv("VFSYNTH_THREADS", "1")
-        monkeypatch.setattr(au, "_asif_job", boom)
+        monkeypatch.setattr(au, "_shadow_job", boom)
         audit = {"modes": ["assd", "asif"], "shadows": 4, "repeats": 1,
                  "feature_kinds": ["naive"], "select": "nn",
                  "train_count": 2, "test_count": 2}
@@ -917,7 +953,7 @@ class TestAuditCommand:
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"] == "non-finite loss at epoch 1, role d1"
-        assert sorted(manifest["inventory"]) == ["features_assd_naive.csv"]
+        assert manifest["inventory"] == {}
         assert not (out / "audit_report.yaml").exists()
 
     def test_refuses_nonempty_output(self, tmp_path, capsys):
