@@ -264,9 +264,9 @@ def cmd_eval(args) -> int:
         if table.n_rows < M.FOLDS:
             raise CliError(f"{flag} {path} has {table.n_rows} rows; the four-way "
                            f"evaluation needs at least {M.FOLDS}, one per fold")
+    enc = D.fit_encoder(real)  # a constant numeric column fails here
     # made before the evaluation, which can take minutes
     with _run_dir(args.out, {"seed": args.seed}) as out:
-        enc = D.fit_encoder(real)
         fd = M.frechet_distance(
             M.dataset_stats(D.encode(real, enc)),
             M.dataset_stats(D.encode(synth, enc)),
@@ -332,6 +332,9 @@ def cmd_audit(args) -> int:
         raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {ds.n_rows - 1} "
                        "rows of the leave-one-out world")
     target = _select_target(ds, acfg, args.select, args.target)
+    # a constant numeric column fails here: the leave-one-out world's rows are
+    # a subset of the full table's, so its check covers both worlds
+    D.fit_encoder(D.leave_one_out(ds, target))
     # one mechanism for both worlds, calibrated for the leave-one-out world
     dp_cfg, dp_record = _resolve_dp(cfg, ds.n_rows - 1)
     acfg = dataclasses.replace(acfg, dp=dp_cfg)

@@ -6,8 +6,8 @@ Four variants share one scheduler:
   server-side shared critic consuming the concatenation of the parties'
   intermediate features. In each discriminator step party i runs D_i^1 once
   on the real and once on the synthetic rows and sends the features up;
-  D_i^2's WGAN cotangents on those features plus lambda_server times the
-  server's feature gradients go back through D_i^1 once per row set, and
+  D_i^2's WGAN cotangents on those features plus the server's feature
+  gradients go back through D_i^1 once per row set, and
   the sum real + synthetic + gradient penalty (taken on the critic
   ``(D_i^1, D_i^2)``) is D_i^1's gradient. The generator step likewise runs
   D_i^1 once on x~ and backpropagates the sum of the server and D_i^2
@@ -24,11 +24,13 @@ The last two draw D_i^1 and then D_i^2 from one stream, which gives the draws
 of one critic split after the feature layer. Every critic is a WGAN-GP
 critic whose terms come from one routine, :func:`_critic_terms`: D_i^2 with
 the parts ``(D_i^1, D_i^2)`` and D_s with the parts ``(D_s,)``, scoring its
-own inputs. :func:`_generator_terms` gives the generator's loss on D_i^2
-(weight 1) and on D_s (weight ``lambda_gen_server``). Each role steps its
-own critic: a party D_i^1 and D_i^2 in :meth:`Party.critic_update`, the
-server D_s in :meth:`Server.disc_step`. Every gradient is a vector in its
-network's parameter layout (see :mod:`vfsynth.nn`).
+own inputs. :func:`_generator_terms` gives the generator's loss on a critic
+head, D_i^2 or D_s. Every critic's penalty weight is :data:`LAMBDA_GP` and
+every network's Adam step :data:`LEARNING_RATE`, the WGAN-GP settings. Each
+role steps its own critic: a party D_i^1 and D_i^2 in
+:meth:`Party.critic_update`, the server D_s in :meth:`Server.disc_step`.
+Every gradient is a vector in its network's parameter layout (see
+:mod:`vfsynth.nn`).
 
 One epoch is ``disc_steps`` discriminator iterations followed by one
 generator iteration; the minibatch is resampled every discriminator
@@ -143,11 +145,15 @@ def check_settings(obj, section: str, least: dict, positive=(), choices=None) ->
             raise ValueError(f"{key} must be >= {least[f.name]}, got {v}")
 
 
-_GAN_POSITIVE = ("latent_dim", "feature_dim", "eta_g", "eta_d", "eta_server",
-                 "batch_size", "disc_steps", "gumbel_temperature")
+_GAN_POSITIVE = ("latent_dim", "feature_dim", "batch_size", "disc_steps",
+                 "gumbel_temperature")
 # the Frechet distance needs two rows; a smaller fd_sample_cap would disable
 # the best-checkpoint selection without saying so
-_GAN_LEAST = {"epochs": 0, "lambda_gp": 0, "fd_sample_cap": 2}
+_GAN_LEAST = {"epochs": 0, "fd_sample_cap": 2}
+# WGAN-GP settings: the gradient-penalty weight of every critic and the Adam
+# step of every network
+LAMBDA_GP = 10.0
+LEARNING_RATE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -158,12 +164,6 @@ class GanConfig:
     feature_dim: int = 32
     disc_part2_hidden: tuple[int, ...] = (64,)
     server_hidden: tuple[int, ...] = (64, 64)
-    lambda_gp: float = 10.0
-    lambda_server: float = 1.0  # weight of the server loss in party gradients
-    lambda_gen_server: float = 1.0  # weight of the server term in generator loss
-    eta_g: float = 1e-4
-    eta_d: float = 1e-4
-    eta_server: float = 1e-4
     batch_size: int = 64
     disc_steps: int = 5
     epochs: int = 300
@@ -291,7 +291,7 @@ def _head_terms(head, f, seed):
     return grad, cot, float(np.mean(out))
 
 
-def _critic_terms(parts, x, x_tilde, features, beta, lambda_gp):
+def _critic_terms(parts, x, x_tilde, features, beta):
     """WGAN-GP loss of the critic ``parts`` (applied in order), one gradient
     per part and the loss cotangents on the real and synthetic ``features``,
     the head ``parts[-1]``'s inputs. The penalty is taken on the whole critic
@@ -299,7 +299,7 @@ def _critic_terms(parts, x, x_tilde, features, beta, lambda_gp):
     head gets the real and synthetic terms. The penalty runs first, then one
     head pass at a time, so no two of these passes hold their arrays at once."""
     penalty, grads = nn.gradient_penalty(
-        parts, nn.interpolate(x, x_tilde, beta), lambda_gp)
+        parts, nn.interpolate(x, x_tilde, beta), LAMBDA_GP)
     w = 1.0 / x.shape[0]
     head_r, cot_r, mean_r = _head_terms(parts[-1], features[0], -w)
     head_s, cot_s, mean_s = _head_terms(parts[-1], features[1], w)
@@ -307,11 +307,11 @@ def _critic_terms(parts, x, x_tilde, features, beta, lambda_gp):
     return -mean_r + mean_s + penalty, grads, cot_r, cot_s
 
 
-def _generator_terms(head, f_tilde, weight):
-    """The generator's loss on a critic head, -weight * mean head(f~), and
-    its cotangent on ``f_tilde``."""
-    _, cot, mean = _head_terms(head, f_tilde, -weight / f_tilde.shape[0])
-    return -weight * mean, cot
+def _generator_terms(head, f_tilde):
+    """The generator's loss on a critic head, -mean head(f~), and its
+    cotangent on ``f_tilde``."""
+    _, cot, mean = _head_terms(head, f_tilde, -1.0 / f_tilde.shape[0])
+    return -mean, cot
 
 
 class Party:
@@ -325,7 +325,6 @@ class Party:
     def __init__(self, index, view, blocks, cfg, variant, rng):
         self.index = index
         self.view = view
-        self.cfg = cfg
         self.head = OutputHead(blocks, cfg.gumbel_temperature, cfg.numeric_activation)
         self.gumbel = rng.child("gumbel", index)
         self.beta = rng.child("beta", index)
@@ -377,9 +376,9 @@ class Party:
                       dp: DpConfig | None) -> dict[str, float]:
         """One Adam step on both critic parts from the last forward pass.
 
-        D_i^2's WGAN terms and the server's lambda-scaled feature gradients
-        are summed on the features, then go back through D_i^1 once per row
-        set; the gradient penalty is taken on the critic ``(d1, d2)``. Returns
+        D_i^2's WGAN terms and the server's feature gradients are summed on
+        the features, then go back through D_i^1 once per row set; the
+        gradient penalty is taken on the critic ``(d1, d2)``. Returns
         the local loss keyed by role (``d<i+1>``), empty without D_i^2.
         ProtocolFault without a :meth:`critic_forward` since the last update.
         """
@@ -394,33 +393,29 @@ class Party:
         if self.d2 is not None:
             loss, (p1, d2_grad), cot_r, cot_s = _critic_terms(
                 (self.d1, self.d2), tape_r.inputs[0], tape_s.inputs[0],
-                (tape_r.output, tape_s.output), self.beta, self.cfg.lambda_gp,
-            )
+                (tape_r.output, tape_s.output), self.beta)
             losses[f"d{self.index + 1}"] = loss
         if reply is not None:
-            lam = self.cfg.lambda_server
-            up_r, up_s = lam * reply.d_real, lam * reply.d_synth
-            cot_r = up_r if cot_r is None else cot_r + up_r
-            cot_s = up_s if cot_s is None else cot_s + up_s
+            cot_r = reply.d_real if cot_r is None else cot_r + reply.d_real
+            cot_s = reply.d_synth if cot_s is None else cot_s + reply.d_synth
         d1_grad = nn.backward(self.d1, tape_r, cot_r)[0]
         d1_grad += nn.backward(self.d1, tape_s, cot_s)[0]
         if self.d2 is not None:
             d1_grad += p1
-            self.d2, self.adam_d2 = nn.adam_step(self.d2, d2_grad, self.adam_d2, self.cfg.eta_d)
+            self.d2, self.adam_d2 = nn.adam_step(self.d2, d2_grad, self.adam_d2, LEARNING_RATE)
         if dp is not None:
             apply_mechanism(self.d1, d1_grad, dp.sigma, dp.clip, self.dpnoise)
-        self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grad, self.adam_d1, self.cfg.eta_d)
+        self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grad, self.adam_d1, LEARNING_RATE)
         return losses
 
     def apply_gen_update(self, grad: np.ndarray):
-        self.g, self.adam_g = nn.adam_step(self.g, grad, self.adam_g, self.cfg.eta_g)
+        self.g, self.adam_g = nn.adam_step(self.g, grad, self.adam_g, LEARNING_RATE)
 
 
 class Server:
     """Holds the shared critic over concatenated intermediate features."""
 
     def __init__(self, cfg, n_parties, rng):
-        self.cfg = cfg
         self.n_parties = n_parties  # each sends cfg.feature_dim features
         self.ds = nn.init_mlp(
             [n_parties * cfg.feature_dim, *cfg.server_hidden, 1],
@@ -442,10 +437,9 @@ class Server:
         """
         f = np.hstack([m.real for m in features])
         f_tilde = np.hstack([m.synth for m in features])
-        loss, (grad,), d_f, d_ft = _critic_terms(
-            (self.ds,), f, f_tilde, (f, f_tilde), self.beta, self.cfg.lambda_gp
-        )
-        self.ds, self.adam = nn.adam_step(self.ds, grad, self.adam, self.cfg.eta_server)
+        loss, (grad,), d_f, d_ft = _critic_terms((self.ds,), f, f_tilde, (f, f_tilde),
+                                                 self.beta)
+        self.ds, self.adam = nn.adam_step(self.ds, grad, self.adam, LEARNING_RATE)
         return loss, [
             FeatureGradDown(i, dr, dsn)
             for i, (dr, dsn) in enumerate(zip(self._split(d_f), self._split(d_ft)))
@@ -454,7 +448,7 @@ class Server:
     def gen_scores(self, features: list[FeatureUp]):
         """Server term of the generator loss and its feature gradients."""
         f_tilde = np.hstack([m.synth for m in features])
-        loss, d_ft = _generator_terms(self.ds, f_tilde, self.cfg.lambda_gen_server)
+        loss, d_ft = _generator_terms(self.ds, f_tilde)
         return loss, [
             FeatureGradDown(i, None, d)
             for i, d in enumerate(self._split(d_ft))
@@ -586,7 +580,7 @@ class Trainer:
             # server and local cotangents are summed on the features
             cot = None if reply is None else reply.d_synth
             if p.d2 is not None:
-                loss, d_local = _generator_terms(p.d2, tape_f.output, 1.0)
+                loss, d_local = _generator_terms(p.d2, tape_f.output)
                 cot = d_local if cot is None else cot + d_local
                 total += loss
             _, d_xt = nn.backward(p.d1, tape_f, cot)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["Tree", "Forest", "best_split", "train_forest", "predict", "predict_scores"]
+__all__ = ["Tree", "Forest", "train_forest", "predict", "predict_scores"]
 
 _CHUNK = 1 << 13  # (row, drawn column) elements per split-search call
 _GAMMA, _MIX1, _MIX2 = (
@@ -183,27 +183,6 @@ def _best_cuts(x, y, rank, row, weight, node, feats, n_classes):
     threshold[ok] = 0.5 * (np.take(x, row[lo] * d + feature[ok])
                            + np.take(x, row[hi] * d + feature[ok]))
     return feature, threshold
-
-
-def best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """Best gini split over the given feature columns.
-
-    Returns ``(feature_index, threshold)`` or ``None`` when no feature admits
-    a split (all candidate columns constant, fewer than two rows or no
-    columns). ``x`` is (n, k) float64, ``y`` is (n,) int64 class codes.
-    Among equal scores the lowest column wins, then its first cut in sorted
-    order. This is the builder's search for one node holding each row once.
-    """
-    n, k = x.shape
-    if n < 2 or k == 0:
-        return None
-    feature, threshold = _best_cuts(
-        x, y, _ranks(x), np.arange(n), np.ones(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64), np.arange(k)[None, :], n_classes,
-    )
-    if feature[0] < 0:
-        return None
-    return int(feature[0]), float(threshold[0])
 
 
 @dataclass

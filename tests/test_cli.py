@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def toy_config(tmp_path, n=32, extra=None, seed=3):
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(doc))
     return cfg_path
+
+
+def set_column_a(path, value, keep=()):
+    """Rewrite column ``a`` of a toy CSV to ``value``, except the rows ``keep``."""
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        if i - 1 not in keep:
+            lines[i] = f"{value!r}," + lines[i].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestCheckpointFormat:
@@ -255,8 +265,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", "3"), ("batch_size", 2.5), ("latent_dim", True),
-        ("gen_hidden", 64), ("server_hidden", [8, 0]), ("eta_g", "1e-4"),
-        ("lambda_gp", False), ("eta_g", float("nan")), ("lambda_gp", float("nan")),
+        ("gen_hidden", 64), ("server_hidden", [8, 0]), ("gumbel_temperature", "1e-4"),
+        ("gumbel_temperature", False), ("gumbel_temperature", float("nan")),
         ("gumbel_temperature", float("inf")),
     ])
     def test_mistyped_gan_setting_rejected(self, tmp_path, capsys, field, value):
@@ -269,6 +279,20 @@ class TestTrainCommand:
         assert err.startswith("error:") and f"gan.{field}" in err
         if value == "1e-4":  # YAML reads 1e-4 as a string
             assert "1.0e-4" in err
+        assert not (tmp_path / "run").exists()
+
+    # the WGAN-GP penalty weight and learning rates are constants, and the
+    # server loss is not weighted: a config that still sets one is refused
+    @pytest.mark.parametrize("field", ["lambda_gp", "lambda_server", "lambda_gen_server",
+                                       "eta_g", "eta_d", "eta_server"])
+    def test_removed_gan_setting_refused(self, tmp_path, capsys, field):
+        cfg_path = toy_config(tmp_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["gan"][field] = 1.0e-4
+        cfg_path.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown gan settings: [{field!r}]\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field,value", [
@@ -680,6 +704,20 @@ class TestEvalCommand:
                        "needs at least 10, one per fold"]
         assert not out.exists()
 
+    # the real table's encoder is fitted before --out is made
+    def test_constant_column_refused_before_out(self, tmp_path, capsys):
+        cfg_path = toy_config(tmp_path, n=40)
+        full = Path(load_config(cfg_path).dataset_path)
+        flat = tmp_path / "flat.csv"
+        flat.write_text(full.read_text())
+        set_column_a(flat, 7.0)
+        out = tmp_path / "ev"
+        assert main(["eval", "--real", str(flat), "--synth", str(full),
+                     "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: attribute 'a' is constant; cannot standardize"]
+        assert not out.exists()
+
     def test_missing_target_named(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path)
         cfg = load_config(cfg_path)
@@ -917,6 +955,20 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and want in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    # the leave-one-out world can have a constant column where the full
+    # table has none; its encoder is fitted before the run directory is made
+    @pytest.mark.parametrize("keep", [(), (5,)], ids=["constant", "constant-without-target"])
+    def test_constant_column_rejected_before_the_run_directory(self, tmp_path, capsys, keep):
+        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
+                 "target": 5, "train_count": 2, "test_count": 2}
+        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        set_column_a(Path(load_config(cfg_path).dataset_path), 7.0, keep)
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: attribute 'a' is constant; cannot standardize"]
         assert not out.exists()
 
     def test_bad_thread_count_rejected_before_the_output_directory(

@@ -180,18 +180,16 @@ class TestQualityFd:
 class TestGanConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("lambda_gp", -0.5), ("lambda_gp", -1e-9), ("fd_sample_cap", 1), ("fd_sample_cap", 0),
-         ("latent_dim", 0), ("feature_dim", -1), ("eta_g", 0.0), ("eta_d", -1e-4),
-         ("eta_server", 0.0), ("batch_size", 0), ("disc_steps", 0),
-         ("gumbel_temperature", 0.0), ("epochs", -1)],
+        [("fd_sample_cap", 1), ("fd_sample_cap", 0), ("latent_dim", 0), ("feature_dim", -1),
+         ("batch_size", 0), ("disc_steps", 0), ("gumbel_temperature", 0.0), ("epochs", -1)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = small_cfg(lambda_gp=0.0, fd_sample_cap=2)
-        assert cfg.lambda_gp == 0.0 and cfg.fd_sample_cap == 2
+        cfg = small_cfg(epochs=0, fd_sample_cap=2)
+        assert cfg.epochs == 0 and cfg.fd_sample_cap == 2
 
 
 # each config section, the arguments it cannot go without, and its keys: every
@@ -284,11 +282,13 @@ class StubServer:
 
 class TestServerCoupling:
     def test_lambda1_zero_decouples_local_discriminators(self):
-        # with lambda_server = 0 the D_i update must equal a standalone
+        # the paper's lambda_1 = 0 ablation: with a server that replies with
+        # zero feature gradients the D_i update must equal a standalone
         # WGAN-GP step computed inline with the same streams
         data, split = toy_table(n=8, seed=7)
-        cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1, lambda_server=0.0)
+        cfg = small_cfg(batch_size=8, disc_steps=1, epochs=1)
         trainer = fg.Trainer(fg.VFLGAN, data, split, cfg, None, RngStream(13, "l"))
+        trainer.server = StubServer(cfg.feature_dim, cfg.batch_size)
         parts = fg.partition(data, split)
         root = RngStream(13, "l")
         # inline replica of party 0's local step
@@ -314,15 +314,15 @@ class TestServerCoupling:
         grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / 8))
         grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / 8))
         x_hat = nn.interpolate(x, xt, beta)
-        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, cfg.lambda_gp)
+        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, 10.0)
         total = grads_r + grads_s + grads_p
-        # the stacked vector is d1's then d2's; lambda1 = 0: the flow-down
-        # term is zeroed but still added
+        # the stacked vector is d1's then d2's; the zero flow-down term is
+        # still added
         d1g = total[: d1.params.size] + np.zeros(d1.params.size)
         d2g = total[d1.params.size :]
         a1, a2 = nn.AdamState.for_mlp(d1), nn.AdamState.for_mlp(d2)
-        d1_new, _ = nn.adam_step(d1, d1g, a1, cfg.eta_d)
-        d2_new, _ = nn.adam_step(d2, d2g, a2, cfg.eta_d)
+        d1_new, _ = nn.adam_step(d1, d1g, a1, 1e-4)
+        d2_new, _ = nn.adam_step(d2, d2g, a2, 1e-4)
 
         trainer.discriminator_step()
         assert same_params(params_of(trainer.parties[0].d1), params_of(d1_new))
@@ -462,7 +462,7 @@ class TestVertigan:
         _, d_xt = nn.backward(d_copy, tape_c, np.full_like(out, -1.0 / 8))
         d_logits = head.backward(xt, d_xt)
         g_grads, _ = nn.backward(g_copy, tape_g, d_logits)
-        expect, _ = nn.adam_step(g_copy, g_grads, nn.AdamState.for_mlp(g_copy), cfg.eta_g)
+        expect, _ = nn.adam_step(g_copy, g_grads, nn.AdamState.for_mlp(g_copy), 1e-4)
 
         trainer.generator_step()
         nb = p0.n_backbone  # the backbone is a prefix of the generator's vector
@@ -500,9 +500,9 @@ class TestVertigan:
         grads_r, _ = nn.backward(critic, tape_r, np.full_like(out_r, -1.0 / 8))
         grads_s, _ = nn.backward(critic, tape_s, np.full_like(out_s, 1.0 / 8))
         x_hat = nn.interpolate(x, xt, root.child("beta", i))
-        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, cfg.lambda_gp)
+        _, (grads_p,) = nn.gradient_penalty((critic,), x_hat, 10.0)
         want, _ = nn.adam_step(
-            critic, grads_r + grads_s + grads_p, nn.AdamState.for_mlp(critic), cfg.eta_d,
+            critic, grads_r + grads_s + grads_p, nn.AdamState.for_mlp(critic), 1e-4,
         )
 
         trainer.discriminator_step()

@@ -15,6 +15,23 @@ def blobs(rng, n_per=60, sep=4.0):
     return x, y
 
 
+def best_split(x, y, n_classes):
+    """The builder's split search, ``forest._best_cuts``, for one node holding
+    each row of ``x`` once over all its columns: ``(feature, threshold)``, or
+    None when no column admits a cut (fewer than two rows, no columns, or
+    every column constant)."""
+    n, k = x.shape
+    if n < 2 or k == 0:
+        return None
+    feature, threshold = F._best_cuts(
+        x, y, F._ranks(x), np.arange(n), np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64), np.arange(k)[None, :], n_classes,
+    )
+    if feature[0] < 0:
+        return None
+    return int(feature[0]), float(threshold[0])
+
+
 def brute_force_best_split(x, y, n_classes):
     """Independent O(n^2) split search used as the oracle."""
     n, k = x.shape
@@ -125,7 +142,7 @@ class TestBestSplit:
         for trial in range(2000):
             x, y, c = random_split_input(rng)
             want = loop_best_split(x, y, c)
-            assert same_split(F.best_split(x, y, c), want), trial
+            assert same_split(best_split(x, y, c), want), trial
             splits += want is not None
         assert 1000 < splits < 2000  # some inputs have only constant columns
 
@@ -133,16 +150,16 @@ class TestBestSplit:
         # columns 0 and 2 separate the classes equally well
         x = np.array([[0.0, 5.0, 0.0], [1.0, 4.0, 1.0], [2.0, 5.0, 2.0], [3.0, 4.0, 3.0]])
         y = np.array([0, 0, 1, 1])
-        assert F.best_split(x, y, 2) == (0, 1.5) == loop_best_split(x, y, 2)
+        assert best_split(x, y, 2) == (0, 1.5) == loop_best_split(x, y, 2)
         # every cut of one column scores the same: the first one wins
         x1 = np.array([[0.0], [1.0], [2.0]])
-        assert F.best_split(x1, np.array([0, 0, 0]), 2) == (0, 0.5)
+        assert best_split(x1, np.array([0, 0, 0]), 2) == (0, 0.5)
 
     @pytest.mark.parametrize("n,k", [(0, 3), (1, 3), (1, 0), (5, 0)])
     def test_degenerate_shapes_yield_none(self, n, k):
         x = np.zeros((n, k))
         y = np.zeros(n, dtype=np.int64)
-        assert F.best_split(x, y, 2) is None
+        assert best_split(x, y, 2) is None
 
     def test_matches_brute_force_feature_choice(self):
         rng = RngStream(5, "split")
@@ -151,7 +168,7 @@ class TestBestSplit:
             k = int(rng.integers(1, 5))
             x = np.round(rng.normal(n, k), 1)  # rounded so ties occur
             y = rng.integers(0, 3, size=n)
-            got = F.best_split(x, y, 3)
+            got = best_split(x, y, 3)
             score, feat, thr = brute_force_best_split(x, y, 3)
             if got is None:
                 assert feat is None
@@ -169,12 +186,12 @@ class TestBestSplit:
     def test_constant_features_yield_none(self):
         x = np.ones((10, 2))
         y = np.array([0, 1] * 5)
-        assert F.best_split(x, y, 2) is None
+        assert best_split(x, y, 2) is None
 
     def test_perfect_split(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        j, t = F.best_split(x, y, 2)
+        j, t = best_split(x, y, 2)
         assert j == 0 and 1.0 < t < 2.0
 
 

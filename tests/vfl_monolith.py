@@ -5,15 +5,19 @@ whole computation inline with nn primitives only: no Party/Server objects,
 no protocol messages. Used as the independent oracle for the
 protocol-vs-monolith equivalence tests. Gradient accumulation order mirrors
 the engine exactly so agreement is bitwise: D_i^1 runs once per row set, and
-the D_i^2 and lambda-scaled server cotangents are summed on the features
-before the single backward pass through D_i^1. Gradients are parameter
-vectors, summed with ``+``.
+the D_i^2 and server cotangents are summed on the features before the
+single backward pass through D_i^1. Gradients are parameter vectors, summed
+with ``+``. The WGAN-GP settings are written out here, not imported: penalty
+weight 10 and Adam step 1e-4 for every network.
 """
 
 import numpy as np
 
 from vfsynth import nn
 from vfsynth.fedgan import OutputHead, PartitionedData
+
+LAMBDA_GP = 10.0
+LEARNING_RATE = 1e-4
 
 
 class MonolithVflgan:
@@ -65,7 +69,6 @@ class MonolithVflgan:
     def run_epoch(self):
         cfg = self.cfg
         b = cfg.batch_size
-        lam = cfg.lambda_server
         for _ in range(cfg.disc_steps):
             idx = self.batch.subsample(self.n, b)
             z = self.z.normal(b, cfg.latent_dim)
@@ -85,10 +88,10 @@ class MonolithVflgan:
             grads_r, d_f = nn.backward(self.ds, tape_r, np.full_like(out_r, -1.0 / b))
             grads_s, d_ft = nn.backward(self.ds, tape_s, np.full_like(out_s, 1.0 / b))
             f_hat = nn.interpolate(f, ft, self.beta_server)
-            _, (grads_p,) = nn.gradient_penalty((self.ds,), f_hat, cfg.lambda_gp)
+            _, (grads_p,) = nn.gradient_penalty((self.ds,), f_hat, LAMBDA_GP)
             ds_grads = grads_r + grads_s + grads_p
             self.ds, self.adam_ds = nn.adam_step(
-                self.ds, ds_grads, self.adam_ds, cfg.eta_server
+                self.ds, ds_grads, self.adam_ds, LEARNING_RATE
             )
             for i, sl in enumerate(self._feature_slices()):
                 # D_i^2 on the features, then the summed cotangents through D_i^1
@@ -98,17 +101,17 @@ class MonolithVflgan:
                 d2_s, cot_s = nn.backward(self.d2[i], tape_s, np.full_like(out_s, 1.0 / b))
                 x_hat = nn.interpolate(xs[i], xts[i], self.beta[i])
                 _, (p1, p2) = nn.gradient_penalty(
-                    (self.d1[i], self.d2[i]), x_hat, cfg.lambda_gp
+                    (self.d1[i], self.d2[i]), x_hat, LAMBDA_GP
                 )
-                cot_r = cot_r + lam * d_f[:, sl]
-                cot_s = cot_s + lam * d_ft[:, sl]
+                cot_r = cot_r + d_f[:, sl]
+                cot_s = cot_s + d_ft[:, sl]
                 d1_total = (nn.backward(self.d1[i], tapes_fr[i], cot_r)[0]
                             + nn.backward(self.d1[i], tapes_fs[i], cot_s)[0] + p1)
                 self.d1[i], self.adam_d1[i] = nn.adam_step(
-                    self.d1[i], d1_total, self.adam_d1[i], cfg.eta_d
+                    self.d1[i], d1_total, self.adam_d1[i], LEARNING_RATE
                 )
                 self.d2[i], self.adam_d2[i] = nn.adam_step(
-                    self.d2[i], d2_r + d2_s + p2, self.adam_d2[i], cfg.eta_d
+                    self.d2[i], d2_r + d2_s + p2, self.adam_d2[i], LEARNING_RATE
                 )
         # generator iteration
         z = self.z.normal(b, cfg.latent_dim)
@@ -121,8 +124,7 @@ class MonolithVflgan:
             tapes_f.append(nn.forward(self.d1[i], xt)[1])
         ft = np.hstack([t.output for t in tapes_f])
         out, tape = nn.forward(self.ds, ft)
-        scale = -cfg.lambda_gen_server / b
-        _, d_ft = nn.backward(self.ds, tape, np.full_like(out, scale))
+        _, d_ft = nn.backward(self.ds, tape, np.full_like(out, -1.0 / b))
         for i, sl in enumerate(self._feature_slices()):
             out_c, tape_c = nn.forward(self.d2[i], tapes_f[i].output)
             _, d_local = nn.backward(self.d2[i], tape_c, np.full_like(out_c, -1.0 / b))
@@ -130,5 +132,5 @@ class MonolithVflgan:
             d_logits = self.heads[i].backward(xts[i], d_xt)
             g_grads, _ = nn.backward(self.g[i], tapes_g[i], d_logits)
             self.g[i], self.adam_g[i] = nn.adam_step(
-                self.g[i], g_grads, self.adam_g[i], cfg.eta_g
+                self.g[i], g_grads, self.adam_g[i], LEARNING_RATE
             )
