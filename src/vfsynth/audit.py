@@ -7,8 +7,8 @@ each shadow's best-epoch sample) and the protocol's intermediate features
 discriminator parts). Each shadow trains once, whatever the modes, so the
 two modes' estimates are paired.
 A decision-forest adversary is trained on balanced labeled features over
-repeated random train/test splits; the report carries the AUC mean and
-standard deviation per feature kind.
+repeated random 70/30 train/test splits of each world's shadows; the report
+carries the AUC mean and standard deviation per feature kind.
 
 Feature maps, fixed as this artifact's convention:
 
@@ -82,20 +82,19 @@ def thread_count() -> int:
     return count
 
 
-# least values; the attack's AUC needs two test shadows per world
-_AUDIT_LEAST = {"shadows": 3, "repeats": 1, "target": 0, "rows": 1,
-                "synthetic_rows": 1, "train_count": 1, "test_count": 2}
+# least values; six shadows per world is the fewest whose 70/30 split leaves
+# the two test shadows the attack's AUC needs
+_AUDIT_LEAST = {"shadows": 6, "repeats": 1, "target": 0}
 
 
 @dataclass(frozen=True)
 class AuditConfig:
     """The ``audit:`` section plus the run's variant, GAN and DP settings.
 
-    ``train_count``/``test_count`` are per world; when both are omitted
-    they default to a 70/30 split of the shadow count, mirroring the 140/60
-    protocol at one hundred shadows per world, and when one is omitted it
-    takes the shadows the other leaves. ``target``/``select`` and ``rows`` are
-    read by the command line, which picks the target record and the rows.
+    The attack splits each world's shadows 70/30 into train and test
+    (``split_counts``), the paper's 140/60 protocol scaled to ``shadows``.
+    ``target``/``select`` are read by the command line, which picks the
+    target record.
     """
 
     shadows: int = 20  # M per world
@@ -104,10 +103,6 @@ class AuditConfig:
     feature_kinds: tuple[str, ...] = FEATURE_KINDS
     target: int | None = None
     select: str | None = None  # one of SELECT_RULES
-    rows: int | None = None  # restrict the dataset to its first rows
-    synthetic_rows: int | None = None  # defaults to the dataset size
-    train_count: int | None = None
-    test_count: int | None = None
     variant: str = fg.VFLGAN
     gan: fg.GanConfig = field(default_factory=fg.GanConfig)
     dp: DpConfig | None = None
@@ -119,30 +114,11 @@ class AuditConfig:
         if "asif" in self.modes and self.variant not in fg.SERVER_VARIANTS:
             raise ValueError(f"audit.modes: asif needs a variant with a server critic "
                              f"{fg.SERVER_VARIANTS}, got {self.variant!r}")
-        if ("assd" in self.modes and "correlation" in self.feature_kinds
-                and self.synthetic_rows == 1):
-            raise ValueError("audit.synthetic_rows must be at least 2 with correlation "
-                             "features, got 1")
-        tr, te = self.split_counts()
-        if tr + te > self.shadows:
-            raise ValueError(f"audit.train_count + audit.test_count ({tr} + {te}) "
-                             f"exceeds audit.shadows ({self.shadows})")
-        if te < 2:
-            raise ValueError(f"audit.test_count must be at least 2, got {te} "
-                             f"(derived from audit.shadows={self.shadows})")
-        if tr < 1:
-            raise ValueError(f"audit.train_count must be at least 1, got {tr} "
-                             f"(derived from audit.shadows={self.shadows} "
-                             f"and audit.test_count={te})")
 
     def split_counts(self) -> tuple[int, int]:
-        """(train, test) shadows per world; an omitted count takes the rest."""
-        tr, te = self.train_count, self.test_count
-        if tr is None:
-            tr = self.shadows - te if te is not None else max(1, round(0.7 * self.shadows))
-        if te is None:
-            te = self.shadows - tr
-        return tr, te
+        """(train, test) shadows per world: 70% of them, rounded, and the rest."""
+        train = round(0.7 * self.shadows)
+        return train, self.shadows - train
 
 
 @dataclass
@@ -288,9 +264,9 @@ def _shadow_job(batch, key):
         epoch()
     rows = {}
     if "assd" in cfg.modes:
-        # by default as many rows as the full dataset, world 1
-        synth_rows = cfg.synthetic_rows or worlds[1].n_rows
-        synth = D.decode(trainer.sample(synth_rows, rng.child("synth", world, m), best=True))
+        # as many rows as the full dataset, world 1
+        synth = D.decode(trainer.sample(worlds[1].n_rows, rng.child("synth", world, m),
+                                        best=True))
         rows["assd"] = {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
     if "asif" in cfg.modes:
         # the FULL dataset, encoded with the world's encoder, through D_i^1

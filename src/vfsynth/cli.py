@@ -255,7 +255,8 @@ def cmd_eval(args) -> int:
         raise CliError("no target attribute: pass --target or set schema.target")
     if target not in cfg.schema.names:
         raise CliError(f"target attribute {target!r} is not in the schema")
-    if cfg.schema.attributes[cfg.schema.index_of(target)].kind != "categorical":
+    col = cfg.schema.index_of(target)
+    if cfg.schema.attributes[col].kind != "categorical":
         raise CliError(f"target attribute {target!r} must be categorical")
     real = D.load_csv(args.real, cfg.schema)
     synth = D.load_csv(args.synth, cfg.schema)
@@ -264,6 +265,12 @@ def cmd_eval(args) -> int:
         if table.n_rows < M.FOLDS:
             raise CliError(f"{flag} {path} has {table.n_rows} rows; the four-way "
                            f"evaluation needs at least {M.FOLDS}, one per fold")
+        # no fold of one class can train a classifier
+        classes = np.unique(table.columns[col])
+        if len(classes) == 1:
+            name = cfg.schema.attributes[col].categories[classes[0]]
+            raise CliError(f"{flag} {path} holds the one {target!r} class {name!r}; "
+                           "the four-way evaluation needs at least two")
     enc = D.fit_encoder(real)  # a constant numeric column fails here
     # made before the evaluation, which can take minutes
     with _run_dir(args.out, {"seed": args.seed}) as out:
@@ -293,22 +300,18 @@ def cmd_eval(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _select_target(ds: D.TabularDataset, acfg, override_select, override_target):
-    """The audited record: the selection rule's pick, or a given index checked
-    against the rows kept after ``audit.rows``."""
-    if override_target is not None:
-        name, target = "--target", int(override_target)
-    else:
-        select = override_select or acfg.select
-        if select == "outlier":
-            return au.find_vulnerable_outlier(ds)[0]
-        if select == "nn":
-            return au.find_vulnerable_nn(ds)
-        # the config loader requires exactly one of a target and a select rule
-        name, target = "audit.target", acfg.target
-    if not 0 <= target < ds.n_rows:
-        raise CliError(f"{name} {target} is out of range for the {ds.n_rows} audited rows")
-    return target
+def _select_target(ds: D.TabularDataset, acfg):
+    """The audited record: the selection rule's pick, or ``audit.target``
+    checked against the table's rows."""
+    if acfg.select == "outlier":
+        return au.find_vulnerable_outlier(ds)[0]
+    if acfg.select == "nn":
+        return au.find_vulnerable_nn(ds)
+    # the config loader requires exactly one of a target and a select rule
+    if not 0 <= acfg.target < ds.n_rows:
+        raise CliError(f"audit.target {acfg.target} is out of range for the "
+                       f"{ds.n_rows} audited rows")
+    return acfg.target
 
 
 def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
@@ -324,14 +327,10 @@ def cmd_audit(args) -> int:
     acfg = cfg.audit
     au.thread_count()  # a bad VFSYNTH_THREADS fails before any output exists
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
-    if acfg.rows is not None:
-        if acfg.rows > ds.n_rows:
-            raise CliError(f"audit.rows={acfg.rows} exceeds dataset size {ds.n_rows}")
-        ds = D.subset(ds, np.arange(acfg.rows))
     if cfg.gan.batch_size > ds.n_rows - 1:
         raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {ds.n_rows - 1} "
                        "rows of the leave-one-out world")
-    target = _select_target(ds, acfg, args.select, args.target)
+    target = _select_target(ds, acfg)
     # a constant numeric column fails here: the leave-one-out world's rows are
     # a subset of the full table's, so its check covers both worlds
     D.fit_encoder(D.leave_one_out(ds, target))
@@ -441,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="leave-one-out membership-inference audit")
     p.add_argument("--config", required=True)
-    p.add_argument("--select", choices=au.SELECT_RULES, default=None)
-    p.add_argument("--target", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)
 

@@ -18,10 +18,11 @@ name-checks the keys of ``gan``, ``dp`` and ``audit``:
   numbers; the noise multiplier is calibrated by the accountant before
   training.
 * ``audit`` — optional ``AuditConfig`` settings: ``modes`` (assd/asif),
-  ``shadows``, ``repeats``, ``feature_kinds``, exactly one of a ``target``
-  index and a ``select`` rule (outlier|nn), ``rows``, ``synthetic_rows``,
-  ``train_count``, ``test_count``. ``AuditConfig`` takes the run's
-  ``variant`` and ``gan``. Its lists must be non-empty and distinct.
+  ``shadows`` (at least 6, split 70/30 into attack train and test shadows),
+  ``repeats``, ``feature_kinds``, and exactly one of a ``target`` index and
+  a ``select`` rule (outlier|nn); the section is the one source of the
+  audited record. ``AuditConfig`` takes the run's ``variant`` and ``gan``.
+  Its lists must be non-empty and distinct.
 """
 
 from __future__ import annotations

@@ -369,7 +369,7 @@ def tiny_audit_cfg(**kw):
         epochs=2,
         fd_sample_cap=32,
     )
-    defaults = dict(shadows=3, repeats=2, gan=gan, train_count=1, test_count=2)
+    defaults = dict(shadows=6, repeats=2, gan=gan)
     defaults.update(kw)
     return A.AuditConfig(**defaults)
 
@@ -381,9 +381,9 @@ class TestShadows:
         sets = A.train_shadows(ds, 3, split, tiny_audit_cfg(), RngStream(13))["assd"]
         assert sorted(sets.features.keys()) == ["correlation", "naive"]
         for kind, x in sets.features.items():
-            assert x.shape[0] == 6  # 2 worlds x 3 shadows
+            assert x.shape[0] == 12  # 2 worlds x 6 shadows
             assert np.isfinite(x).all()
-        assert np.array_equal(np.sort(sets.labels), [0, 0, 0, 1, 1, 1])
+        assert np.array_equal(np.sort(sets.labels), [0] * 6 + [1] * 6)
 
     def test_assd_feature_length_constant(self):
         ds = mixed_dataset(16, seed=14)
@@ -400,7 +400,7 @@ class TestShadows:
         assert list(ensemble) == ["asif"]
         # per-record feature matrix has 2 * feature_dim columns; naive gives
         # 3 summaries per column
-        assert ensemble["asif"].features["naive"].shape == (6, 3 * 2 * cfg.gan.feature_dim)
+        assert ensemble["asif"].features["naive"].shape == (12, 3 * 2 * cfg.gan.feature_dim)
 
     def test_different_seeds_give_different_features(self):
         ds = mixed_dataset(16, seed=20)
@@ -408,7 +408,7 @@ class TestShadows:
         cfg = tiny_audit_cfg(feature_kinds=("naive",))
         sets = A.train_shadows(ds, 0, split, cfg, RngStream(21))["assd"]
         x = sets.features["naive"]
-        assert not np.allclose(x[3], x[4])  # two world-1 shadows differ
+        assert not np.allclose(x[6], x[7])  # two world-1 shadows differ
 
 
 BOTH_MODES = ("assd", "asif")
@@ -601,27 +601,20 @@ class TestRunAttack:
         sets = self._labeled(n_per=30, gap=3.0, seed=1)
         perm = RngStream(2).permutation(len(sets.labels))
         shuffled = A.FeatureSets(sets.features, sets.labels[perm])
-        cfg = tiny_audit_cfg(
-            shadows=30, train_count=20, test_count=10, feature_kinds=("naive",),
-            repeats=5,
-        )
+        cfg = tiny_audit_cfg(shadows=30, feature_kinds=("naive",), repeats=5)
         rep = A.run_attack(shuffled, cfg, RngStream(3))
         assert 0.3 <= rep.auc_mean["naive"] <= 0.7
 
     def test_label_leak_gives_perfect_auc(self):
         labels = np.array([0] * 10 + [1] * 10)
         sets = A.FeatureSets({"naive": labels[:, None].astype(float)}, labels)
-        cfg = tiny_audit_cfg(
-            shadows=10, train_count=6, test_count=4, feature_kinds=("naive",)
-        )
+        cfg = tiny_audit_cfg(shadows=10, feature_kinds=("naive",))
         rep = A.run_attack(sets, cfg, RngStream(4))
         assert rep.auc_mean["naive"] == 1.0
 
     def test_deterministic(self):
         sets = self._labeled(n_per=12, gap=1.0, seed=5)
-        cfg = tiny_audit_cfg(
-            shadows=12, train_count=8, test_count=4, feature_kinds=("naive",)
-        )
+        cfg = tiny_audit_cfg(shadows=12, feature_kinds=("naive",))
         r1 = A.run_attack(sets, cfg, RngStream(6, "det"))
         r2 = A.run_attack(sets, cfg, RngStream(6, "det"))
         assert r1 == r2
@@ -644,24 +637,13 @@ class TestRunAttack:
         naive = self._labeled(n_per=12, gap=1.0, seed=8)
         x = naive.features["naive"]
         sets = A.FeatureSets({"naive": x, "correlation": x[:, :3]}, naive.labels)
-        cfg = tiny_audit_cfg(
-            shadows=12, train_count=8, test_count=4,
-            feature_kinds=("naive", "correlation"), repeats=3,
-        )
+        cfg = tiny_audit_cfg(shadows=12, feature_kinds=("naive", "correlation"), repeats=3)
         A.run_attack(sets, cfg, RngStream(9))
         assert calls == {"train_forest": 2 * 3, "predict_scores": 2 * 3}
 
-    def test_split_too_large_rejected_at_config(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            tiny_audit_cfg(
-                shadows=4, train_count=3, test_count=2, feature_kinds=("naive",)
-            )
-
     def test_undersized_feature_sets_rejected(self):
         sets = self._labeled(n_per=4)
-        cfg = tiny_audit_cfg(
-            shadows=10, train_count=6, test_count=4, feature_kinds=("naive",)
-        )
+        cfg = tiny_audit_cfg(shadows=10, feature_kinds=("naive",))
         with pytest.raises(ValueError, match="not enough shadows"):
             A.run_attack(sets, cfg, RngStream(7))
 
@@ -690,46 +672,27 @@ class TestStubbedEndToEnd:
         cols[0][5] = 50.0
         ds = d.TabularDataset(ds.schema, tuple(cols))
         split = d.VerticalSplit(((0, 1), (2,)))
-        cfg = tiny_audit_cfg(
-            shadows=8, train_count=5, test_count=3, feature_kinds=("naive",)
-        )
+        cfg = tiny_audit_cfg(shadows=8, feature_kinds=("naive",))
         sets = A.train_shadows(ds, 5, split, cfg, RngStream(23))["assd"]
         rep = A.run_attack(sets, cfg, RngStream(24))
         assert rep.auc_mean["naive"] == 1.0
 
 
 class TestAuditConfig:
+    # five shadows would split 4/1, leaving the AUC one test shadow per world
     def test_shadow_minimum(self):
-        with pytest.raises(ValueError):
-            tiny_audit_cfg(shadows=1)
+        with pytest.raises(ValueError, match=r"^audit\.shadows must be >= 6, got 5$"):
+            tiny_audit_cfg(shadows=5)
 
+    # the paper's 140/60 protocol at 200 shadows, scaled to every count
     def test_default_split_is_70_30(self):
-        cfg = tiny_audit_cfg(shadows=100, train_count=None, test_count=None)
-        assert cfg.split_counts() == (70, 30)
-
-    @pytest.mark.parametrize("kw,want", [
-        (dict(test_count=3), (17, 3)),
-        (dict(train_count=5), (5, 15)),
-        (dict(train_count=5, test_count=3), (5, 3)),
-    ])
-    def test_omitted_count_takes_the_rest(self, kw, want):
-        cfg = tiny_audit_cfg(shadows=20, **{"train_count": None, "test_count": None, **kw})
-        assert cfg.split_counts() == want
-
-    def test_derived_train_count_checked(self):
-        with pytest.raises(ValueError, match="audit.train_count"):
-            tiny_audit_cfg(shadows=3, train_count=None, test_count=3)
+        for shadows, want in ((6, (4, 2)), (8, (6, 2)), (20, (14, 6)), (200, (140, 60))):
+            assert tiny_audit_cfg(shadows=shadows).split_counts() == want
 
     @pytest.mark.parametrize("variant", [fg.CENTRAL, fg.VERTIGAN])
     def test_asif_needs_split_critic_variant(self, variant):
         with pytest.raises(ValueError, match="audit.modes"):
             tiny_audit_cfg(modes=("assd", "asif"), variant=variant)
-
-    # one synthetic row is refused only where ASSD would take its correlation
-    # matrix (test_cli); ASIF summarizes every row, not the synthetic ones
-    @pytest.mark.parametrize("kw", [dict(feature_kinds=("naive",)), dict(modes=("asif",))])
-    def test_one_synthetic_row_accepted_without_assd_correlation(self, kw):
-        assert tiny_audit_cfg(synthetic_rows=1, **kw).synthetic_rows == 1
 
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):

@@ -205,10 +205,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="split"):
             load_config(p)
 
+    # the last four are audit keys no config or benchmark run set, now gone
     @pytest.mark.parametrize("section,key,value", [
         (None, "varient", "central"), ("dataset", "pth", "x.csv"),
         ("dp", "clp", 0.5), ("audit", "shadow", 4), ("audit", "variant", "central"),
         ("audit", "gan", {"epochs": 1}), ("audit", "dp", {"epsilon": 1.0}),
+        ("audit", "rows", 200), ("audit", "synthetic_rows", 2),
+        ("audit", "train_count", 4), ("audit", "test_count", 2),
     ])
     def test_unknown_keys_rejected(self, tmp_path, section, key, value):
         p = toy_config(tmp_path, extra={"dp": {"epsilon": 10.0, "delta": 1e-3},
@@ -216,8 +219,9 @@ class TestConfig:
         doc = yaml.safe_load(p.read_text())
         (doc if section is None else doc[section])[key] = value
         p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError) as exc:
             load_config(p)
+        assert str(exc.value) == f"unknown {section or 'top-level'} settings: ['{key}']"
 
     def test_audit_needs_target_or_select(self, tmp_path):
         p = toy_config(tmp_path, extra={"audit": {"shadows": 6}})
@@ -704,6 +708,27 @@ class TestEvalCommand:
                        "needs at least 10, one per fold"]
         assert not out.exists()
 
+    # a one-class target failed only after --out was made, leaving a failed
+    # manifest: no cross-validation fold of it can train a classifier
+    @pytest.mark.parametrize("side", ["real", "synth"])
+    def test_single_class_target_refused_before_out(self, tmp_path, capsys, side):
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "data" / "winequality-red.csv", encoding="utf-8") as f:
+            lines = f.readlines()[:201]
+        two = tmp_path / "wine200.csv"
+        two.write_text("".join(lines))
+        one = tmp_path / "wine200-q5.csv"
+        one.write_text("".join([lines[0], *(r.rsplit(",", 1)[0] + ",5\n" for r in lines[1:])]))
+        tables = {"--real": str(two), "--synth": str(two), f"--{side}": str(one)}
+        out = tmp_path / "ev"
+        assert main(["eval", *(a for flag, path in tables.items() for a in (flag, path)),
+                     "--config", str(root / "configs" / "winequality-red.yaml"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --{side} {one} holds the one 'quality' class '5'; "
+                       "the four-way evaluation needs at least two"]
+        assert not out.exists()
+
     # the real table's encoder is fitted before --out is made
     def test_constant_column_refused_before_out(self, tmp_path, capsys):
         cfg_path = toy_config(tmp_path, n=40)
@@ -760,12 +785,10 @@ class TestAuditCommand:
             extra={
                 "audit": {
                     "modes": ["assd"],
-                    "shadows": 4,
+                    "shadows": 6,
                     "repeats": 2,
                     "feature_kinds": ["naive"],
                     "select": "nn",
-                    "train_count": 2,
-                    "test_count": 2,
                 },
                 "gan": {
                     "latent_dim": 4, "gen_hidden": [8],
@@ -786,8 +809,8 @@ class TestAuditCommand:
     def test_manifest_start_time_taken_first(self, tmp_path, monkeypatch):
         from vfsynth import audit as au
 
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
-                 "select": "nn", "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn"}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         log = clock_around(monkeypatch, au, "train_shadows")
         assert main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")]) == 0
@@ -803,9 +826,8 @@ class TestAuditCommand:
             n=24,
             extra={
                 "audit": {
-                    "modes": ["assd"], "shadows": 4, "repeats": 1,
+                    "modes": ["assd"], "shadows": 6, "repeats": 1,
                     "feature_kinds": ["naive"], "select": "nn",
-                    "train_count": 2, "test_count": 2,
                 },
                 "gan": {
                     "latent_dim": 4, "gen_hidden": [8],
@@ -861,29 +883,23 @@ class TestAuditCommand:
         assert find_vulnerable_nn(ds) == find_vulnerable_nn(ds)
 
     @pytest.mark.parametrize("field,value", [
-        ("rows", "40"), ("rows", True), ("rows", 0),
         ("target", "3"), ("target", 2.0), ("target", -1),
-        ("synthetic_rows", 0), ("synthetic_rows", "10"),
-        ("train_count", "2"), ("test_count", 1.5),
         ("shadows", "4"), ("shadows", True), ("repeats", 2.0),
     ])
     def test_malformed_integers_rejected(self, tmp_path, capsys, field, value):
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1,
-                 "feature_kinds": ["naive"], "select": "nn",
-                 "train_count": 2, "test_count": 2, field: value}
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn", field: value}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         rc = main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "aud")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"audit.{field}" in err
 
+    # the 70/30 split leaves one test shadow per world at 4 and 5 shadows
     @pytest.mark.parametrize("audit,field", [
-        ({"shadows": 4}, "audit.test_count"),  # the 70/30 split leaves 1
-        ({"shadows": 6, "train_count": 3, "test_count": 1}, "audit.test_count"),
-        ({"shadows": 2, "train_count": 1}, "audit.shadows"),
-        # one synthetic row has no correlation matrix
-        ({"shadows": 4, "train_count": 2, "test_count": 2, "synthetic_rows": 1,
-          "feature_kinds": ["naive", "correlation"]}, "audit.synthetic_rows"),
+        ({"shadows": 4}, "audit.shadows"),
+        ({"shadows": 5}, "audit.shadows"),
+        ({"shadows": 2}, "audit.shadows"),
     ])
     def test_unrunnable_attack_split_rejected_before_training(
         self, tmp_path, capsys, monkeypatch, audit, field
@@ -926,9 +942,8 @@ class TestAuditCommand:
 
         monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
         monkeypatch.setattr(fg, "train", counting_train)
-        audit = {"modes": ["assd", "asif"], "shadows": 4, "repeats": 1,
-                 "feature_kinds": ["naive"], "select": "nn",
-                 "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd", "asif"], "shadows": 6, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn"}
         split = [[0, 1, 2]] if variant == "central" else [[0, 1], [2]]
         cfg_path = toy_config(tmp_path, n=24,
                               extra={"audit": audit, "variant": variant, "split": split})
@@ -938,31 +953,29 @@ class TestAuditCommand:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("audit,argv,want", [
-        ({"select": "nn"}, ["--target", "99999"], "--target 99999"),
-        ({"select": "nn"}, ["--target", "-1"], "--target -1"),
-        ({"target": 24}, [], "audit.target 24"),
-        ({"target": 15, "rows": 10}, [], "for the 10 audited rows"),
+    # one past the last row, far past it, and past the rows of a 10-row table
+    @pytest.mark.parametrize("audit,want,n", [
+        ({"target": 24}, "audit.target 24 is out of range for the 24 audited rows", 24),
+        ({"target": 99999}, "audit.target 99999 is out of range for the 24 audited rows", 24),
+        ({"target": 15}, "audit.target 15 is out of range for the 10 audited rows", 10),
     ])
     def test_out_of_range_target_rejected_before_the_run_directory(
-        self, tmp_path, capsys, audit, argv, want
+        self, tmp_path, capsys, audit, want, n
     ):
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1,
-                 "feature_kinds": ["naive"], "train_count": 2, "test_count": 2, **audit}
-        cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1,
+                 "feature_kinds": ["naive"], **audit}
+        cfg_path = toy_config(tmp_path, n=n, extra={"audit": audit})
         out = tmp_path / "aud"
-        assert main(["audit", "--config", str(cfg_path), *argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and want in err
-        assert len(err.splitlines()) == 1
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
         assert not out.exists()
 
     # the leave-one-out world can have a constant column where the full
     # table has none; its encoder is fitted before the run directory is made
     @pytest.mark.parametrize("keep", [(), (5,)], ids=["constant", "constant-without-target"])
     def test_constant_column_rejected_before_the_run_directory(self, tmp_path, capsys, keep):
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
-                 "target": 5, "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
+                 "target": 5}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         set_column_a(Path(load_config(cfg_path).dataset_path), 7.0, keep)
         out = tmp_path / "aud"
@@ -975,8 +988,8 @@ class TestAuditCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("VFSYNTH_THREADS", "abc")
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
-                 "select": "nn", "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn"}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         out = tmp_path / "aud"
         assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -994,9 +1007,8 @@ class TestAuditCommand:
 
         monkeypatch.setenv("VFSYNTH_THREADS", "1")
         monkeypatch.setattr(au, "_shadow_job", boom)
-        audit = {"modes": ["assd", "asif"], "shadows": 4, "repeats": 1,
-                 "feature_kinds": ["naive"], "select": "nn",
-                 "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd", "asif"], "shadows": 6, "repeats": 1,
+                 "feature_kinds": ["naive"], "select": "nn"}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         out = tmp_path / "aud"
         assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -1009,8 +1021,8 @@ class TestAuditCommand:
         assert not (out / "audit_report.yaml").exists()
 
     def test_refuses_nonempty_output(self, tmp_path, capsys):
-        audit = {"modes": ["assd"], "shadows": 4, "repeats": 1, "feature_kinds": ["naive"],
-                 "select": "nn", "train_count": 2, "test_count": 2}
+        audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
+                 "select": "nn"}
         cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
         out = tmp_path / "aud"
         out.mkdir()
@@ -1023,10 +1035,11 @@ class TestAuditCommand:
     def test_too_few_shadows_rejected(self, tmp_path):
         cfg_path = toy_config(
             tmp_path,
-            extra={"audit": {"modes": ["assd"], "shadows": 1, "select": "nn"}},
+            extra={"audit": {"modes": ["assd"], "shadows": 5, "select": "nn"}},
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             load_config(cfg_path)
+        assert str(exc.value) == "audit.shadows must be >= 6, got 5"
 
 
 class TestAccountantCommand:
