@@ -21,12 +21,11 @@ Feature maps, fixed as this artifact's convention:
 Shadow trainings are independent jobs on derived streams; they fan out over
 worker processes (count from ``VFSYNTH_THREADS``, default the CPU count)
 without affecting any reported number. Each worker is handed the ensemble's
-shared inputs (both worlds, the config, the split, the stream) once, when it
-starts, and then receives only ``(world, m)`` keys. Every job of both worlds
-trains with the one :class:`AuditConfig`, DP mechanism included: a sigma
-calibrated for the n - 1 rows of the leave-one-out world also meets the
-budget in the full world, whose batches sample a smaller fraction of its
-rows.
+shared inputs (both worlds, the run, the DP mechanism, the stream) once, when
+it starts, and then receives only ``(world, m)`` keys. Every job of both
+worlds trains with the one mechanism: a sigma calibrated for the n - 1 rows
+of the leave-one-out world also meets the budget in the full world, whose
+batches sample a smaller fraction of its rows.
 
 The nearest-neighbour selector holds no n x n matrix: it walks the upper
 triangle of the pairwise distances in ``_NN_TILE`` x ``_NN_TILE`` tiles
@@ -36,7 +35,8 @@ triangle of the pairwise distances in ``_NN_TILE`` x ``_NN_TILE`` tiles
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .dp import DpConfig
 from .forest import predict_scores, train_forest
 from .nn import output as nn_output
 from .rng import RngStream
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 __all__ = [
     "AuditConfig",
@@ -89,7 +92,7 @@ _AUDIT_LEAST = {"shadows": 6, "repeats": 1, "target": 0}
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """The ``audit:`` section plus the run's variant, GAN and DP settings.
+    """The ``audit:`` section; the shadows train with the run's other settings.
 
     The attack splits each world's shadows 70/30 into train and test
     (``split_counts``), the paper's 140/60 protocol scaled to ``shadows``.
@@ -103,17 +106,10 @@ class AuditConfig:
     feature_kinds: tuple[str, ...] = FEATURE_KINDS
     target: int | None = None
     select: str | None = None  # one of SELECT_RULES
-    variant: str = fg.VFLGAN
-    gan: fg.GanConfig = field(default_factory=fg.GanConfig)
-    dp: DpConfig | None = None
 
     def __post_init__(self):
         fg.check_settings(self, "audit", _AUDIT_LEAST, choices={
             "modes": AUDIT_MODES, "feature_kinds": FEATURE_KINDS, "select": SELECT_RULES})
-        # ASIF probes the D_i^1 whose features parties send to a server
-        if "asif" in self.modes and self.variant not in fg.SERVER_VARIANTS:
-            raise ValueError(f"audit.modes: asif needs a variant with a server critic "
-                             f"{fg.SERVER_VARIANTS}, got {self.variant!r}")
 
     def split_counts(self) -> tuple[int, int]:
         """(train, test) shadows per world: 70% of them, rounded, and the rest."""
@@ -231,7 +227,7 @@ def _run_jobs(job, batch, keys):
     """``job(batch, key)`` for each key, in worker processes.
 
     ``batch`` holds what every job of the ensemble reads: both worlds, the
-    config, the split and the stream. It reaches each worker once, through
+    run, the DP mechanism and the stream. It reaches each worker once, through
     the pool's initializer, so the work items are the small ``(world, m)``
     keys alone. With one worker the same jobs run in this process on the
     same inputs. Jobs are pure functions of their inputs with their own
@@ -249,18 +245,19 @@ def _run_jobs(job, batch, keys):
 
 
 def _shadow_job(batch, key):
-    """Train shadow ``(world, m)`` once; each of ``cfg.modes`` reads its
+    """Train shadow ``(world, m)`` once; each of the audit's modes reads its
     features from that one trainer."""
-    worlds, cfg, split, rng = batch
+    worlds, run, dp, rng = batch
+    cfg = run.audit
     world, m = key
     world_ds = worlds[world]
     enc = D.fit_encoder(world_ds)
-    trainer = fg.Trainer(cfg.variant, D.encode(world_ds, enc), split, cfg.gan, cfg.dp,
+    trainer = fg.Trainer(run.variant, D.encode(world_ds, enc), run.split, run.gan, dp,
                          rng.child("shadow", world, m))
     # only ASSD reads the per-epoch FD, to sample the best epoch; the FD draws
     # from its own stream, so the final D_i^1 are the same either way
     epoch = trainer.run_epoch if "assd" in cfg.modes else trainer.step_epoch
-    for _ in range(cfg.gan.epochs):
+    for _ in range(run.gan.epochs):
         epoch()
     rows = {}
     if "assd" in cfg.modes:
@@ -270,7 +267,7 @@ def _shadow_job(batch, key):
         rows["assd"] = {kind: _EXTRACTORS[kind](synth) for kind in cfg.feature_kinds}
     if "asif" in cfg.modes:
         # the FULL dataset, encoded with the world's encoder, through D_i^1
-        views = fg.partition(D.encode(worlds[1], enc), split).views
+        views = fg.partition(D.encode(worlds[1], enc), run.split).views
         feats = np.hstack([nn_output(p.d1, v) for p, v in zip(trainer.parties, views)])
         rows["asif"] = {kind: _MATRIX_EXTRACTORS[kind](feats) for kind in cfg.feature_kinds}
     return rows
@@ -279,19 +276,20 @@ def _shadow_job(batch, key):
 def train_shadows(
     ds: D.TabularDataset,
     target_index: int,
-    split: D.VerticalSplit,
-    cfg: AuditConfig,
+    run: RunConfig,
+    dp: DpConfig | None,
     rng: RngStream,
 ) -> dict[str, FeatureSets]:
     """Shadows m < M of world 0 (target out), then of world 1, each trained
-    once with the one ``cfg``; per mode of ``cfg.modes``, their features.
+    once with the ``run``'s settings and ``dp``; per audit mode, their features.
 
     ASSD summarizes a shadow's best-epoch synthetic sample; ASIF pushes the
     whole dataset through the shadow's trained first discriminator parts and
     summarizes the per-record feature matrix."""
+    cfg = run.audit
     worlds = (D.leave_one_out(ds, target_index), ds)
     keys = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(_shadow_job, (worlds, cfg, split, rng), keys)
+    rows = _run_jobs(_shadow_job, (worlds, run, dp, rng), keys)
     labels = np.array([world for world, _ in keys], dtype=np.int64)
     return {
         mode: FeatureSets({k: np.vstack([r[mode][k] for r in rows]) for k in cfg.feature_kinds},

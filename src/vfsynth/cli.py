@@ -5,10 +5,10 @@ subcommands ``accountant report`` / ``accountant calibrate``. ``train``,
 ``eval`` and ``audit`` write a fresh directory; ``generate`` writes a new file
 and never overwrites one; ``accountant`` prints to stdout, plus an optional
 new curve file. No command mutates its inputs, and each exits 0 on success or 1
-with a diagnostic line on stderr. Given the same config and
-seed, every emitted checkpoint, log, and report is byte-identical across
-reruns; manifests additionally carry wall-clock timestamps and content
-digests of every file in the run directory.
+with one diagnostic line on stderr, a malformed command line included. Given
+the same config and seed, every emitted checkpoint, log, and report is
+byte-identical across reruns; manifests additionally carry wall-clock
+timestamps and content digests of every file in the run directory.
 
 ``train``, ``eval`` and ``audit`` share one run-directory lifecycle,
 ``_run_dir``: the manifest reads ``running`` on entry and ``completed``, or
@@ -176,8 +176,6 @@ def _read_encoder(run_dir: Path, schema: D.Schema) -> D.Encoder:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
@@ -324,27 +322,25 @@ def cmd_audit(args) -> int:
     cfg = load_config(args.config)
     if cfg.audit is None:
         raise CliError("config has no audit section")
-    acfg = cfg.audit
     au.thread_count()  # a bad VFSYNTH_THREADS fails before any output exists
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     if cfg.gan.batch_size > ds.n_rows - 1:
         raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {ds.n_rows - 1} "
                        "rows of the leave-one-out world")
-    target = _select_target(ds, acfg)
+    target = _select_target(ds, cfg.audit)
     # a constant numeric column fails here: the leave-one-out world's rows are
     # a subset of the full table's, so its check covers both worlds
     D.fit_encoder(D.leave_one_out(ds, target))
     # one mechanism for both worlds, calibrated for the leave-one-out world
     dp_cfg, dp_record = _resolve_dp(cfg, ds.n_rows - 1)
-    acfg = dataclasses.replace(acfg, dp=dp_cfg)
     root = RngStream(cfg.seed, "audit")
     results = {}
     with _run_dir(args.out if args.out else cfg.output_dir, {"seed": cfg.seed}) as out:
         # every mode reads the one ensemble, on the stream ASSD has always used
-        ensemble = au.train_shadows(ds, target, cfg.split, acfg, root.child("assd"))
+        ensemble = au.train_shadows(ds, target, cfg, dp_cfg, root.child("assd"))
         for mode, sets in ensemble.items():
-            results[mode] = au.run_attack(sets, acfg, root.child(mode, "attack"))
-            for kind in acfg.feature_kinds:
+            results[mode] = au.run_attack(sets, cfg.audit, root.child(mode, "attack"))
+            for kind in cfg.audit.feature_kinds:
                 _write_feature_csv(
                     out / f"features_{mode}_{kind}.csv",
                     sets.features[kind],
@@ -352,8 +348,8 @@ def cmd_audit(args) -> int:
                 )
         body = {
             "target_index": int(target),
-            "shadows_per_world": acfg.shadows,
-            "repeats": acfg.repeats,
+            "shadows_per_world": cfg.audit.shadows,
+            "repeats": cfg.audit.repeats,
             "dp_enabled": dp_cfg is not None,
             "results": {
                 mode: {kind: {"auc_mean": rep.auc_mean[kind], "auc_std": rep.auc_std[kind]}
@@ -406,8 +402,13 @@ def cmd_accountant_calibrate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):  # subparsers are made of this class too
+    def error(self, message):  # one error line and exit 1, as from a failed command
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vfsynth",
         description="Vertically federated GAN synthesis with DP accounting "
         "and membership-inference auditing",
@@ -416,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model from a run config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override config output_dir")
     p.set_defaults(func=cmd_train)
 
@@ -464,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ConfigError, D.DataError, ValueError, RuntimeError,
             OSError) as exc:

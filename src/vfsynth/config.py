@@ -21,8 +21,8 @@ name-checks the keys of ``gan``, ``dp`` and ``audit``:
   ``shadows`` (at least 6, split 70/30 into attack train and test shadows),
   ``repeats``, ``feature_kinds``, and exactly one of a ``target`` index and
   a ``select`` rule (outlier|nn); the section is the one source of the
-  audited record. ``AuditConfig`` takes the run's ``variant`` and ``gan``.
-  Its lists must be non-empty and distinct.
+  audited record. Its lists must be non-empty and distinct; ``asif`` needs
+  a ``variant`` with a server critic.
 """
 
 from __future__ import annotations
@@ -72,10 +72,14 @@ class RunConfig:
     audit: AuditConfig | None = None
 
     def __post_init__(self):
-        # checked here so that a ``--seed`` override is checked too
+        # a hand-built run is refused as a loaded one is
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        # ASIF probes the D_i^1 whose features parties send to a server
+        if self.audit and "asif" in self.audit.modes and self.variant not in fg.SERVER_VARIANTS:
+            raise ValueError(f"audit.modes: asif needs a variant with a server critic "
+                             f"{fg.SERVER_VARIANTS}, got {self.variant!r}")
 
 
 def _require(mapping, key, where):
@@ -111,8 +115,6 @@ def _schema_from(doc) -> Schema:
 
 _TOP_KEYS = ("config_version", "dataset", "split", "variant", "seed",
              "output_dir", "gan", "dp", "audit")
-# AuditConfig fields the run sets; they are not audit-section keys
-_RUN_FIELDS = ("variant", "gan", "dp")
 
 
 def _check_keys(doc, known, where):
@@ -123,16 +125,15 @@ def _check_keys(doc, known, where):
         raise ConfigError(f"unknown {where} settings: {sorted(unknown)}")
 
 
-def _section(cls, doc, where, **run):
+def _section(cls, doc, where):
     """Build ``cls`` from a config section; lists become tuples."""
-    known = [f.name for f in fields(cls) if f.name not in _RUN_FIELDS]
-    _check_keys(doc, known, where)
+    _check_keys(doc, [f.name for f in fields(cls)], where)
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING:
+        if f.default is MISSING:
             _require(doc, f.name, where)
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     try:
-        return cls(**kwargs, **run)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -176,7 +177,7 @@ def load_config(path) -> RunConfig:
         dp = _section(DpTarget, doc["dp"], "dp")
     audit = None
     if doc.get("audit") is not None:
-        audit = _section(AuditConfig, doc["audit"], "audit", variant=variant, gan=gan)
+        audit = _section(AuditConfig, doc["audit"], "audit")
         if (audit.target is None) == (audit.select is None):
             raise ConfigError("audit needs an explicit target or a select rule: "
                               "set exactly one of audit.target and audit.select")

@@ -105,9 +105,9 @@ class TrainingDiverged(RuntimeError):
 def check_settings(obj, section: str, least: dict, positive=(), choices=None) -> None:
     """Check each field of the settings dataclass ``obj`` by its annotation:
     ``int`` (not a bool), finite ``float``, ``tuple[int, ...]`` of positive
-    widths, ``X | None`` (also None); others are not checked. A ``choices``
-    field is one of its names, or a non-empty list of distinct names. Then
-    ``positive`` fields must be > 0 and ``least`` ones at least their value."""
+    widths, ``X | None`` (also None); any other type is a TypeError. A
+    ``choices`` field is one of its names or a non-empty list of distinct
+    names; ``positive`` fields must be > 0, ``least`` ones at least their value."""
     for f in fields(obj):
         key, v = f"{section}.{f.name}", getattr(obj, f.name)
         kind, names = f.type.removesuffix(" | None"), (choices or {}).get(f.name)
@@ -128,7 +128,7 @@ def check_settings(obj, section: str, least: dict, positive=(), choices=None) ->
             ok = isinstance(v, tuple) and all(type(w) is int and w > 0 for w in v)
             want = "a list of positive integers"
         else:
-            continue
+            raise TypeError(f"{key}: no check for a setting of type {f.type}")
         if not ok:
             hint = ""
             if kind == "float" and isinstance(v, str):

@@ -13,7 +13,7 @@ from vfsynth import audit as A
 from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
-from vfsynth.config import load_config
+from vfsynth.config import RunConfig, load_config
 from vfsynth.dp import DpConfig
 from vfsynth.rng import RngStream
 
@@ -356,29 +356,33 @@ class TestNearestNeighborDistances:
         assert peak <= 2 * input_bytes + 4 * 8 * A._NN_TILE**2
 
 
-def tiny_audit_cfg(**kw):
-    gan = fg.GanConfig(
-        latent_dim=4,
-        gen_hidden=(8,),
-        disc_part1_hidden=(8,),
-        feature_dim=4,
-        disc_part2_hidden=(8,),
-        server_hidden=(8,),
-        batch_size=8,
-        disc_steps=1,
-        epochs=2,
-        fd_sample_cap=32,
-    )
-    defaults = dict(shadows=6, repeats=2, gan=gan)
-    defaults.update(kw)
-    return A.AuditConfig(**defaults)
+TINY_GAN = fg.GanConfig(
+    latent_dim=4,
+    gen_hidden=(8,),
+    disc_part1_hidden=(8,),
+    feature_dim=4,
+    disc_part2_hidden=(8,),
+    server_hidden=(8,),
+    batch_size=8,
+    disc_steps=1,
+    epochs=2,
+    fd_sample_cap=32,
+)
+SPLIT = d.VerticalSplit(((0, 1), (2,)))
+
+
+def tiny_audit_cfg(variant=fg.VFLGAN, **audit):
+    """A run of the mixed schema over ``SPLIT`` with tiny GAN settings and
+    the audit section ``audit`` (6 shadows and 2 repeats unless given)."""
+    return RunConfig(dataset_path="mixed.csv", schema=schema_mixed(), split=SPLIT,
+                     variant=variant, seed=0, output_dir="audit", gan=TINY_GAN,
+                     audit=A.AuditConfig(**{"shadows": 6, "repeats": 2, **audit}))
 
 
 class TestShadows:
     def test_assd_shapes_and_balance(self):
         ds = mixed_dataset(16, seed=12)
-        split = d.VerticalSplit(((0, 1), (2,)))
-        sets = A.train_shadows(ds, 3, split, tiny_audit_cfg(), RngStream(13))["assd"]
+        sets = A.train_shadows(ds, 3, tiny_audit_cfg(), None, RngStream(13))["assd"]
         assert sorted(sets.features.keys()) == ["correlation", "naive"]
         for kind, x in sets.features.items():
             assert x.shape[0] == 12  # 2 worlds x 6 shadows
@@ -387,16 +391,14 @@ class TestShadows:
 
     def test_assd_feature_length_constant(self):
         ds = mixed_dataset(16, seed=14)
-        split = d.VerticalSplit(((0, 1), (2,)))
-        sets = A.train_shadows(ds, 0, split, tiny_audit_cfg(), RngStream(15))["assd"]
+        sets = A.train_shadows(ds, 0, tiny_audit_cfg(), None, RngStream(15))["assd"]
         x = sets.features["naive"]
         assert len({row.shape for row in x}) == 1
 
     def test_asif_feature_width(self):
         ds = mixed_dataset(16, seed=16)
-        split = d.VerticalSplit(((0, 1), (2,)))
         cfg = tiny_audit_cfg(modes=("asif",), feature_kinds=("naive",))
-        ensemble = A.train_shadows(ds, 1, split, cfg, RngStream(17))
+        ensemble = A.train_shadows(ds, 1, cfg, None, RngStream(17))
         assert list(ensemble) == ["asif"]
         # per-record feature matrix has 2 * feature_dim columns; naive gives
         # 3 summaries per column
@@ -404,9 +406,8 @@ class TestShadows:
 
     def test_different_seeds_give_different_features(self):
         ds = mixed_dataset(16, seed=20)
-        split = d.VerticalSplit(((0, 1), (2,)))
         cfg = tiny_audit_cfg(feature_kinds=("naive",))
-        sets = A.train_shadows(ds, 0, split, cfg, RngStream(21))["assd"]
+        sets = A.train_shadows(ds, 0, cfg, None, RngStream(21))["assd"]
         x = sets.features["naive"]
         assert not np.allclose(x[6], x[7])  # two world-1 shadows differ
 
@@ -421,27 +422,26 @@ class TestShadowRows:
     """Each shadow row of both modes equals a straight-line replica trained
     once; the modes read the same shadows."""
 
-    split = d.VerticalSplit(((0, 1), (2,)))
     target = 4
 
     # under DP both worlds train with the one mechanism the audit was given
     @pytest.fixture(scope="class", params=[None, DpConfig(clip=1.0, sigma=1.0)],
                     ids=["no_dp", "dp"])
     def two_modes(self, request):
-        """(ds, cfg, rng, the two-mode ensemble, its replicas)."""
-        ds, rng = mixed_dataset(16, seed=30), RngStream(31)
-        cfg = tiny_audit_cfg(modes=BOTH_MODES, dp=request.param)
-        ensemble = A.train_shadows(ds, self.target, self.split, cfg, rng)
-        return ds, cfg, rng, ensemble, list(self._replicas(ds, cfg, rng))
+        """(ds, dp, rng, the two-mode ensemble, its replicas)."""
+        ds, dp, rng = mixed_dataset(16, seed=30), request.param, RngStream(31)
+        run = tiny_audit_cfg(modes=BOTH_MODES)
+        ensemble = A.train_shadows(ds, self.target, run, dp, rng)
+        return ds, dp, rng, ensemble, list(self._replicas(ds, run, dp, rng))
 
-    def _replicas(self, ds, cfg, rng):
+    def _replicas(self, ds, run, dp, rng):
         """(world, m, encoder, model) per row: world 0 leaves the target out."""
         worlds = (d.leave_one_out(ds, self.target), ds)
         for world in (0, 1):
-            for m in range(cfg.shadows):
+            for m in range(run.audit.shadows):
                 enc = d.fit_encoder(worlds[world])
-                model = fg.train(cfg.variant, d.encode(worlds[world], enc), self.split,
-                                 cfg.gan, cfg.dp, rng.child("shadow", world, m))
+                model = fg.train(run.variant, d.encode(worlds[world], enc), run.split,
+                                 run.gan, dp, rng.child("shadow", world, m))
                 yield world, m, enc, model
 
     def test_assd_rows_match_replica(self, two_modes):
@@ -458,7 +458,7 @@ class TestShadowRows:
         ds, _, _, ensemble, replicas = two_modes
         sets = ensemble["asif"]
         for row, (world, _, enc, model) in enumerate(replicas):
-            views = fg.partition(d.encode(ds, enc), self.split).views
+            views = fg.partition(d.encode(ds, enc), SPLIT).views
             feats = np.hstack([nn.forward(p.d1, v)[0] for p, v in zip(model.parties, views)])
             assert sets.labels[row] == world
             assert np.array_equal(sets.features["naive"][row], A.naive_features_matrix(feats))
@@ -469,12 +469,11 @@ class TestShadowRows:
     def test_one_mode_alone_gives_its_rows_of_two(self, two_modes, mode):
         # an ASIF-only ensemble skips the quality log, yet its shadows end
         # where the two-mode ensemble's do
-        ds, cfg, rng, ensemble, _ = two_modes
-        alone = A.train_shadows(ds, self.target, self.split,
-                                dataclasses.replace(cfg, modes=(mode,)), rng)
+        ds, dp, rng, ensemble, _ = two_modes
+        alone = A.train_shadows(ds, self.target, tiny_audit_cfg(modes=(mode,)), dp, rng)
         assert list(alone) == [mode]
         assert np.array_equal(alone[mode].labels, ensemble[mode].labels)
-        for kind in cfg.feature_kinds:
+        for kind in A.FEATURE_KINDS:
             assert np.array_equal(alone[mode].features[kind], ensemble[mode].features[kind])
 
     def test_two_modes_train_each_shadow_once(self, monkeypatch):
@@ -488,8 +487,8 @@ class TestShadowRows:
         monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every build in-process
         monkeypatch.setattr(fg, "Trainer", Counted)
         cfg = tiny_audit_cfg(modes=BOTH_MODES)
-        A.train_shadows(mixed_dataset(16, seed=30), 4, self.split, cfg, RngStream(31))
-        assert len(built) == len(set(built)) == 2 * cfg.shadows
+        A.train_shadows(mixed_dataset(16, seed=30), 4, cfg, None, RngStream(31))
+        assert len(built) == len(set(built)) == 2 * cfg.audit.shadows
 
     @MODE_SETS
     def test_worker_count_does_not_change_features(self, monkeypatch, modes):
@@ -497,11 +496,11 @@ class TestShadowRows:
         out = []
         for threads in ("1", "2"):
             monkeypatch.setenv("VFSYNTH_THREADS", threads)
-            out.append(A.train_shadows(ds, 2, self.split, cfg, RngStream(35)))
+            out.append(A.train_shadows(ds, 2, cfg, None, RngStream(35)))
         assert list(out[0]) == list(out[1]) == list(modes)
         for mode in modes:
             assert np.array_equal(out[0][mode].labels, out[1][mode].labels)
-            for kind in cfg.feature_kinds:
+            for kind in cfg.audit.feature_kinds:
                 assert np.array_equal(out[0][mode].features[kind],
                                       out[1][mode].features[kind])
 
@@ -509,8 +508,6 @@ class TestShadowRows:
 class TestWorkerHandOff:
     """The pool's workers get the ensemble's inputs once, as initializer
     arguments; the work items are the (world, m) keys."""
-
-    split = d.VerticalSplit(((0, 1), (2,)))
 
     @MODE_SETS
     def test_inputs_reach_each_worker_once(self, monkeypatch, modes):
@@ -538,15 +535,15 @@ class TestWorkerHandOff:
 
         ds, cfg = mixed_dataset(16, seed=36), tiny_audit_cfg(modes=modes)
         monkeypatch.setenv("VFSYNTH_THREADS", "1")
-        want = A.train_shadows(ds, 5, self.split, cfg, RngStream(37))
+        want = A.train_shadows(ds, 5, cfg, None, RngStream(37))
 
         monkeypatch.setenv("VFSYNTH_THREADS", "2")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(A, "_worker_batch", None)  # restored after the test
-        got = A.train_shadows(ds, 5, self.split, cfg, RngStream(37))
+        got = A.train_shadows(ds, 5, cfg, None, RngStream(37))
 
         [pool] = pools  # one pool, and one job per shadow, whatever the modes
-        assert pool.items == [(w, m) for w in (0, 1) for m in range(cfg.shadows)]
+        assert pool.items == [(w, m) for w in (0, 1) for m in range(cfg.audit.shadows)]
         for item in pool.items:
             assert len(pickle.dumps((pool.fn, item))) <= 1024
         worlds = pool.initargs[1][0]
@@ -556,14 +553,12 @@ class TestWorkerHandOff:
         assert list(got) == list(want) == list(modes)
         for mode in modes:
             assert np.array_equal(got[mode].labels, want[mode].labels)
-            for kind in cfg.feature_kinds:
+            for kind in cfg.audit.feature_kinds:
                 assert np.array_equal(got[mode].features[kind], want[mode].features[kind])
 
 
 class TestQualityLog:
     """Only ASSD reads the per-epoch FD: it publishes the best epoch's sample."""
-
-    split = d.VerticalSplit(((0, 1), (2,)))
 
     def _fd_calls(self, monkeypatch, cfg):
         calls = []
@@ -575,13 +570,13 @@ class TestQualityLog:
 
         monkeypatch.setenv("VFSYNTH_THREADS", "1")  # count every call in-process
         monkeypatch.setattr(fg.Trainer, "_quality_fd", counting)
-        A.train_shadows(mixed_dataset(16, seed=36), 5, self.split, cfg, RngStream(37))
+        A.train_shadows(mixed_dataset(16, seed=36), 5, cfg, None, RngStream(37))
         return len(calls)
 
     def test_assd_logs_every_epoch(self, monkeypatch):
         # once per shadow epoch, though ASIF reads the same shadows
         cfg = tiny_audit_cfg(modes=BOTH_MODES)
-        want = 2 * cfg.shadows * cfg.gan.epochs
+        want = 2 * cfg.audit.shadows * cfg.gan.epochs
         assert self._fd_calls(monkeypatch, cfg) == want
 
     def test_asif_skips_the_quality_log(self, monkeypatch):
@@ -601,20 +596,20 @@ class TestRunAttack:
         sets = self._labeled(n_per=30, gap=3.0, seed=1)
         perm = RngStream(2).permutation(len(sets.labels))
         shuffled = A.FeatureSets(sets.features, sets.labels[perm])
-        cfg = tiny_audit_cfg(shadows=30, feature_kinds=("naive",), repeats=5)
+        cfg = A.AuditConfig(shadows=30, feature_kinds=("naive",), repeats=5)
         rep = A.run_attack(shuffled, cfg, RngStream(3))
         assert 0.3 <= rep.auc_mean["naive"] <= 0.7
 
     def test_label_leak_gives_perfect_auc(self):
         labels = np.array([0] * 10 + [1] * 10)
         sets = A.FeatureSets({"naive": labels[:, None].astype(float)}, labels)
-        cfg = tiny_audit_cfg(shadows=10, feature_kinds=("naive",))
+        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2)
         rep = A.run_attack(sets, cfg, RngStream(4))
         assert rep.auc_mean["naive"] == 1.0
 
     def test_deterministic(self):
         sets = self._labeled(n_per=12, gap=1.0, seed=5)
-        cfg = tiny_audit_cfg(shadows=12, feature_kinds=("naive",))
+        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive",), repeats=2)
         r1 = A.run_attack(sets, cfg, RngStream(6, "det"))
         r2 = A.run_attack(sets, cfg, RngStream(6, "det"))
         assert r1 == r2
@@ -637,13 +632,13 @@ class TestRunAttack:
         naive = self._labeled(n_per=12, gap=1.0, seed=8)
         x = naive.features["naive"]
         sets = A.FeatureSets({"naive": x, "correlation": x[:, :3]}, naive.labels)
-        cfg = tiny_audit_cfg(shadows=12, feature_kinds=("naive", "correlation"), repeats=3)
+        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive", "correlation"), repeats=3)
         A.run_attack(sets, cfg, RngStream(9))
         assert calls == {"train_forest": 2 * 3, "predict_scores": 2 * 3}
 
     def test_undersized_feature_sets_rejected(self):
         sets = self._labeled(n_per=4)
-        cfg = tiny_audit_cfg(shadows=10, feature_kinds=("naive",))
+        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2)
         with pytest.raises(ValueError, match="not enough shadows"):
             A.run_attack(sets, cfg, RngStream(7))
 
@@ -671,32 +666,36 @@ class TestStubbedEndToEnd:
         cols[0] = cols[0].copy()
         cols[0][5] = 50.0
         ds = d.TabularDataset(ds.schema, tuple(cols))
-        split = d.VerticalSplit(((0, 1), (2,)))
         cfg = tiny_audit_cfg(shadows=8, feature_kinds=("naive",))
-        sets = A.train_shadows(ds, 5, split, cfg, RngStream(23))["assd"]
-        rep = A.run_attack(sets, cfg, RngStream(24))
+        sets = A.train_shadows(ds, 5, cfg, None, RngStream(23))["assd"]
+        rep = A.run_attack(sets, cfg.audit, RngStream(24))
         assert rep.auc_mean["naive"] == 1.0
 
 
 class TestAuditConfig:
+    # the audit section alone: the shadows read the run's variant, GAN and DP
+    def test_fields_are_the_audit_keys(self):
+        assert [f.name for f in dataclasses.fields(A.AuditConfig)] == [
+            "shadows", "repeats", "modes", "feature_kinds", "target", "select"]
+
     # five shadows would split 4/1, leaving the AUC one test shadow per world
     def test_shadow_minimum(self):
         with pytest.raises(ValueError, match=r"^audit\.shadows must be >= 6, got 5$"):
-            tiny_audit_cfg(shadows=5)
+            A.AuditConfig(shadows=5)
 
     # the paper's 140/60 protocol at 200 shadows, scaled to every count
     def test_default_split_is_70_30(self):
         for shadows, want in ((6, (4, 2)), (8, (6, 2)), (20, (14, 6)), (200, (140, 60))):
-            assert tiny_audit_cfg(shadows=shadows).split_counts() == want
+            assert A.AuditConfig(shadows=shadows).split_counts() == want
 
-    @pytest.mark.parametrize("variant", [fg.CENTRAL, fg.VERTIGAN])
-    def test_asif_needs_split_critic_variant(self, variant):
+    # a hand-built run is refused as a loaded one is (see test_cli's TestConfig)
+    def test_hand_built_run_refuses_asif_without_server_critic(self):
         with pytest.raises(ValueError, match="audit.modes"):
-            tiny_audit_cfg(modes=("assd", "asif"), variant=variant)
+            tiny_audit_cfg(fg.VERTIGAN, modes=("asif",), select="nn")
 
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):
-            tiny_audit_cfg(feature_kinds=("histogram",))
+            A.AuditConfig(feature_kinds=("histogram",))
 
     # an empty list trained every shadow for an empty report; a repeated
     # name trained and wrote the same ensemble twice
@@ -709,7 +708,7 @@ class TestAuditConfig:
     def test_name_lists_must_be_non_empty_and_distinct(self, field, value):
         with pytest.raises(ValueError, match=rf"^audit\.{field} must be a non-empty list "
                                              "of distinct names"):
-            tiny_audit_cfg(**{field: value})
+            A.AuditConfig(**{field: value})
 
 
 class TestThreadCount:

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from vfsynth import data as d
 from vfsynth import fedgan as fg
 from vfsynth import nn
 from vfsynth.audit import AuditConfig
-from vfsynth.config import _RUN_FIELDS, DpTarget, load_config
+from vfsynth.config import DpTarget, load_config
 from vfsynth.dp import DpConfig
 from vfsynth.metrics import dataset_stats, frechet_distance, stats_from_matrix
 from vfsynth.rng import RngStream
@@ -192,16 +192,24 @@ class TestGanConfig:
         assert cfg.epochs == 0 and cfg.fd_sample_cap == 2
 
 
-# each config section, the arguments it cannot go without, and its keys: every
-# field but the run's variant, GAN and DP settings, which AuditConfig is handed
+# each config section, the arguments it cannot go without, and its keys
 SECTIONS = [("gan", fg.GanConfig, {}), ("dp", DpTarget, {"epsilon": 10.0, "delta": 1e-3}),
             ("audit", AuditConfig, {})]
 SECTION_KEYS = [(section, cls, base, f) for section, cls, base in SECTIONS
-                for f in fields(cls) if f.name not in _RUN_FIELDS]
+                for f in fields(cls)]
 
 
 class TestCheckSettings:
     """``check_settings`` checks every key of the gan, dp and audit sections."""
+
+    # a field it has no check for is an error, not a key let through unchecked
+    def test_uncheckable_type_names_its_key(self):
+        @dataclass(frozen=True)
+        class Section:
+            weights: "dict"  # the settings modules' annotations are strings
+
+        with pytest.raises(TypeError, match=r"^toy\.weights: no check for .* type dict$"):
+            fg.check_settings(Section({}), "toy", {})
 
     # a key added without a check accepts True and fails here
     @pytest.mark.parametrize("section,cls,base,f", SECTION_KEYS,
