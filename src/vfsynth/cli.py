@@ -38,7 +38,7 @@ from . import dp as dpmod
 from . import fedgan as fg
 from . import metrics as M
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -467,8 +467,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ConfigError, D.DataError, ValueError, RuntimeError,
-            OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

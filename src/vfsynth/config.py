@@ -1,8 +1,11 @@
-"""Run configuration: a versioned YAML document with a validating loader.
+"""Run configuration: a versioned YAML document and its loader.
 
-Top-level keys (see README for the full reference); an unknown key in any
-section is an error, and ``fedgan.check_settings`` types, bounds and
-name-checks the keys of ``gan``, ``dp`` and ``audit``:
+``load_config`` parses: it names an unknown or missing key and turns each
+``ValueError`` into a ``ConfigError``. The dataclasses check the values, so a
+hand-built or replaced run is refused as a loaded one is:
+``fedgan.check_settings`` types, bounds and name-checks the keys of ``gan``,
+``dp`` and ``audit``, and ``RunConfig`` the split against the schema, the
+variant, the seed and ASIF's server critic. Top-level keys (see README):
 
 * ``config_version`` — must be 1.
 * ``dataset`` — ``path`` plus ``schema`` (ordered ``attributes`` with
@@ -72,7 +75,10 @@ class RunConfig:
     audit: AuditConfig | None = None
 
     def __post_init__(self):
-        # a hand-built run is refused as a loaded one is
+        # a hand-built or replaced run is refused as a loaded one is
+        self.split.validate_against(self.schema)
+        if self.variant not in fg.VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r} (choose from {fg.VARIANTS})")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -101,16 +107,8 @@ def _schema_from(doc) -> Schema:
         name = _require(a, "name", f"attribute {i}")
         kind = _require(a, "kind", f"attribute {name!r}")
         cats = _list(a.get("categories", []), f"attribute {name!r}: categories")
-        categories = tuple(str(c) for c in cats)
-        try:
-            attrs.append(Attribute(str(name), str(kind), categories))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    target = doc.get("target")
-    try:
-        return Schema(tuple(attrs), target=target)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        attrs.append(Attribute(str(name), str(kind), tuple(str(c) for c in cats)))
+    return Schema(tuple(attrs), target=doc.get("target"))
 
 
 _TOP_KEYS = ("config_version", "dataset", "split", "variant", "seed",
@@ -131,11 +129,7 @@ def _section(cls, doc, where):
     for f in fields(cls):
         if f.default is MISSING:
             _require(doc, f.name, where)
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def load_config(path) -> RunConfig:
@@ -148,50 +142,35 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a mapping at top level")
-    _check_keys(doc, _TOP_KEYS, "top-level")
-    version = _require(doc, "config_version", "config")
-    if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"config_version {version} unsupported (expected {CONFIG_VERSION})"
-        )
-    dataset = _require(doc, "dataset", "config")
-    _check_keys(dataset, ("path", "schema"), "dataset")
-    schema = _schema_from(_require(dataset, "schema", "dataset"))
-    split_doc = _require(doc, "split", "config")
-    if not all(isinstance(i, int) and not isinstance(i, bool)
-               for p in _list(split_doc, "split") for i in _list(p, "split: each party")):
-        raise ConfigError(f"split must list integer attribute indices, got {split_doc!r}")
+    # the dataclasses check their own values; each ValueError becomes a ConfigError
     try:
+        _check_keys(doc, _TOP_KEYS, "top-level")
+        version = _require(doc, "config_version", "config")
+        if version != CONFIG_VERSION:
+            raise ConfigError(f"config_version {version} unsupported "
+                              f"(expected {CONFIG_VERSION})")
+        dataset = _require(doc, "dataset", "config")
+        _check_keys(dataset, ("path", "schema"), "dataset")
+        schema = _schema_from(_require(dataset, "schema", "dataset"))
+        split_doc = _require(doc, "split", "config")
+        if not all(isinstance(i, int) and not isinstance(i, bool)
+                   for p in _list(split_doc, "split") for i in _list(p, "split: each party")):
+            raise ConfigError(f"split must list integer attribute indices, got {split_doc!r}")
         split = VerticalSplit(tuple(tuple(p) for p in split_doc))
-        split.validate_against(schema)
-    except ValueError as exc:
-        raise ConfigError(f"split section: {exc}") from None
-    variant = doc.get("variant", fg.VFLGAN)
-    if variant not in fg.VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r} (choose from {fg.VARIANTS})")
-    seed = _require(doc, "seed", "config")
-    output_dir = str(_require(doc, "output_dir", "config"))
-    gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
-    dp = None
-    if doc.get("dp") is not None:
-        dp = _section(DpTarget, doc["dp"], "dp")
-    audit = None
-    if doc.get("audit") is not None:
-        audit = _section(AuditConfig, doc["audit"], "audit")
-        if (audit.target is None) == (audit.select is None):
-            raise ConfigError("audit needs an explicit target or a select rule: "
-                              "set exactly one of audit.target and audit.select")
-    try:
-        return RunConfig(
-            dataset_path=str(_require(dataset, "path", "dataset")),
-            schema=schema,
-            split=split,
-            variant=variant,
-            seed=seed,
-            output_dir=output_dir,
-            gan=gan,
-            dp=dp,
-            audit=audit,
-        )
+        seed = _require(doc, "seed", "config")
+        output_dir = str(_require(doc, "output_dir", "config"))
+        gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
+        dp = None
+        if doc.get("dp") is not None:
+            dp = _section(DpTarget, doc["dp"], "dp")
+        audit = None
+        if doc.get("audit") is not None:
+            audit = _section(AuditConfig, doc["audit"], "audit")
+            if (audit.target is None) == (audit.select is None):
+                raise ConfigError("audit needs an explicit target or a select rule: "
+                                  "set exactly one of audit.target and audit.select")
+        return RunConfig(dataset_path=str(_require(dataset, "path", "dataset")),
+                         schema=schema, split=split, variant=doc.get("variant", fg.VFLGAN),
+                         seed=seed, output_dir=output_dir, gan=gan, dp=dp, audit=audit)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -338,7 +338,7 @@ class VerticalSplit:
 
     def __post_init__(self):
         if len(self.parties) < 1:
-            raise DataError("need at least one party")
+            raise DataError("vertical split needs at least one party")
         if any(len(p) == 0 for p in self.parties):
             raise DataError("empty party in vertical split")
         flat = [i for p in self.parties for i in p]
@@ -347,9 +347,8 @@ class VerticalSplit:
         expected = 0
         for p in self.parties:
             if list(p) != list(range(expected, expected + len(p))):
-                raise DataError(
-                    "party attribute sets must be contiguous ranges in schema order"
-                )
+                raise DataError("vertical split: party attribute sets must be "
+                                "contiguous ranges in schema order")
             expected += len(p)
 
     def validate_against(self, schema: Schema) -> None:

@@ -103,13 +103,16 @@ class TrainingDiverged(RuntimeError):
 
 
 def check_settings(obj, section: str, least: dict, positive=(), choices=None) -> None:
-    """Check each field of the settings dataclass ``obj`` by its annotation:
-    ``int`` (not a bool), finite ``float``, ``tuple[int, ...]`` of positive
-    widths, ``X | None`` (also None); any other type is a TypeError. A
-    ``choices`` field is one of its names or a non-empty list of distinct
-    names; ``positive`` fields must be > 0, ``least`` ones at least their value."""
+    """Check each field of the settings dataclass ``obj`` by its annotation's
+    source text: ``int`` (not a bool), finite ``float``, ``tuple[int, ...]``
+    of positive widths, ``X | None`` (also None); any other type, or an
+    annotation that is a type object, is a TypeError. A ``choices`` field is
+    one of its names or a non-empty list of distinct names; ``positive``
+    fields must be > 0, ``least`` ones at least their value."""
     for f in fields(obj):
         key, v = f"{section}.{f.name}", getattr(obj, f.name)
+        if not isinstance(f.type, str):  # a module without string annotations
+            raise TypeError(f"{key}: no check for a setting of type {f.type}")
         kind, names = f.type.removesuffix(" | None"), (choices or {}).get(f.name)
         if v is None and kind != f.type:
             continue

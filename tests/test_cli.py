@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -13,7 +14,7 @@ from vfsynth import fedgan as fg
 from vfsynth.dp import ALPHAS, budget_report, calibrate, pipeline_curve
 from vfsynth import nn
 from vfsynth.cli import main
-from vfsynth.config import ConfigError, load_config
+from vfsynth.config import ConfigError, RunConfig, load_config
 from vfsynth.rng import RngStream
 
 
@@ -252,6 +253,21 @@ class TestConfig:
         p = toy_config(tmp_path, extra={"audit": audit})
         with pytest.raises(ConfigError, match=f"audit.{field} must be a non-empty list"):
             load_config(p)
+
+    # a hand-built or replaced run is refused when it is made, before any
+    # Trainer or audit pool job exists; only the loader once checked these
+    @pytest.mark.parametrize("field,value,want", [
+        ("variant", "bogus", r"^unknown variant 'bogus'"),
+        ("split", d.VerticalSplit(((0,), (1,))),
+         r"^vertical split covers \[0, 1\] but the schema has 3 attributes$"),
+    ], ids=["variant", "split"])
+    def test_run_checks_variant_and_split_when_made(self, tmp_path, field, value, want):
+        run = load_config(toy_config(tmp_path))
+        settings = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)}
+        with pytest.raises(ValueError, match=want):
+            RunConfig(**{**settings, field: value})
+        with pytest.raises(ValueError, match=want):
+            dataclasses.replace(run, **{field: value})
 
 
 class TestTrainCommand:

@@ -1,6 +1,7 @@
 import math
+import re
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -202,14 +203,15 @@ SECTION_KEYS = [(section, cls, base, f) for section, cls, base in SECTIONS
 class TestCheckSettings:
     """``check_settings`` checks every key of the gan, dp and audit sections."""
 
-    # a field it has no check for is an error, not a key let through unchecked
+    # a field it has no check for is an error, not a key let through unchecked;
+    # so is an annotation that is a type object, not source text (it once
+    # raised an AttributeError that named no key)
     def test_uncheckable_type_names_its_key(self):
-        @dataclass(frozen=True)
-        class Section:
-            weights: "dict"  # the settings modules' annotations are strings
-
-        with pytest.raises(TypeError, match=r"^toy\.weights: no check for .* type dict$"):
-            fg.check_settings(Section({}), "toy", {})
+        for annotation, value in (("dict", {}), (dict, {}), (int, 3), (int | None, None)):
+            Section = make_dataclass("Section", [("weights", annotation)], frozen=True)
+            want = rf"^toy\.weights: no check for a setting of type {re.escape(str(annotation))}$"
+            with pytest.raises(TypeError, match=want):
+                fg.check_settings(Section(value), "toy", {})
 
     # a key added without a check accepts True and fails here
     @pytest.mark.parametrize("section,cls,base,f", SECTION_KEYS,
