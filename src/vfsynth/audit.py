@@ -63,6 +63,7 @@ __all__ = [
     "auc",
     "find_vulnerable_outlier",
     "find_vulnerable_nn",
+    "select_target",
     "nearest_neighbor_distances",
 ]
 
@@ -96,8 +97,7 @@ class AuditConfig:
 
     The attack splits each world's shadows 70/30 into train and test
     (``split_counts``), the paper's 140/60 protocol scaled to ``shadows``.
-    ``target``/``select`` are read by the command line, which picks the
-    target record.
+    ``target``/``select`` pick the audited record (:func:`select_target`).
     """
 
     shadows: int = 20  # M per world
@@ -472,3 +472,20 @@ def find_vulnerable_nn(ds: D.TabularDataset) -> int:
         len(cat) / len(attrs), len(cont) / len(attrs),
     )
     return int(np.argmax(dists))
+
+
+def select_target(ds: D.TabularDataset, cfg: AuditConfig) -> int:
+    """The audited record of ``ds``: the ``select`` rule's pick, or ``target``
+    checked against the table's rows."""
+    # the selectors are looked up as module globals at each call, so a
+    # wrapper patched onto this module sees the selection
+    if cfg.select == "outlier":
+        return find_vulnerable_outlier(ds)[0]
+    if cfg.select == "nn":
+        return find_vulnerable_nn(ds)
+    if cfg.target is None:
+        raise ValueError("audit needs audit.target or audit.select to pick the audited record")
+    if not 0 <= cfg.target < ds.n_rows:
+        raise ValueError(f"audit.target {cfg.target} is out of range for the "
+                         f"{ds.n_rows} audited rows")
+    return cfg.target

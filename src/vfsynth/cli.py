@@ -38,7 +38,7 @@ from . import dp as dpmod
 from . import fedgan as fg
 from . import metrics as M
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import RunConfig, load_config
+from .config import load_config, mechanism
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -143,20 +143,6 @@ def _completed_run(run_dir: Path, *rels: str) -> dict:
 # train
 # ---------------------------------------------------------------------------
 
-def _resolve_dp(cfg: RunConfig, n_rows: int):
-    """The mechanism for ``n_rows`` rows (a batch or more) and the ``dp`` record
-    written with it; the one place that derives gamma and the step count."""
-    if cfg.dp is None:
-        return None, None
-    gamma = cfg.gan.batch_size / n_rows
-    steps = cfg.gan.epochs * cfg.gan.disc_steps
-    sigma = dpmod.calibrate(cfg.dp.epsilon, cfg.dp.delta, gamma, steps)
-    report = dpmod.budget_report(sigma, gamma, steps, cfg.dp.delta)
-    record = {"clip": cfg.dp.clip, "epsilon_target": cfg.dp.epsilon,
-              **dataclasses.asdict(report)}
-    return dpmod.DpConfig(clip=cfg.dp.clip, sigma=sigma), record
-
-
 def _write_encoder(run_dir: Path, enc: D.Encoder) -> None:
     _write_yaml(run_dir / "encoder.yaml", {
         "mu": [float(v) for v in enc.mu],
@@ -180,10 +166,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     data = D.encode(ds, D.fit_encoder(ds))
-    if cfg.gan.batch_size > data.n_rows:
-        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {data.n_rows} rows "
-                       f"of {cfg.dataset_path}")
-    dp_cfg, dp_record = _resolve_dp(cfg, data.n_rows)
+    dp_cfg, dp_record = mechanism(cfg, data.n_rows)
     record = {"variant": cfg.variant, "seed": cfg.seed}
     if dp_record is not None:
         record["dp"] = dp_record
@@ -298,20 +281,6 @@ def cmd_eval(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _select_target(ds: D.TabularDataset, acfg):
-    """The audited record: the selection rule's pick, or ``audit.target``
-    checked against the table's rows."""
-    if acfg.select == "outlier":
-        return au.find_vulnerable_outlier(ds)[0]
-    if acfg.select == "nn":
-        return au.find_vulnerable_nn(ds)
-    # the config loader requires exactly one of a target and a select rule
-    if not 0 <= acfg.target < ds.n_rows:
-        raise CliError(f"audit.target {acfg.target} is out of range for the "
-                       f"{ds.n_rows} audited rows")
-    return acfg.target
-
-
 def _write_feature_csv(path, x: np.ndarray, labels: np.ndarray) -> None:
     # a row at a time: all of x as Python lists at once raises the peak memory
     D.write_csv(path, ["label", *(f"f{i}" for i in range(x.shape[1]))],
@@ -324,15 +293,12 @@ def cmd_audit(args) -> int:
         raise CliError("config has no audit section")
     au.thread_count()  # a bad VFSYNTH_THREADS fails before any output exists
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
-    if cfg.gan.batch_size > ds.n_rows - 1:
-        raise CliError(f"batch size {cfg.gan.batch_size} exceeds the {ds.n_rows - 1} "
-                       "rows of the leave-one-out world")
-    target = _select_target(ds, cfg.audit)
+    # one mechanism for both worlds, calibrated for the leave-one-out world
+    dp_cfg, dp_record = mechanism(cfg, ds.n_rows - 1, "the leave-one-out world")
+    target = au.select_target(ds, cfg.audit)
     # a constant numeric column fails here: the leave-one-out world's rows are
     # a subset of the full table's, so its check covers both worlds
     D.fit_encoder(D.leave_one_out(ds, target))
-    # one mechanism for both worlds, calibrated for the leave-one-out world
-    dp_cfg, dp_record = _resolve_dp(cfg, ds.n_rows - 1)
     root = RngStream(cfg.seed, "audit")
     results = {}
     with _run_dir(args.out if args.out else cfg.output_dir, {"seed": cfg.seed}) as out:

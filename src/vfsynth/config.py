@@ -16,7 +16,8 @@ variant, the seed and ASIF's server critic. Top-level keys (see README):
 * ``variant`` — vflgan | vflgan_base | vertigan | central.
 * ``seed`` — integer base seed; every stream in the run derives from it.
 * ``output_dir`` — run directory to create.
-* ``gan`` — optional ``GanConfig`` overrides.
+* ``gan`` — optional ``GanConfig`` overrides; only a missing or null
+  section means the defaults.
 * ``dp`` — optional ``DpTarget``: ``epsilon``, ``delta``, ``clip``, finite
   numbers; the noise multiplier is calibrated by the accountant before
   training.
@@ -30,15 +31,16 @@ variant, the seed and ASIF's server critic. Top-level keys (see README):
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import yaml
 
+from . import dp as dpmod
 from . import fedgan as fg
 from .audit import AuditConfig
 from .data import Attribute, Schema, VerticalSplit
 
-__all__ = ["ConfigError", "DpTarget", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "DpTarget", "RunConfig", "load_config", "mechanism"]
 
 CONFIG_VERSION = 1
 
@@ -86,6 +88,24 @@ class RunConfig:
         if self.audit and "asif" in self.audit.modes and self.variant not in fg.SERVER_VARIANTS:
             raise ValueError(f"audit.modes: asif needs a variant with a server critic "
                              f"{fg.SERVER_VARIANTS}, got {self.variant!r}")
+
+
+def mechanism(run: RunConfig, n_rows: int,
+              rows: str | None = None) -> tuple[dpmod.DpConfig | None, dict | None]:
+    """The DP mechanism for training ``run`` on ``n_rows`` rows and the ``dp``
+    record written with it, both None without a ``dp`` section; the one place
+    that derives gamma = batch / rows and the step count, epochs x disc_steps.
+    First refuses a batch larger than the rows, which ``rows`` names (default:
+    the run's dataset path)."""
+    run.gan.check_batch(n_rows, run.dataset_path if rows is None else rows)
+    if run.dp is None:
+        return None, None
+    gamma = run.gan.batch_size / n_rows
+    steps = run.gan.epochs * run.gan.disc_steps
+    sigma = dpmod.calibrate(run.dp.epsilon, run.dp.delta, gamma, steps)
+    report = dpmod.budget_report(sigma, gamma, steps, run.dp.delta)
+    record = {"clip": run.dp.clip, "epsilon_target": run.dp.epsilon, **asdict(report)}
+    return dpmod.DpConfig(clip=run.dp.clip, sigma=sigma), record
 
 
 def _require(mapping, key, where):
@@ -159,7 +179,8 @@ def load_config(path) -> RunConfig:
         split = VerticalSplit(tuple(tuple(p) for p in split_doc))
         seed = _require(doc, "seed", "config")
         output_dir = str(_require(doc, "output_dir", "config"))
-        gan = _section(fg.GanConfig, doc.get("gan") or {}, "gan")
+        # only a missing or null section means the defaults
+        gan = _section(fg.GanConfig, {} if doc.get("gan") is None else doc["gan"], "gan")
         dp = None
         if doc.get("dp") is not None:
             dp = _section(DpTarget, doc["dp"], "dp")

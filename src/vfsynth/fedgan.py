@@ -55,7 +55,7 @@ synthetic rows from it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -177,6 +177,12 @@ class GanConfig:
     def __post_init__(self):
         check_settings(self, "gan", _GAN_LEAST, _GAN_POSITIVE,
                        {"numeric_activation": ("identity", "tanh")})
+
+    def check_batch(self, n_rows: int, rows: str) -> None:
+        """Refuse a batch larger than the ``n_rows`` rows it is drawn from;
+        ``rows`` names them (a table's path, the leave-one-out world)."""
+        if self.batch_size > n_rows:
+            raise DataError(f"batch size {self.batch_size} exceeds the {n_rows} rows of {rows}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +472,14 @@ class Server:
 class EpochRecord:
     epoch: int
     fd: float
-    loss_d1: float
-    loss_d2: float
+    loss_d: tuple[float, ...]  # per trained party, D_i^2's loss; nan without D_i^2
     loss_ds: float
     loss_g: float
 
 
 @dataclass
 class TrainLog:
+    parties: int  # trained parties, one loss_d<i> column each
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     best_fd: float = math.inf
@@ -485,7 +491,10 @@ class TrainLog:
             self.best_epoch = rec.epoch
 
     def to_csv(self, path) -> None:
-        write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, self.records))
+        header = ["epoch", "fd", *(f"loss_d{i + 1}" for i in range(self.parties)),
+                  "loss_ds", "loss_g"]
+        write_csv(path, header, ((r.epoch, r.fd, *r.loss_d, r.loss_ds, r.loss_g)
+                                 for r in self.records))
 
 
 def generate_from(
@@ -510,10 +519,7 @@ class Trainer:
                  cfg: GanConfig, dp: DpConfig | None, rng: RngStream):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if cfg.batch_size > data.n_rows:
-            raise DataError(
-                f"batch size {cfg.batch_size} exceeds dataset size {data.n_rows}"
-            )
+        cfg.check_batch(data.n_rows, "the encoded table")
         self.variant = variant
         self.cfg = cfg
         self.dp = dp
@@ -534,7 +540,7 @@ class Trainer:
         self._real_stats = (
             stats_from_matrix(data.matrix) if self.n_rows >= 2 else None
         )
-        self.log = TrainLog()
+        self.log = TrainLog(len(self.parties))
         self._best_gens: list[Mlp] | None = None
         self.epoch = 0
 
@@ -665,8 +671,7 @@ class Trainer:
         rec = EpochRecord(
             self.epoch,
             self._quality_fd(self.epoch),
-            losses.get("d1", math.nan),
-            losses.get("d2", math.nan),
+            tuple(losses.get(f"d{i + 1}", math.nan) for i in range(len(self.parties))),
             losses.get("ds", math.nan),
             losses["g"],
         )

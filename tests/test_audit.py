@@ -282,6 +282,30 @@ def brute_force_nn_distances(cat, cont, w_cat, w_cont):
     return out
 
 
+class TestSelectTarget:
+    def test_select_rules_pick_their_record(self):
+        ds = mixed_dataset(30, seed=5)
+        assert A.select_target(ds, A.AuditConfig(select="nn")) == A.find_vulnerable_nn(ds)
+        assert (A.select_target(ds, A.AuditConfig(select="outlier"))
+                == A.find_vulnerable_outlier(ds)[0])
+
+    # the selector is the module attribute at call time, which is what a
+    # wrapper patched onto vfsynth.audit (as perfbench's tracer does) sees
+    def test_selector_looked_up_when_called(self, monkeypatch):
+        monkeypatch.setattr(A, "find_vulnerable_nn", lambda ds: 7)
+        assert A.select_target(mixed_dataset(10), A.AuditConfig(select="nn")) == 7
+
+    def test_target_checked_against_the_rows(self):
+        ds = mixed_dataset(10)
+        assert A.select_target(ds, A.AuditConfig(target=9)) == 9
+        with pytest.raises(ValueError,
+                           match=r"^audit\.target 10 is out of range for the 10 audited rows$"):
+            A.select_target(ds, A.AuditConfig(target=10))
+        # a library AuditConfig may carry neither; the loader requires one
+        with pytest.raises(ValueError, match="audit.target or audit.select"):
+            A.select_target(ds, A.AuditConfig())
+
+
 class TestNearestNeighborDistances:
     def test_matches_brute_force(self):
         rng = RngStream(7, "nn")

@@ -14,7 +14,7 @@ from vfsynth import fedgan as fg
 from vfsynth.dp import ALPHAS, budget_report, calibrate, pipeline_curve
 from vfsynth import nn
 from vfsynth.cli import main
-from vfsynth.config import ConfigError, RunConfig, load_config
+from vfsynth.config import ConfigError, RunConfig, load_config, mechanism
 from vfsynth.rng import RngStream
 
 
@@ -254,6 +254,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"audit.{field} must be a non-empty list"):
             load_config(p)
 
+    # only a missing or null section means the defaults: each of these once
+    # loaded as the defaults (300 epochs), while gan: [1] was refused
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+    def test_falsy_gan_section_refused(self, tmp_path, capsys, value):
+        p = toy_config(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["gan"] = value
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match="^gan must be a mapping$"):
+            load_config(p)
+        assert main(["train", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: gan must be a mapping"]
+        assert not (tmp_path / "run").exists()
+
+    def test_null_gan_section_means_the_defaults(self, tmp_path):
+        p = toy_config(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["gan"] = None
+        p.write_text(yaml.safe_dump(doc))
+        assert load_config(p).gan == fg.GanConfig()
+
     # a hand-built or replaced run is refused when it is made, before any
     # Trainer or audit pool job exists; only the loader once checked these
     @pytest.mark.parametrize("field,value,want", [
@@ -268,6 +289,34 @@ class TestConfig:
             RunConfig(**{**settings, field: value})
         with pytest.raises(ValueError, match=want):
             dataclasses.replace(run, **{field: value})
+
+
+class TestMechanism:
+    def test_no_dp_section_no_mechanism(self, tmp_path):
+        assert mechanism(load_config(toy_config(tmp_path)), 32) == (None, None)
+
+    # gamma is the batch over the rows counted, the steps epochs x disc_steps
+    def test_calibrates_for_the_rows_counted(self, tmp_path):
+        dp_doc = {"epsilon": 10.0, "delta": 1e-3, "clip": 0.5}
+        run = load_config(toy_config(tmp_path, extra={"dp": dp_doc}))
+        dp, record = mechanism(run, 32)
+        gamma, steps = 8 / 32, 3 * 2
+        assert dp.clip == 0.5 and dp.sigma == calibrate(10.0, 1e-3, gamma, steps)
+        report = budget_report(dp.sigma, gamma, steps, 1e-3)
+        assert record == {"clip": 0.5, "epsilon_target": 10.0, **dataclasses.asdict(report)}
+        assert sorted(record) == DP_RECORD_KEYS
+
+    @pytest.mark.parametrize("dp", [None, {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0}],
+                             ids=["no_dp", "dp"])
+    def test_batch_checked_against_the_rows_counted(self, tmp_path, dp):
+        run = load_config(toy_config(tmp_path, extra=None if dp is None else {"dp": dp}))
+        with pytest.raises(d.DataError) as exc:
+            mechanism(run, 7)
+        assert str(exc.value) == f"batch size 8 exceeds the 7 rows of {run.dataset_path}"
+        with pytest.raises(d.DataError) as exc:
+            mechanism(run, 7, "the leave-one-out world")
+        assert str(exc.value) == "batch size 8 exceeds the 7 rows of the leave-one-out world"
+        assert (mechanism(run, 8)[0] is None) == (dp is None)  # a batch of every row
 
 
 class TestTrainCommand:

@@ -102,7 +102,8 @@ class TestTrainBasics:
 
     def test_batch_larger_than_dataset_rejected(self):
         data, split = toy_table(n=4)
-        with pytest.raises(d.DataError):
+        with pytest.raises(d.DataError,
+                           match="^batch size 8 exceeds the 4 rows of the encoded table$"):
             fg.train(fg.VFLGAN, data, split, small_cfg(batch_size=8), None, RngStream(0))
 
     def test_nan_loss_aborts_with_epoch_and_role(self, monkeypatch):
@@ -385,7 +386,7 @@ class TestServerCoupling:
         assert all(p.d2 is None for p in model.parties)
         assert len(model.log.records) == 2
         # base logs no local discriminator losses
-        assert math.isnan(model.log.records[0].loss_d1)
+        assert [math.isnan(v) for v in model.log.records[0].loss_d] == [True, True]
 
     def test_information_flow_through_messages_only(self):
         # with the server stubbed to constant replies, party 0's updates must
@@ -703,6 +704,25 @@ class TestTrainLogCsv:
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "epoch,fd,loss_d1,loss_d2,loss_ds,loss_g"
         assert len(lines) == 4
+
+    # one loss_d<i> column per trained party: four for a four-party run, one
+    # for central, whose one party holds every column
+    @pytest.mark.parametrize("variant,split,parties", [
+        (fg.VFLGAN, ((0,), (1,), (2,), (3,)), 4),
+        (fg.CENTRAL, ((0, 1), (2, 3)), 1),
+    ], ids=["vflgan-four-party", "central"])
+    def test_one_loss_column_per_trained_party(self, tmp_path, variant, split, parties):
+        data, _ = toy_table()
+        model = fg.train(variant, data, d.VerticalSplit(split), small_cfg(), None,
+                         RngStream(30))
+        p = tmp_path / "log.csv"
+        model.log.to_csv(p)
+        header, *rows = [line.split(",") for line in p.read_text().splitlines()]
+        party_columns = [f"loss_d{i + 1}" for i in range(parties)]
+        assert header == ["epoch", "fd", *party_columns, "loss_ds", "loss_g"]
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isfinite(float(row[header.index(k)])) for k in party_columns)
 
     def test_best_epoch_tracks_minimum_fd(self):
         data, split = toy_table()
