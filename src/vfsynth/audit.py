@@ -97,7 +97,8 @@ class AuditConfig:
 
     The attack splits each world's shadows 70/30 into train and test
     (``split_counts``), the paper's 140/60 protocol scaled to ``shadows``.
-    ``target``/``select`` pick the audited record (:func:`select_target`).
+    Exactly one of ``target`` and ``select`` picks the audited record
+    (:func:`select_target`).
     """
 
     shadows: int = 20  # M per world
@@ -110,6 +111,9 @@ class AuditConfig:
     def __post_init__(self):
         fg.check_settings(self, "audit", _AUDIT_LEAST, choices={
             "modes": AUDIT_MODES, "feature_kinds": FEATURE_KINDS, "select": SELECT_RULES})
+        if (self.target is None) == (self.select is None):
+            raise ValueError("audit needs an explicit target or a select rule: "
+                             "set exactly one of audit.target and audit.select")
 
     def split_counts(self) -> tuple[int, int]:
         """(train, test) shadows per world: 70% of them, rounded, and the rest."""
@@ -483,8 +487,6 @@ def select_target(ds: D.TabularDataset, cfg: AuditConfig) -> int:
         return find_vulnerable_outlier(ds)[0]
     if cfg.select == "nn":
         return find_vulnerable_nn(ds)
-    if cfg.target is None:
-        raise ValueError("audit needs audit.target or audit.select to pick the audited record")
     if not 0 <= cfg.target < ds.n_rows:
         raise ValueError(f"audit.target {cfg.target} is out of range for the "
                          f"{ds.n_rows} audited rows")

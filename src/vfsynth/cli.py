@@ -14,6 +14,7 @@ timestamps and content digests of every file in the run directory.
 ``_run_dir``: the manifest reads ``running`` on entry and ``completed``, or
 ``failed`` with the error, on exit (an interrupt included), and is replaced
 atomically. ``generate`` reads a run only through ``_completed_run``.
+The library checks the inputs; this module only its flags, outputs and manifests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import fedgan as fg
 from . import metrics as M
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import load_config, mechanism
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 __all__ = ["main"]
 
@@ -66,11 +67,6 @@ def _fresh_dir(path: str) -> Path:
         raise CliError(f"output directory {out} exists and is not empty")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise CliError(f"--seed must be an integer in [0, 2**64), got {seed}")
 
 
 def _utc_now() -> str:
@@ -194,7 +190,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     if args.n < 0:
         raise CliError(f"--n must be a row count of 0 or more, got {args.n}")
     if os.path.lexists(args.out):
@@ -202,7 +198,7 @@ def cmd_generate(args) -> int:
     run_dir = Path(args.run)
     rel = f"checkpoints/{'best' if args.best else 'final'}.ckpt"
     manifest = _completed_run(run_dir, "config.yaml", rel, "encoder.yaml")
-    # with no finite FD logged, best.ckpt holds the final, maybe untrained, generators
+    # with no finite FD logged, best.ckpt holds the final generators
     best_epoch = manifest.get("best_epoch")
     if args.best and not (isinstance(best_epoch, int) and best_epoch >= 1):
         raise CliError(f"run {run_dir} has no best epoch (best_epoch: {best_epoch}); "
@@ -229,29 +225,13 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     cfg = load_config(args.config)
-    target = args.target or cfg.schema.target
-    if target is None:
-        raise CliError("no target attribute: pass --target or set schema.target")
-    if target not in cfg.schema.names:
-        raise CliError(f"target attribute {target!r} is not in the schema")
-    col = cfg.schema.index_of(target)
-    if cfg.schema.attributes[col].kind != "categorical":
-        raise CliError(f"target attribute {target!r} must be categorical")
+    col = M.target_column(cfg.schema)
     real = D.load_csv(args.real, cfg.schema)
     synth = D.load_csv(args.synth, cfg.schema)
     for flag, path, table in (("--real", args.real, real), ("--synth", args.synth, synth)):
-        # an empty test fold would make every metric of its regime nan
-        if table.n_rows < M.FOLDS:
-            raise CliError(f"{flag} {path} has {table.n_rows} rows; the four-way "
-                           f"evaluation needs at least {M.FOLDS}, one per fold")
-        # no fold of one class can train a classifier
-        classes = np.unique(table.columns[col])
-        if len(classes) == 1:
-            name = cfg.schema.attributes[col].categories[classes[0]]
-            raise CliError(f"{flag} {path} holds the one {target!r} class {name!r}; "
-                           "the four-way evaluation needs at least two")
+        M.check_table(table, col, f"{flag} {path}")
     enc = D.fit_encoder(real)  # a constant numeric column fails here
     # made before the evaluation, which can take minutes
     with _run_dir(args.out, {"seed": args.seed}) as out:
@@ -259,7 +239,7 @@ def cmd_eval(args) -> int:
             M.dataset_stats(D.encode(real, enc)),
             M.dataset_stats(D.encode(synth, enc)),
         )
-        report = M.utility_fourway(real, synth, target, RngStream(args.seed, "eval"))
+        report = M.utility_fourway(real, synth, cfg.schema.target, RngStream(args.seed, "eval"))
         _write_yaml(out / "report.yaml", {
             "frechet_distance": float(fd),
             "total_difference": report.total_difference,
@@ -267,7 +247,7 @@ def cmd_eval(args) -> int:
                 name: {"accuracy": acc, "f1": f1}
                 for name, acc, f1 in report.as_rows()
             },
-            "target": target,
+            "target": cfg.schema.target,
             "seed": args.seed,
         })
         D.write_csv(out / "metrics.csv", ["setting", "accuracy", "f1"], [
@@ -399,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", required=True)
     p.add_argument("--synth", required=True)
     p.add_argument("--config", required=True, help="config providing the schema")
-    p.add_argument("--target", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

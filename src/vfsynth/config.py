@@ -24,9 +24,9 @@ variant, the seed and ASIF's server critic. Top-level keys (see README):
 * ``audit`` — optional ``AuditConfig`` settings: ``modes`` (assd/asif),
   ``shadows`` (at least 6, split 70/30 into attack train and test shadows),
   ``repeats``, ``feature_kinds``, and exactly one of a ``target`` index and
-  a ``select`` rule (outlier|nn); the section is the one source of the
-  audited record. Its lists must be non-empty and distinct; ``asif`` needs
-  a ``variant`` with a server critic.
+  a ``select`` rule (outlier|nn), which ``AuditConfig`` itself requires; the
+  section is the one source of the audited record. Its lists must be
+  non-empty and distinct; ``asif`` needs a ``variant`` with a server critic.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from . import dp as dpmod
 from . import fedgan as fg
 from .audit import AuditConfig
 from .data import Attribute, Schema, VerticalSplit
+from .rng import check_seed
 
 __all__ = ["ConfigError", "DpTarget", "RunConfig", "load_config", "mechanism"]
 
@@ -81,9 +82,7 @@ class RunConfig:
         self.split.validate_against(self.schema)
         if self.variant not in fg.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r} (choose from {fg.VARIANTS})")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        check_seed(self.seed)
         # ASIF probes the D_i^1 whose features parties send to a server
         if self.audit and "asif" in self.audit.modes and self.variant not in fg.SERVER_VARIANTS:
             raise ValueError(f"audit.modes: asif needs a variant with a server critic "
@@ -184,12 +183,8 @@ def load_config(path) -> RunConfig:
         dp = None
         if doc.get("dp") is not None:
             dp = _section(DpTarget, doc["dp"], "dp")
-        audit = None
-        if doc.get("audit") is not None:
-            audit = _section(AuditConfig, doc["audit"], "audit")
-            if (audit.target is None) == (audit.select is None):
-                raise ConfigError("audit needs an explicit target or a select rule: "
-                                  "set exactly one of audit.target and audit.select")
+        audit = (None if doc.get("audit") is None
+                 else _section(AuditConfig, doc["audit"], "audit"))
         return RunConfig(dataset_path=str(_require(dataset, "path", "dataset")),
                          schema=schema, split=split, variant=doc.get("variant", fg.VFLGAN),
                          seed=seed, output_dir=output_dir, gan=gan, dp=dp, audit=audit)

@@ -78,12 +78,6 @@ class Schema:
         if self.target is not None and self.target not in names:
             raise DataError(f"target attribute {self.target!r} not in schema")
 
-    def index_of(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise DataError(f"no attribute named {name!r}")
-
     @property
     def names(self) -> list[str]:
         return [a.name for a in self.attributes]

@@ -148,11 +148,11 @@ def check_settings(obj, section: str, least: dict, positive=(), choices=None) ->
             raise ValueError(f"{key} must be >= {least[f.name]}, got {v}")
 
 
-_GAN_POSITIVE = ("latent_dim", "feature_dim", "batch_size", "disc_steps",
+_GAN_POSITIVE = ("latent_dim", "feature_dim", "batch_size", "disc_steps", "epochs",
                  "gumbel_temperature")
 # the Frechet distance needs two rows; a smaller fd_sample_cap would disable
 # the best-checkpoint selection without saying so
-_GAN_LEAST = {"epochs": 0, "fd_sample_cap": 2}
+_GAN_LEAST = {"fd_sample_cap": 2}
 # WGAN-GP settings: the gradient-penalty weight of every critic and the Adam
 # step of every network
 LAMBDA_GP = 10.0

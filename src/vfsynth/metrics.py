@@ -15,7 +15,7 @@ TRTR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
     "accuracy",
     "macro_f1",
     "UtilityReport",
+    "target_column",
+    "check_table",
     "utility_fourway",
 ]
 
@@ -141,13 +143,35 @@ def _total_difference(trtr, others) -> float:
     )
 
 
-def _features_and_labels(ds: D.TabularDataset, enc: D.Encoder, target: str):
-    ti = ds.schema.index_of(target)
-    if ds.schema.attributes[ti].kind != "categorical":
-        raise D.DataError(f"target attribute {target!r} must be categorical")
-    start, width = enc.spans[ti]
+FOLDS = 10  # cross-validation folds of the four-way utility
+
+
+def target_column(schema: D.Schema) -> int:
+    """The column of the evaluated ``schema.target``, which must be categorical."""
+    if schema.target is None:
+        raise D.DataError("no target attribute: set dataset.schema.target")
+    col = schema.names.index(schema.target)  # a Schema refuses a target it lacks
+    if schema.attributes[col].kind != "categorical":
+        raise D.DataError(f"target attribute {schema.target!r} must be categorical")
+    return col
+
+
+def check_table(ds: D.TabularDataset, col: int, name: str, folds: int = FOLDS) -> None:
+    """Refuse the table ``name`` with fewer rows than ``folds`` or one class in ``col``."""
+    if ds.n_rows < folds:  # an empty test fold makes its metrics NaN
+        raise D.DataError(f"{name} has {ds.n_rows} rows; the four-way evaluation "
+                          f"needs at least {folds}, one per fold")
+    attr, classes = ds.schema.attributes[col], np.unique(ds.columns[col])
+    if len(classes) == 1:  # no fold of it can train a classifier
+        one = attr.categories[classes[0]]
+        raise D.DataError(f"{name} holds the one {attr.name!r} class {one!r}; "
+                          "the four-way evaluation needs at least two")
+
+
+def _features_and_labels(ds: D.TabularDataset, enc: D.Encoder, col: int):
+    start, width = enc.spans[col]
     x = np.delete(D.encode(ds, enc).matrix, slice(start, start + width), axis=1)
-    return x, ds.columns[ti], width
+    return x, ds.columns[col], width
 
 
 def _draw_folds(n: int, k: int, y_checks, rng: RngStream) -> list[np.ndarray]:
@@ -186,9 +210,6 @@ def _fold_eval(x_train, y_train, x_test, y_test, folds, n_classes, trees, rng):
     return float(np.mean(accs)), float(np.mean(f1s))
 
 
-FOLDS = 10  # cross-validation folds of the four-way utility
-
-
 def utility_fourway(
     real: D.TabularDataset,
     synth: D.TabularDataset,
@@ -208,9 +229,12 @@ def utility_fourway(
     """
     if real.schema != synth.schema:
         raise D.DataError("real and synthetic schemas differ")
+    col = target_column(replace(real.schema, target=target))
+    for name, ds in (("the real table", real), ("the synthetic table", synth)):
+        check_table(ds, col, name, folds)
     enc = D.fit_encoder(real)
-    xr, yr, n_classes = _features_and_labels(real, enc, target)
-    xs, ys, _ = _features_and_labels(synth, enc, target)
+    xr, yr, n_classes = _features_and_labels(real, enc, col)
+    xs, ys, _ = _features_and_labels(synth, enc, col)
 
     if len(yr) == len(ys):
         shared = _draw_folds(len(yr), folds, [yr, ys], rng)

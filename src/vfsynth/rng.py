@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "check_seed"]
 
 
 def _encode_label(label) -> bytes:
@@ -41,15 +41,20 @@ def _stream_id(path) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` if an int in [0, 2**64); a bool, float or str is refused, not coerced."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 class RngStream:
     """One independent random stream, plus deterministic derivation of children."""
 
     __slots__ = ("seed", "path", "stream_id", "_gen")
 
     def __init__(self, seed: int, *path):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.path = tuple(path)
         self.stream_id = _stream_id(self.path)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)

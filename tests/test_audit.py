@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vfsynth import audit as A
 from vfsynth import data as d
@@ -301,9 +302,6 @@ class TestSelectTarget:
         with pytest.raises(ValueError,
                            match=r"^audit\.target 10 is out of range for the 10 audited rows$"):
             A.select_target(ds, A.AuditConfig(target=10))
-        # a library AuditConfig may carry neither; the loader requires one
-        with pytest.raises(ValueError, match="audit.target or audit.select"):
-            A.select_target(ds, A.AuditConfig())
 
 
 class TestNearestNeighborDistances:
@@ -400,7 +398,7 @@ def tiny_audit_cfg(variant=fg.VFLGAN, **audit):
     the audit section ``audit`` (6 shadows and 2 repeats unless given)."""
     return RunConfig(dataset_path="mixed.csv", schema=schema_mixed(), split=SPLIT,
                      variant=variant, seed=0, output_dir="audit", gan=TINY_GAN,
-                     audit=A.AuditConfig(**{"shadows": 6, "repeats": 2, **audit}))
+                     audit=A.AuditConfig(**{"shadows": 6, "repeats": 2, "select": "nn", **audit}))
 
 
 class TestShadows:
@@ -620,20 +618,20 @@ class TestRunAttack:
         sets = self._labeled(n_per=30, gap=3.0, seed=1)
         perm = RngStream(2).permutation(len(sets.labels))
         shuffled = A.FeatureSets(sets.features, sets.labels[perm])
-        cfg = A.AuditConfig(shadows=30, feature_kinds=("naive",), repeats=5)
+        cfg = A.AuditConfig(shadows=30, feature_kinds=("naive",), repeats=5, select="nn")
         rep = A.run_attack(shuffled, cfg, RngStream(3))
         assert 0.3 <= rep.auc_mean["naive"] <= 0.7
 
     def test_label_leak_gives_perfect_auc(self):
         labels = np.array([0] * 10 + [1] * 10)
         sets = A.FeatureSets({"naive": labels[:, None].astype(float)}, labels)
-        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2)
+        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2, select="nn")
         rep = A.run_attack(sets, cfg, RngStream(4))
         assert rep.auc_mean["naive"] == 1.0
 
     def test_deterministic(self):
         sets = self._labeled(n_per=12, gap=1.0, seed=5)
-        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive",), repeats=2)
+        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive",), repeats=2, select="nn")
         r1 = A.run_attack(sets, cfg, RngStream(6, "det"))
         r2 = A.run_attack(sets, cfg, RngStream(6, "det"))
         assert r1 == r2
@@ -656,13 +654,14 @@ class TestRunAttack:
         naive = self._labeled(n_per=12, gap=1.0, seed=8)
         x = naive.features["naive"]
         sets = A.FeatureSets({"naive": x, "correlation": x[:, :3]}, naive.labels)
-        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive", "correlation"), repeats=3)
+        cfg = A.AuditConfig(shadows=12, feature_kinds=("naive", "correlation"), repeats=3,
+                            select="nn")
         A.run_attack(sets, cfg, RngStream(9))
         assert calls == {"train_forest": 2 * 3, "predict_scores": 2 * 3}
 
     def test_undersized_feature_sets_rejected(self):
         sets = self._labeled(n_per=4)
-        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2)
+        cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2, select="nn")
         with pytest.raises(ValueError, match="not enough shadows"):
             A.run_attack(sets, cfg, RngStream(7))
 
@@ -705,12 +704,12 @@ class TestAuditConfig:
     # five shadows would split 4/1, leaving the AUC one test shadow per world
     def test_shadow_minimum(self):
         with pytest.raises(ValueError, match=r"^audit\.shadows must be >= 6, got 5$"):
-            A.AuditConfig(shadows=5)
+            A.AuditConfig(shadows=5, select="nn")
 
     # the paper's 140/60 protocol at 200 shadows, scaled to every count
     def test_default_split_is_70_30(self):
         for shadows, want in ((6, (4, 2)), (8, (6, 2)), (20, (14, 6)), (200, (140, 60))):
-            assert A.AuditConfig(shadows=shadows).split_counts() == want
+            assert A.AuditConfig(shadows=shadows, select="nn").split_counts() == want
 
     # a hand-built run is refused as a loaded one is (see test_cli's TestConfig)
     def test_hand_built_run_refuses_asif_without_server_critic(self):
@@ -719,7 +718,7 @@ class TestAuditConfig:
 
     def test_unknown_feature_kind(self):
         with pytest.raises(ValueError):
-            A.AuditConfig(feature_kinds=("histogram",))
+            A.AuditConfig(feature_kinds=("histogram",), select="nn")
 
     # an empty list trained every shadow for an empty report; a repeated
     # name trained and wrote the same ensemble twice
@@ -732,7 +731,28 @@ class TestAuditConfig:
     def test_name_lists_must_be_non_empty_and_distinct(self, field, value):
         with pytest.raises(ValueError, match=rf"^audit\.{field} must be a non-empty list "
                                              "of distinct names"):
-            A.AuditConfig(**{field: value})
+            A.AuditConfig(**{field: value, "select": "nn"})
+
+    # with both, the select rule's record was audited and the target ignored;
+    # a section with neither picked no record
+    @pytest.mark.parametrize("audit", [{"target": 3, "select": "nn"}, {}],
+                             ids=["both", "neither"])
+    def test_exactly_one_of_target_and_select(self, audit):
+        with pytest.raises(ValueError, match=r"^audit needs an explicit target or a select "
+                                             r"rule: set exactly one of audit\.target and "
+                                             r"audit\.select$"):
+            A.AuditConfig(**audit)
+
+    # a script that swaps the audited record on a loaded run is refused too
+    def test_replaced_target_next_to_a_loaded_select_refused(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        doc = yaml.safe_load((root / "configs" / "winequality-red.yaml").read_text())
+        doc["audit"] = {"shadows": 6, "select": "nn"}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        run = load_config(path)
+        with pytest.raises(ValueError, match=r"exactly one of audit\.target and audit\.select"):
+            dataclasses.replace(run.audit, target=480)
 
 
 class TestThreadCount:

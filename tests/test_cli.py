@@ -77,6 +77,17 @@ def toy_config(tmp_path, n=32, extra=None, seed=3):
     return cfg_path
 
 
+def with_target(cfg_path, target):
+    """The config at ``cfg_path`` with ``dataset.schema.target`` set, or
+    removed for None."""
+    doc = yaml.safe_load(cfg_path.read_text())
+    doc["dataset"]["schema"].pop("target")
+    if target is not None:
+        doc["dataset"]["schema"]["target"] = target
+    cfg_path.write_text(yaml.safe_dump(doc))
+    return cfg_path
+
+
 def set_column_a(path, value, keep=()):
     """Rewrite column ``a`` of a toy CSV to ``value``, except the rows ``keep``."""
     lines = path.read_text().splitlines()
@@ -649,11 +660,12 @@ class TestGenerateCommand:
         assert rc == 1
         assert "config.yaml digest mismatch" in capsys.readouterr().err
 
-    def test_best_refused_without_a_best_epoch(self, tmp_path, capsys):
-        # no epoch logs an FD, so best.ckpt holds the untrained generators
+    def test_best_refused_without_a_best_epoch(self, tmp_path, capsys, monkeypatch):
+        # no epoch logs a finite FD, so best.ckpt holds the final generators
+        monkeypatch.setattr(fg.Trainer, "_quality_fd", lambda self, epoch: math.nan)
         cfg_path = toy_config(tmp_path, extra={"gan": {
             "latent_dim": 4, "gen_hidden": [8], "disc_part1_hidden": [8], "feature_dim": 4,
-            "disc_part2_hidden": [8], "server_hidden": [8], "batch_size": 8, "epochs": 0}})
+            "disc_part2_hidden": [8], "server_hidden": [8], "batch_size": 8, "epochs": 1}})
         assert main(["train", "--config", str(cfg_path)]) == 0
         capsys.readouterr()
         run, out = tmp_path / "run", tmp_path / "s.csv"
@@ -810,22 +822,24 @@ class TestEvalCommand:
         assert err == ["error: attribute 'a' is constant; cannot standardize"]
         assert not out.exists()
 
+    # dataset.schema.target is the one source of the evaluated target
     def test_missing_target_named(self, tmp_path, capsys):
-        cfg_path = toy_config(tmp_path)
+        cfg_path = with_target(toy_config(tmp_path), None)
         cfg = load_config(cfg_path)
         rc = main([
             "eval", "--real", cfg.dataset_path, "--synth", cfg.dataset_path,
-            "--config", str(cfg_path), "--target", "nope",
+            "--config", str(cfg_path),
             "--out", str(tmp_path / "ev2"),
         ])
         assert rc == 1
-        assert "nope" in capsys.readouterr().err
+        assert "dataset.schema.target" in capsys.readouterr().err
 
     def test_numeric_target_rejected_before_any_input_is_read(self, tmp_path, capsys):
         # the CSVs do not exist, so the one error line is the target's
         missing, out = str(tmp_path / "missing.csv"), tmp_path / "ev"
-        assert main(["eval", "--real", missing, "--synth", missing, "--target", "a",
-                     "--config", str(toy_config(tmp_path)), "--out", str(out)]) == 1
+        assert main(["eval", "--real", missing, "--synth", missing,
+                     "--config", str(with_target(toy_config(tmp_path), "a")),
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: target attribute 'a' must be categorical"]
         assert not out.exists()

@@ -76,11 +76,11 @@ def zero_last_weights(views):
 
 
 class TestTrainBasics:
-    def test_zero_epochs_returns_initial_generators(self):
+    def test_untrained_trainer_holds_initial_generators(self):
         data, split = toy_table()
-        model = fg.train(fg.VFLGAN, data, split, small_cfg(epochs=0), None, RngStream(1))
+        model = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(1))
         assert model.log.records == []
-        fresh = fg.Trainer(fg.VFLGAN, data, split, small_cfg(epochs=0), None, RngStream(1))
+        fresh = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(1))
         for g1, p in zip(model.generators(), fresh.parties):
             assert same_params(params_of(g1), params_of(p.g))
 
@@ -183,20 +183,21 @@ class TestGanConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("fd_sample_cap", 1), ("fd_sample_cap", 0), ("latent_dim", 0), ("feature_dim", -1),
-         ("batch_size", 0), ("disc_steps", 0), ("gumbel_temperature", 0.0), ("epochs", -1)],
+         ("batch_size", 0), ("disc_steps", 0), ("gumbel_temperature", 0.0), ("epochs", -1),
+         ("epochs", 0)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = small_cfg(epochs=0, fd_sample_cap=2)
-        assert cfg.epochs == 0 and cfg.fd_sample_cap == 2
+        cfg = small_cfg(epochs=1, fd_sample_cap=2)
+        assert cfg.epochs == 1 and cfg.fd_sample_cap == 2
 
 
 # each config section, the arguments it cannot go without, and its keys
 SECTIONS = [("gan", fg.GanConfig, {}), ("dp", DpTarget, {"epsilon": 10.0, "delta": 1e-3}),
-            ("audit", AuditConfig, {})]
+            ("audit", AuditConfig, {"select": "nn"})]
 SECTION_KEYS = [(section, cls, base, f) for section, cls, base in SECTIONS
                 for f in fields(cls)]
 

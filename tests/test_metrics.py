@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vfsynth import data as d
 from vfsynth import metrics as M
+from vfsynth.config import load_config
 from vfsynth.rng import RngStream
 
 
@@ -183,6 +186,26 @@ class TestUtilityFourway:
         )
         with pytest.raises(d.DataError):
             M.utility_fourway(real, other, "label", RngStream(0))
+
+    # 9 rows left a test fold empty and its metrics NaN; no fold of a table of
+    # one class can train a classifier. Both are refused before any forest.
+    @pytest.mark.parametrize("table,message", [
+        ("nine-rows", r"^the real table has 9 rows; the four-way evaluation needs at least 10"),
+        ("one-class", r"^the real table holds the one 'quality' class '5'; the four-way "),
+    ], ids=["nine-rows", "one-class"])
+    def test_unscorable_table_refused_before_any_forest(self, monkeypatch, table, message):
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "configs" / "winequality-red.yaml")
+        wine = d.load_csv(root / cfg.dataset_path, cfg.schema)
+        if table == "nine-rows":
+            ds = d.subset(wine, range(9))
+        else:
+            cols = list(d.subset(wine, range(200)).columns)
+            cols[-1] = np.full(200, cfg.schema.attributes[-1].categories.index("5"))
+            ds = d.TabularDataset(cfg.schema, tuple(cols))
+        monkeypatch.setattr(M, "train_forest", lambda *a, **k: pytest.fail("a forest trained"))
+        with pytest.raises(d.DataError, match=message):
+            M.utility_fourway(ds, ds, "quality", RngStream(0))
 
     def test_non_categorical_target_rejected(self):
         real = _toy_pair()

@@ -48,6 +48,13 @@ def test_int_and_str_labels_hash_differently():
     assert RngStream(0, 1).stream_id != RngStream(0, "1").stream_id
 
 
+# a float or bool seed once ran as int(seed), and a string seed as its number
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+def test_seed_must_be_an_int(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        RngStream(seed)
+
+
 def test_bool_label_rejected():
     with pytest.raises(TypeError):
         RngStream(0, True)
