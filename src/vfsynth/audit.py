@@ -65,6 +65,7 @@ __all__ = [
     "find_vulnerable_nn",
     "select_target",
     "nearest_neighbor_distances",
+    "thread_count",
 ]
 
 FEATURE_KINDS = ("naive", "correlation")

@@ -51,6 +51,7 @@ __all__ = [
     "gaussian_rdp",
     "subsample_amplify",
     "pipeline_curve",
+    "pipeline_epsilon",
     "to_dp",
     "calibrate",
     "BudgetReport",

@@ -29,6 +29,8 @@ head, D_i^2 or D_s. Every critic's penalty weight is :data:`LAMBDA_GP` and
 every network's Adam step :data:`LEARNING_RATE`, the WGAN-GP settings. Each
 role steps its own critic: a party D_i^1 and D_i^2 in
 :meth:`Party.critic_update`, the server D_s in :meth:`Server.disc_step`.
+No role holds a step's arrays between calls: :meth:`Trainer.discriminator_step`
+and :meth:`Trainer.generator_step` run each party's passes and keep the tapes.
 Every gradient is a vector in its network's parameter layout (see
 :mod:`vfsynth.nn`).
 
@@ -83,6 +85,10 @@ __all__ = [
     "Trainer",
     "train",
     "trained_split",
+    "OutputHead",
+    "party_blocks",
+    "generate_from",
+    "check_settings",
 ]
 
 VFLGAN = "vflgan"
@@ -328,7 +334,8 @@ class Party:
 
     Every variant holds its critic as a first part ``d1`` (whose output is
     the intermediate feature) and an optional second part ``d2`` that maps
-    the features to a score; ``d2`` is None only for ``vflgan_base``.
+    the features to a score; ``d2`` is None only for ``vflgan_base``. A party
+    holds its networks, Adam states and streams, and no array of a step.
     """
 
     def __init__(self, index, view, blocks, cfg, variant, rng):
@@ -366,37 +373,17 @@ class Party:
         self.adam_g = AdamState.for_mlp(self.g)
         self.adam_d1 = AdamState.for_mlp(self.d1)
         self.adam_d2 = None if self.d2 is None else AdamState.for_mlp(self.d2)
-        self._step_tapes = None  # D_i^1's tapes between critic forward and update
 
-    # -- discriminator side -------------------------------------------------
-
-    def critic_forward(self, x, x_tilde):
-        """Run D_i^1 once on the real and once on the synthetic rows.
-
-        Returns the features ``(f_i, f~_i)``. The two tapes (whose first
-        inputs are the rows) stay with the party until the next
-        :meth:`critic_update`, which reads and releases them; between steps
-        the party holds no critic-step array.
-        """
-        self._step_tapes = (nn.forward(self.d1, x)[1], nn.forward(self.d1, x_tilde)[1])
-        return self._step_tapes[0].output, self._step_tapes[1].output
-
-    def critic_update(self, reply: FeatureGradDown | None,
+    def critic_update(self, tape_r, tape_s, reply: FeatureGradDown | None,
                       dp: DpConfig | None) -> dict[str, float]:
-        """One Adam step on both critic parts from the last forward pass.
+        """One Adam step on both critic parts from D_i^1's tapes of the real
+        and synthetic rows, whose first inputs are the rows.
 
         D_i^2's WGAN terms and the server's feature gradients are summed on
         the features, then go back through D_i^1 once per row set; the
         gradient penalty is taken on the critic ``(d1, d2)``. Returns
         the local loss keyed by role (``d<i+1>``), empty without D_i^2.
-        ProtocolFault without a :meth:`critic_forward` since the last update.
         """
-        if self._step_tapes is None:
-            raise ProtocolFault(
-                f"party {self.index}: critic update without a critic forward pass"
-            )
-        tape_r, tape_s = self._step_tapes
-        self._step_tapes = None
         losses = {}
         cot_r = cot_s = None  # loss cotangents on the features
         if self.d2 is not None:
@@ -416,9 +403,6 @@ class Party:
             apply_mechanism(self.d1, d1_grad, dp.sigma, dp.clip, self.dpnoise)
         self.d1, self.adam_d1 = nn.adam_step(self.d1, d1_grad, self.adam_d1, LEARNING_RATE)
         return losses
-
-    def apply_gen_update(self, grad: np.ndarray):
-        self.g, self.adam_g = nn.adam_step(self.g, grad, self.adam_g, LEARNING_RATE)
 
 
 class Server:
@@ -551,19 +535,21 @@ class Trainer:
         idx = self.batch_stream.subsample(self.n_rows, cfg.batch_size)
         z = self.z_stream.normal(cfg.batch_size, cfg.latent_dim)
         losses: dict[str, float] = {}
-        # the critic step reads no generator tape
-        features = [
-            p.critic_forward(p.view[idx], p.head.forward(nn.output(p.g, z), p.gumbel))
-            for p in self.parties
-        ]
+        tapes = []  # per party, D_i^1's tapes of the real and synthetic rows
+        for p in self.parties:
+            # the critic step reads no generator tape
+            x, x_tilde = p.view[idx], p.head.forward(nn.output(p.g, z), p.gumbel)
+            tapes.append((nn.forward(p.d1, x)[1], nn.forward(p.d1, x_tilde)[1]))
         replies = [None] * len(self.parties)
         if self.server is not None:
-            up = [FeatureUp(p.index, *f) for p, f in zip(self.parties, features)]
+            up = [FeatureUp(p.index, tape_r.output, tape_s.output)
+                  for p, (tape_r, tape_s) in zip(self.parties, tapes)]
             _check_messages(up, cfg)
             losses["ds"], replies = self.server.disc_step(up)
             _check_messages(replies, cfg)
         for p, reply in zip(self.parties, replies):
-            losses.update(p.critic_update(reply, self.dp))
+            # party i's tapes go as soon as its update has read them
+            losses.update(p.critic_update(*tapes.pop(0), reply, self.dp))
         return losses
 
     # -- one generator iteration --------------------------------------------
@@ -599,7 +585,7 @@ class Trainer:
         if shared:
             self._sum_backbones(grads)
         for p, g in zip(self.parties, grads):
-            p.apply_gen_update(g)
+            p.g, p.adam_g = nn.adam_step(p.g, g, p.adam_g, LEARNING_RATE)
         if shared:
             self._check_backbone_equality()
         return {"g": total}

@@ -220,13 +220,15 @@ def utility_fourway(
 ) -> UtilityReport:
     """Four-regime decision-forest utility of a synthetic dataset.
 
-    When the datasets have equal size, one shared 10-fold partition
-    (contiguous blocks in row order) drives all four regimes with shared
-    forest randomness: train on one dataset minus the fold, test on the
-    other dataset's fold. An exact copy then reproduces TRTR exactly. With
-    unequal sizes the cross regimes train on the full source dataset and
-    test on the full target instead.
+    When the datasets have equal size, one shared ``folds``-fold partition
+    (``folds`` >= 2; contiguous blocks in row order) drives all four regimes
+    with shared forest randomness: train on one dataset minus the fold, test
+    on the other dataset's fold. An exact copy then reproduces TRTR exactly.
+    With unequal sizes the cross regimes train on the full source dataset
+    and test on the full target instead.
     """
+    if folds < 2:  # one fold leaves no training rows
+        raise ValueError(f"folds must be >= 2, got {folds}")
     if real.schema != synth.schema:
         raise D.DataError("real and synthetic schemas differ")
     col = target_column(replace(real.schema, target=target))

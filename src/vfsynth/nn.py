@@ -51,6 +51,7 @@ __all__ = [
     "gumbel_softmax",
     "adam_step",
     "stack",
+    "LEAKY_SLOPE",
 ]
 
 ACTIVATIONS = ("identity", "leaky_relu")

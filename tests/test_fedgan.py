@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 
@@ -111,8 +112,8 @@ class TestTrainBasics:
         trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(3))
         orig = fg.Party.critic_update
 
-        def poisoned(self, reply, dp):
-            return {role: math.nan for role in orig(self, reply, dp)}
+        def poisoned(self, *args):
+            return {role: math.nan for role in orig(self, *args)}
 
         monkeypatch.setattr(fg.Party, "critic_update", poisoned)
         with pytest.raises(fg.TrainingDiverged, match="epoch 1.*role d1"):
@@ -132,16 +133,6 @@ class TestTrainBasics:
         with np.errstate(invalid="ignore"):
             assert math.isnan(trainer._quality_fd(1))
 
-    def test_critic_update_without_a_forward_pass_is_a_protocol_fault(self):
-        data, split = toy_table()
-        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(4))
-        trainer.discriminator_step()
-        p = trainer.parties[1]
-        before = params_of(nn.stack(p.d1, p.d2))
-        with pytest.raises(fg.ProtocolFault, match="party 1"):
-            p.critic_update(None, None)
-        assert same_params(params_of(nn.stack(p.d1, p.d2)), before)
-
     @pytest.mark.parametrize("variant", fg.VARIANTS)
     def test_no_critic_step_state_outlives_the_epoch(self, variant):
         data, split = toy_table()
@@ -151,8 +142,25 @@ class TestTrainBasics:
             held = [x for v in vars(p).values()
                     for x in (v if isinstance(v, tuple) else (v,))]
             assert not any(isinstance(v, nn.Tape) for v in held)
-            with pytest.raises(fg.ProtocolFault, match=f"party {p.index}"):
-                p.critic_update(None, None)
+
+    def test_each_partys_critic_tapes_die_before_the_next_update(self, monkeypatch):
+        # three parties, so the last update runs after two earlier ones
+        data, _ = toy_table()
+        split = d.VerticalSplit(((0,), (1, 2), (3,)))
+        trainer = fg.Trainer(fg.VFLGAN, data, split, small_cfg(), None, RngStream(5))
+        orig, earlier = fg.Party.critic_update, []
+
+        def spy(self, tape_r, tape_s, *args):
+            assert all(ref() is None for ref in earlier), f"party {self.index}"
+            result = orig(self, tape_r, tape_s, *args)
+            earlier.extend((weakref.ref(tape_r), weakref.ref(tape_s)))
+            return result
+
+        monkeypatch.setattr(fg.Party, "critic_update", spy)
+        for _ in range(2):
+            earlier.clear()
+            trainer.discriminator_step()
+            assert len(earlier) == 6
 
     def test_discriminator_step_leaves_generators_untouched(self):
         data, split = toy_table()

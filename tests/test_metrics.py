@@ -211,3 +211,14 @@ class TestUtilityFourway:
         real = _toy_pair()
         with pytest.raises(d.DataError):
             M.utility_fourway(real, real, "f1", RngStream(0))
+
+    # one fold trained on no rows and failed in the fold draw with a message
+    # about classes; zero folds failed inside numpy
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_refused_before_any_forest(self, monkeypatch, folds):
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "configs" / "winequality-red.yaml")
+        ds = d.subset(d.load_csv(root / cfg.dataset_path, cfg.schema), range(60))
+        monkeypatch.setattr(M, "train_forest", lambda *a, **k: pytest.fail("a forest trained"))
+        with pytest.raises(ValueError, match=rf"^folds must be >= 2, got {folds}$"):
+            M.utility_fourway(ds, ds, "quality", RngStream(0), folds=folds)
