@@ -119,11 +119,19 @@ def _list(v, key):
     return v
 
 
+def _str(v, key):
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{key} must be a non-empty string, got {v!r}")
+    return v
+
+
 def _schema_from(doc) -> Schema:
+    _check_keys(doc, ("attributes", "target"), "dataset.schema")
     attrs = []
     entries = _require(doc, "attributes", "dataset.schema")
     for i, a in enumerate(_list(entries, "dataset.schema.attributes")):
         name = _require(a, "name", f"attribute {i}")
+        _check_keys(a, ("name", "kind", "categories"), f"attribute {name!r}")
         kind = _require(a, "kind", f"attribute {name!r}")
         cats = _list(a.get("categories", []), f"attribute {name!r}: categories")
         attrs.append(Attribute(str(name), str(kind), tuple(str(c) for c in cats)))
@@ -165,8 +173,8 @@ def load_config(path) -> RunConfig:
     try:
         _check_keys(doc, _TOP_KEYS, "top-level")
         version = _require(doc, "config_version", "config")
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"config_version {version} unsupported "
+        if type(version) is not int or version != CONFIG_VERSION:
+            raise ConfigError(f"config_version {version!r} unsupported "
                               f"(expected {CONFIG_VERSION})")
         dataset = _require(doc, "dataset", "config")
         _check_keys(dataset, ("path", "schema"), "dataset")
@@ -177,7 +185,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"split must list integer attribute indices, got {split_doc!r}")
         split = VerticalSplit(tuple(tuple(p) for p in split_doc))
         seed = _require(doc, "seed", "config")
-        output_dir = str(_require(doc, "output_dir", "config"))
+        output_dir = _str(_require(doc, "output_dir", "config"), "output_dir")
         # only a missing or null section means the defaults
         gan = _section(fg.GanConfig, {} if doc.get("gan") is None else doc["gan"], "gan")
         dp = None
@@ -185,7 +193,7 @@ def load_config(path) -> RunConfig:
             dp = _section(DpTarget, doc["dp"], "dp")
         audit = (None if doc.get("audit") is None
                  else _section(AuditConfig, doc["audit"], "audit"))
-        return RunConfig(dataset_path=str(_require(dataset, "path", "dataset")),
+        return RunConfig(dataset_path=_str(_require(dataset, "path", "dataset"), "dataset.path"),
                          schema=schema, split=split, variant=doc.get("variant", fg.VFLGAN),
                          seed=seed, output_dir=output_dir, gan=gan, dp=dp, audit=audit)
     except ValueError as exc:

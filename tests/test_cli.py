@@ -88,6 +88,16 @@ def with_target(cfg_path, target):
     return cfg_path
 
 
+def with_setting(cfg_path, key, value):
+    """The config at ``cfg_path`` with ``key``, a top-level name or
+    ``section.name``, set to ``value``."""
+    doc = yaml.safe_load(cfg_path.read_text())
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    cfg_path.write_text(yaml.safe_dump(doc))
+    return cfg_path
+
+
 def set_column_a(path, value, keep=()):
     """Rewrite column ``a`` of a toy CSV to ``value``, except the rows ``keep``."""
     lines = path.read_text().splitlines()
@@ -217,23 +227,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="split"):
             load_config(p)
 
-    # the last four are audit keys no config or benchmark run set, now gone
+    # the four audit keys after "dp" are keys no config or benchmark run set,
+    # now gone; the schema and its attributes once loaded a typo silently
     @pytest.mark.parametrize("section,key,value", [
         (None, "varient", "central"), ("dataset", "pth", "x.csv"),
         ("dp", "clp", 0.5), ("audit", "shadow", 4), ("audit", "variant", "central"),
         ("audit", "gan", {"epochs": 1}), ("audit", "dp", {"epsilon": 1.0}),
         ("audit", "rows", 200), ("audit", "synthetic_rows", 2),
         ("audit", "train_count", 4), ("audit", "test_count", 2),
+        ("dataset.schema", "targett", "k"), ("attribute 'a'", "unit", "g/L"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, section, key, value):
         p = toy_config(tmp_path, extra={"dp": {"epsilon": 10.0, "delta": 1e-3},
                                         "audit": {"shadows": 6, "select": "nn"}})
         doc = yaml.safe_load(p.read_text())
-        (doc if section is None else doc[section])[key] = value
+        schema = doc["dataset"]["schema"]
+        nested = {"dataset.schema": schema, "attribute 'a'": schema["attributes"][0]}
+        (doc if section is None else nested.get(section) or doc[section])[key] = value
         p.write_text(yaml.safe_dump(doc))
         with pytest.raises(ConfigError) as exc:
             load_config(p)
         assert str(exc.value) == f"unknown {section or 'top-level'} settings: ['{key}']"
+
+    # each was once read through str() or compared with ==: output_dir: null
+    # loaded as "None", and train wrote its run into ./None; an empty
+    # output_dir named the working directory
+    @pytest.mark.parametrize("key,value,want", [
+        ("output_dir", None, "output_dir must be a non-empty string, got None"),
+        ("output_dir", ["a"], "output_dir must be a non-empty string, got ['a']"),
+        ("output_dir", "", "output_dir must be a non-empty string, got ''"),
+        ("dataset.path", None, "dataset.path must be a non-empty string, got None"),
+        ("config_version", True, "config_version True unsupported (expected 1)"),
+        ("config_version", 1.0, "config_version 1.0 unsupported (expected 1)"),
+    ], ids=["output_dir-null", "output_dir-list", "output_dir-empty", "path-null",
+            "version-true", "version-float"])
+    def test_paths_are_strings_and_the_version_the_integer_1(self, tmp_path, key, value, want):
+        with pytest.raises(ConfigError) as exc:
+            load_config(with_setting(toy_config(tmp_path), key, value))
+        assert str(exc.value) == want
 
     def test_audit_needs_target_or_select(self, tmp_path):
         p = toy_config(tmp_path, extra={"audit": {"shadows": 6}})
@@ -459,6 +490,25 @@ class TestTrainCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "batch size 8 exceeds the 6 rows" in err
         assert not (tmp_path / "run").exists()
+
+    # a run that would train something other than what it names, or nothing
+    @pytest.mark.parametrize("key,value", [
+        ("variant", "bogus"), ("split", [[0], [1]]), ("gan.epochs", 0),
+    ], ids=["variant", "split", "epochs-0"])
+    def test_invalid_run_refused_before_the_run_directory(self, tmp_path, capsys, key, value):
+        cfg_path = with_setting(toy_config(tmp_path), key, value)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_null_output_dir_makes_no_run_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = toy_config(tmp_path, extra={"output_dir": None})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: output_dir must be a non-empty string, got None"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "toy.csv"]
 
     def test_refuses_nonempty_output(self, tmp_path):
         cfg_path = toy_config(tmp_path)
@@ -735,6 +785,23 @@ class TestEvalCommand:
         assert len(lines) == 7  # 4 settings + FD + total difference
         assert lines[-2:] == [f"FD,{float(rep['frechet_distance'])!r},",
                               f"TOTAL_DIFFERENCE,{float(rep['total_difference'])!r},"]
+
+    # tables of different sizes take utility_fourway's other path: the cross
+    # regimes train on the whole source table
+    def test_unequal_sizes_rerun_byte_identical(self, tmp_path, monkeypatch):
+        from vfsynth import metrics
+
+        clock_around(monkeypatch, metrics, "utility_fourway", trees=2)
+        cfg_path = toy_config(tmp_path, n=120)
+        synth = tmp_path / "synth.csv"
+        write_toy_csv(synth, n=60, seed=1)
+        outs = [tmp_path / "ev1", tmp_path / "ev2"]
+        for out in outs:
+            assert main(["eval", "--real", load_config(cfg_path).dataset_path,
+                         "--synth", str(synth), "--config", str(cfg_path),
+                         "--seed", "3", "--out", str(out)]) == 0
+        for name in ("report.yaml", "metrics.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_manifest_start_time_taken_first(self, tmp_path, monkeypatch):
         from vfsynth import metrics
@@ -1129,6 +1196,23 @@ class TestAuditCommand:
         assert manifest["inventory"] == {}
         assert not (out / "audit_report.yaml").exists()
 
+    # each is refused by the loader, before any shadow trains
+    @pytest.mark.parametrize("audit,want", [
+        ({"feature_kinds": []}, "audit.feature_kinds must be a non-empty list"),
+        ({"target": 5}, "exactly one of audit.target and audit.select"),
+        ({"rows": 200}, "unknown audit settings: ['rows']"),
+    ], ids=["kinds-empty", "target-and-select", "removed-rows"])
+    def test_bad_audit_section_refused_before_the_output_directory(
+        self, tmp_path, capsys, audit, want
+    ):
+        cfg_path = toy_config(tmp_path, n=24,
+                              extra={"audit": {"shadows": 6, "select": "nn", **audit}})
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and want in err[0]
+        assert not out.exists()
+
     def test_refuses_nonempty_output(self, tmp_path, capsys):
         audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
                  "select": "nn"}
@@ -1158,7 +1242,12 @@ class TestAuditCommand:
      "invalid int value: 'abc'"),
     (["audit", "--out", "aud"], "required: --config"),
     ([], "required: command"),
-], ids=["unknown-flag", "bad-int", "missing-flag", "no-command"])
+    # the config is the one source of the audited record and of the seed
+    (["audit", "--config", "c.yaml", "--target", "3", "--out", "aud"],
+     "unrecognized arguments: --target 3"),
+    (["train", "--config", "c.yaml", "--seed", "3"], "unrecognized arguments: --seed 3"),
+], ids=["unknown-flag", "bad-int", "missing-flag", "no-command", "audit-target",
+        "train-seed"])
 def test_malformed_arguments_give_one_error_line(capsys, argv, word):
     assert main(argv) == 1
     out, err = capsys.readouterr()
@@ -1166,12 +1255,20 @@ def test_malformed_arguments_give_one_error_line(capsys, argv, word):
     assert err.startswith("error: ") and word in err
 
 
-def test_help_exits_zero_and_train_takes_config_and_out(capsys):
+def help_flags(capsys, command):
+    """The flags ``command --help`` lists; it must exit 0."""
     with pytest.raises(SystemExit) as exc:
-        main(["train", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
-    flags = {w.split("=")[0] for w in capsys.readouterr().out.split() if w.startswith("--")}
-    assert flags == {"--help", "--config", "--out"}
+    return {w.split("=")[0] for w in capsys.readouterr().out.split() if w.startswith("--")}
+
+
+def test_help_exits_zero_and_train_takes_config_and_out(capsys):
+    assert help_flags(capsys, "train") == {"--help", "--config", "--out"}
+
+
+def test_audit_takes_config_and_out(capsys):
+    assert help_flags(capsys, "audit") == {"--help", "--config", "--out"}
 
 
 class TestAccountantCommand:
