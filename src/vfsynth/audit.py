@@ -15,8 +15,8 @@ Feature maps, fixed as this artifact's convention:
 * ``naive`` — per attribute: (mean, median, population variance) for
   numerics, per-category relative frequencies for categoricals.
 * ``correlation`` — strict upper triangle, row-major, of the Pearson
-  correlation matrix over the schema-driven numeric representation
-  (raw numerics + one-hot blocks); zero-variance columns contribute 0.
+  correlation matrix; zero-variance columns contribute 0. Both kinds read
+  ``Encoder.spans``' layout unstandardized: raw numerics, exact one-hot blocks.
 
 Shadow trainings are independent jobs on derived streams; they fan out over
 worker processes (count from ``VFSYNTH_THREADS``, default the CPU count)
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # config imports this module
 __all__ = [
     "AuditConfig",
     "FeatureSets",
-    "AuditReport",
     "extract_naive",
     "extract_corr",
     "naive_features_matrix",
@@ -130,17 +129,6 @@ class FeatureSets:
     labels: np.ndarray
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    auc_mean: dict[str, float]
-    auc_std: dict[str, float]
-
-    def __post_init__(self):
-        for kind, v in self.auc_mean.items():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"AUC for {kind} outside [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # feature extraction
 # ---------------------------------------------------------------------------
@@ -169,42 +157,33 @@ def corr_features_matrix(m: np.ndarray) -> np.ndarray:
     return corr[iu]
 
 
-def _raw_block(attr: D.Attribute, col: np.ndarray) -> np.ndarray:
-    """Exact one-hot block of a categorical column, else the raw column."""
-    if attr.kind == "categorical":
-        return np.eye(len(attr.categories))[col]
-    return col.astype(np.float64)[:, None]
-
-
-def _schema_numeric_matrix(ds: D.TabularDataset) -> np.ndarray:
-    """Raw numerics + exact one-hot blocks, in schema order (no scaling)."""
-    attrs = zip(ds.schema.attributes, ds.columns)
-    return np.hstack([_raw_block(a, c) for a, c in attrs])
+def _raw_matrix(ds: D.TabularDataset):
+    """``ds`` in ``Encoder.spans``' layout, unstandardized, and the spans."""
+    n = len(ds.schema.attributes)
+    enc = D.Encoder(ds.schema, (0.0,) * n, (1.0,) * n)  # (x - 0.0) / 1.0 == x
+    return D.encode(ds, enc).matrix, enc.spans
 
 
 def extract_naive(ds: D.TabularDataset) -> np.ndarray:
     """Per-attribute summaries of a (synthetic) dataset.
 
     Numerics contribute (mean, median, variance); categoricals contribute
-    their per-category relative frequencies.
+    their per-category relative frequencies, the means of their one-hot columns.
     """
     if ds.n_rows == 0:
         raise D.DataError("cannot extract features from an empty dataset")
-    parts = []
-    for attr, col in zip(ds.schema.attributes, ds.columns):
-        if attr.kind == "categorical":
-            freq = np.bincount(col, minlength=len(attr.categories)) / ds.n_rows
-            parts.append(freq)
-        else:
-            c = col.astype(np.float64)
-            parts.append(np.array([np.mean(c), np.median(c), np.var(c)]))
-    return np.concatenate(parts)
+    m, spans = _raw_matrix(ds)
+    # a numeric one column at a time: a wider axis-0 reduction sums in another order
+    return np.concatenate([
+        np.mean(m[:, s : s + w], axis=0) if attr.kind == "categorical"
+        else naive_features_matrix(m[:, s : s + 1])
+        for attr, (s, w) in zip(ds.schema.attributes, spans)])
 
 
 def extract_corr(ds: D.TabularDataset) -> np.ndarray:
     if ds.n_rows < 2:
         raise D.DataError("correlation features need at least 2 rows")
-    return corr_features_matrix(_schema_numeric_matrix(ds))
+    return corr_features_matrix(_raw_matrix(ds)[0])
 
 
 _EXTRACTORS = {"naive": extract_naive, "correlation": extract_corr}
@@ -215,21 +194,20 @@ _MATRIX_EXTRACTORS = {"naive": naive_features_matrix, "correlation": corr_featur
 # shadow ensembles
 # ---------------------------------------------------------------------------
 
-_worker_batch = None  # (job, batch) a pool worker was handed once, by _receive
+_worker_batch = None  # what a pool worker was handed once, by _receive
 
 
-def _receive(job, batch):
+def _receive(batch):
     global _worker_batch
-    _worker_batch = (job, batch)
+    _worker_batch = batch
 
 
 def _run_key(key):
-    job, batch = _worker_batch
-    return job(batch, key)
+    return _shadow_job(_worker_batch, key)
 
 
-def _run_jobs(job, batch, keys):
-    """``job(batch, key)`` for each key, in worker processes.
+def _run_jobs(batch, keys):
+    """``_shadow_job(batch, key)`` for each key, in worker processes.
 
     ``batch`` holds what every job of the ensemble reads: both worlds, the
     run, the DP mechanism and the stream. It reaches each worker once, through
@@ -240,12 +218,12 @@ def _run_jobs(job, batch, keys):
     """
     workers = min(thread_count(), len(keys))
     if workers <= 1:
-        return [job(batch, key) for key in keys]
+        return [_shadow_job(batch, key) for key in keys]
     # imported here, so a run without a pool never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_receive,
-                             initargs=(job, batch)) as pool:
+                             initargs=(batch,)) as pool:
         return list(pool.map(_run_key, keys))
 
 
@@ -294,7 +272,7 @@ def train_shadows(
     cfg = run.audit
     worlds = (D.leave_one_out(ds, target_index), ds)
     keys = [(world, m) for world in (0, 1) for m in range(cfg.shadows)]
-    rows = _run_jobs(_shadow_job, (worlds, run, dp, rng), keys)
+    rows = _run_jobs((worlds, run, dp, rng), keys)
     labels = np.array([world for world, _ in keys], dtype=np.int64)
     return {
         mode: FeatureSets({k: np.vstack([r[mode][k] for r in rows]) for k in cfg.feature_kinds},
@@ -323,15 +301,16 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(twice_u / 2.0 / (len(pos) * len(neg)))
 
 
-def run_attack(sets: FeatureSets, cfg: AuditConfig, rng: RngStream) -> AuditReport:
-    """Decision-forest adversary over repeated balanced train/test splits."""
+def run_attack(sets: FeatureSets, cfg: AuditConfig, rng: RngStream) -> dict[str, dict]:
+    """Decision-forest adversary over repeated balanced train/test splits:
+    per feature kind, the AUC's ``auc_mean`` and ``auc_std`` over the repeats."""
     n_train, n_test = cfg.split_counts()
     labels = sets.labels
     world0 = np.nonzero(labels == 0)[0]
     world1 = np.nonzero(labels == 1)[0]
     if min(len(world0), len(world1)) < n_train + n_test:
         raise ValueError("not enough shadows per world for the requested split")
-    means, stds = {}, {}
+    results = {}
     for kind in cfg.feature_kinds:
         x = sets.features[kind]
         aucs = []
@@ -349,9 +328,11 @@ def run_attack(sets: FeatureSets, cfg: AuditConfig, rng: RngStream) -> AuditRepo
             )
             scores = predict_scores(forest, x[test_rows], positive=1)
             aucs.append(auc(scores, labels[test_rows]))
-        means[kind] = float(np.mean(aucs))
-        stds[kind] = float(np.std(aucs))
-    return AuditReport(auc_mean=means, auc_std=stds)
+        mean = float(np.mean(aucs))
+        if not 0.0 <= mean <= 1.0:
+            raise ValueError(f"AUC for {kind} outside [0, 1]")
+        results[kind] = {"auc_mean": mean, "auc_std": float(np.std(aucs))}
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +449,13 @@ def find_vulnerable_nn(ds: D.TabularDataset) -> int:
     by their attribute counts)."""
     if ds.n_rows < 2:
         raise D.DataError("need at least 2 rows")
-    attrs = list(zip(ds.schema.attributes, ds.columns))
-    cat = [_raw_block(a, c) for a, c in attrs if a.kind == "categorical"]
-    cont = [_raw_block(a, c) for a, c in attrs if a.kind != "categorical"]
-    empty = np.zeros((ds.n_rows, 0))
+    attrs = ds.schema.attributes
+    m, spans = _raw_matrix(ds)
+    is_cat = [attr.kind == "categorical" for attr in attrs]
+    cat_cols = np.repeat(is_cat, [w for _, w in spans])  # the spans tile the columns in order
+    n_cat = sum(is_cat)
     dists = nearest_neighbor_distances(
-        np.hstack([empty, *cat]), np.hstack([empty, *cont]),
-        len(cat) / len(attrs), len(cont) / len(attrs),
+        m[:, cat_cols], m[:, ~cat_cols], n_cat / len(attrs), (len(attrs) - n_cat) / len(attrs),
     )
     return int(np.argmax(dists))
 

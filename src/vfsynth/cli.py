@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import os
 import shutil
@@ -158,15 +157,13 @@ def _read_encoder(run_dir: Path, schema: D.Schema) -> D.Encoder:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
     ds = D.load_csv(cfg.dataset_path, cfg.schema)
     data = D.encode(ds, D.fit_encoder(ds))
     dp_cfg, dp_record = mechanism(cfg, data.n_rows)
     record = {"variant": cfg.variant, "seed": cfg.seed}
     if dp_record is not None:
         record["dp"] = dp_record
-    with _run_dir(cfg.output_dir, record) as run_dir:
+    with _run_dir(cfg.output_dir if args.out is None else args.out, record) as run_dir:
         shutil.copyfile(args.config, run_dir / "config.yaml")
         (run_dir / "checkpoints").mkdir()
         (run_dir / "logs").mkdir()
@@ -281,7 +278,7 @@ def cmd_audit(args) -> int:
     D.fit_encoder(D.leave_one_out(ds, target))
     root = RngStream(cfg.seed, "audit")
     results = {}
-    with _run_dir(args.out if args.out else cfg.output_dir, {"seed": cfg.seed}) as out:
+    with _run_dir(cfg.output_dir if args.out is None else args.out, {"seed": cfg.seed}) as out:
         # every mode reads the one ensemble, on the stream ASSD has always used
         ensemble = au.train_shadows(ds, target, cfg, dp_cfg, root.child("assd"))
         for mode, sets in ensemble.items():
@@ -297,11 +294,7 @@ def cmd_audit(args) -> int:
             "shadows_per_world": cfg.audit.shadows,
             "repeats": cfg.audit.repeats,
             "dp_enabled": dp_cfg is not None,
-            "results": {
-                mode: {kind: {"auc_mean": rep.auc_mean[kind], "auc_std": rep.auc_std[kind]}
-                       for kind in rep.auc_mean}
-                for mode, rep in results.items()
-            },
+            "results": results,
         }
         if dp_record is not None:
             body["dp"] = dp_record
@@ -353,6 +346,13 @@ class _Parser(argparse.ArgumentParser):  # subparsers are made of this class too
         raise CliError(message)
 
 
+def _path(value: str) -> str:
+    """The type of every path flag: an empty one names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError(f"must be a non-empty path, got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vfsynth",
@@ -362,30 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a run config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="override config output_dir")
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--out", type=_path, default=None, help="override config output_dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample synthetic rows from a run")
-    p.add_argument("--run", required=True, help="run directory")
+    p.add_argument("--run", type=_path, required=True, help="run directory")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.add_argument("--best", action="store_true",
                    help="use the best-FD checkpoint (default: final)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="Frechet distance + four-way utility")
-    p.add_argument("--real", required=True)
-    p.add_argument("--synth", required=True)
-    p.add_argument("--config", required=True, help="config providing the schema")
+    p.add_argument("--real", type=_path, required=True)
+    p.add_argument("--synth", type=_path, required=True)
+    p.add_argument("--config", type=_path, required=True, help="config providing the schema")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("audit", help="leave-one-out membership-inference audit")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--out", type=_path, default=None)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("accountant", help="privacy accountant")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gamma", type=float, required=True)
     r.add_argument("--steps", type=int, required=True)
     r.add_argument("--delta", type=float, required=True)
-    r.add_argument("--curve", default=None,
+    r.add_argument("--curve", type=_path, default=None,
                    help="write the composed curve as CSV to a new file")
     r.set_defaults(func=cmd_accountant_report)
     c = acc.add_parser("calibrate", help="smallest sigma meeting a budget")

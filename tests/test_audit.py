@@ -82,6 +82,41 @@ class TestCorrFeatures:
         assert A.extract_corr(ds).shape == (k * (k - 1) // 2,)
 
 
+class TestIntegerAttributes:
+    def test_features_and_selection_equal_the_raw_value_oracles_bitwise(self):
+        # raw numerics (integers cast to float64) and exact one-hot blocks,
+        # a one-category categorical among them
+        schema = d.Schema((
+            d.Attribute("x", "continuous"),
+            d.Attribute("i", "integer"),
+            d.Attribute("k", "categorical", ("a", "b", "c")),
+            d.Attribute("one", "categorical", ("u",)),
+            d.Attribute("j", "integer"),
+        ))
+        n = 600
+        rng = RngStream(41, "int")
+        ds = d.TabularDataset(schema, (
+            rng.normal(n) * 7 + 3, rng.integers(-40, 90, size=n), rng.integers(0, 3, size=n),
+            np.zeros(n, dtype=np.int64), rng.integers(0, 5, size=n)))
+        naive, blocks = [], []
+        for attr, col in zip(schema.attributes, ds.columns):
+            if attr.kind == "categorical":
+                naive.append(np.bincount(col, minlength=len(attr.categories)) / n)
+                blocks.append(np.eye(len(attr.categories))[col])
+            else:
+                c = col.astype(np.float64)
+                naive.append(np.array([np.mean(c), np.median(c), np.var(c)]))
+                blocks.append(c[:, None])
+        assert A.extract_naive(ds).tobytes() == np.concatenate(naive).tobytes()
+        assert (A.extract_corr(ds).tobytes()
+                == A.corr_features_matrix(np.hstack(blocks)).tobytes())
+        is_cat = [a.kind == "categorical" for a in schema.attributes]
+        cat = np.hstack([b for b, c in zip(blocks, is_cat) if c])
+        cont = np.hstack([b for b, c in zip(blocks, is_cat) if not c])
+        dist = dense_nn_distances(cat, cont, 2 / 5, 3 / 5)
+        assert A.find_vulnerable_nn(ds) == int(np.argmax(dist))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert A.auc(np.array([0.9, 0.1]), np.array([1, 0])) == 1.0
@@ -568,7 +603,7 @@ class TestWorkerHandOff:
         assert pool.items == [(w, m) for w in (0, 1) for m in range(cfg.audit.shadows)]
         for item in pool.items:
             assert len(pickle.dumps((pool.fn, item))) <= 1024
-        worlds = pool.initargs[1][0]
+        worlds = pool.initargs[0][0]
         assert [w.n_rows for w in worlds] == [ds.n_rows - 1, ds.n_rows]
         assert np.array_equal(worlds[0].columns[0], np.delete(ds.columns[0], 5))
         assert all(np.array_equal(a, b) for a, b in zip(worlds[1].columns, ds.columns))
@@ -620,14 +655,14 @@ class TestRunAttack:
         shuffled = A.FeatureSets(sets.features, sets.labels[perm])
         cfg = A.AuditConfig(shadows=30, feature_kinds=("naive",), repeats=5, select="nn")
         rep = A.run_attack(shuffled, cfg, RngStream(3))
-        assert 0.3 <= rep.auc_mean["naive"] <= 0.7
+        assert 0.3 <= rep["naive"]["auc_mean"] <= 0.7
 
     def test_label_leak_gives_perfect_auc(self):
         labels = np.array([0] * 10 + [1] * 10)
         sets = A.FeatureSets({"naive": labels[:, None].astype(float)}, labels)
         cfg = A.AuditConfig(shadows=10, feature_kinds=("naive",), repeats=2, select="nn")
         rep = A.run_attack(sets, cfg, RngStream(4))
-        assert rep.auc_mean["naive"] == 1.0
+        assert rep["naive"]["auc_mean"] == 1.0
 
     def test_deterministic(self):
         sets = self._labeled(n_per=12, gap=1.0, seed=5)
@@ -692,7 +727,7 @@ class TestStubbedEndToEnd:
         cfg = tiny_audit_cfg(shadows=8, feature_kinds=("naive",))
         sets = A.train_shadows(ds, 5, cfg, None, RngStream(23))["assd"]
         rep = A.run_attack(sets, cfg.audit, RngStream(24))
-        assert rep.auc_mean["naive"] == 1.0
+        assert rep["naive"]["auc_mean"] == 1.0
 
 
 class TestAuditConfig:

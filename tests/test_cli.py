@@ -925,6 +925,25 @@ def test_out_of_range_seed_rejected_before_any_input_is_read(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "audit"])
+def test_empty_out_refused_before_anything_is_written(tmp_path, capsys, monkeypatch, command):
+    # an empty --out once wrote the run into the working directory, or for
+    # audit fell back to the config's output_dir
+    audit = {"modes": ["assd"], "shadows": 6, "repeats": 1, "feature_kinds": ["naive"],
+             "select": "nn"}
+    cfg_path = toy_config(tmp_path, n=24, extra={"audit": audit})
+    csv = load_config(cfg_path).dataset_path
+    inputs = {"train": [], "eval": ["--real", csv, "--synth", csv], "audit": []}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([command, "--config", str(cfg_path), *inputs[command], "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: argument --out: must be a non-empty path, got ''"]
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "run").exists()
+
+
 class TestAuditCommand:
     def test_audit_end_to_end_small(self, tmp_path):
         cfg_path = toy_config(
@@ -1246,8 +1265,21 @@ class TestAuditCommand:
     (["audit", "--config", "c.yaml", "--target", "3", "--out", "aud"],
      "unrecognized arguments: --target 3"),
     (["train", "--config", "c.yaml", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    # an empty path flag names no file
+    (["train", "--config", ""], "argument --config: must be a non-empty path"),
+    (["generate", "--run", "", "--n", "5", "--seed", "1", "--out", "s.csv"], "argument --run"),
+    (["eval", "--real", "", "--synth", "s.csv", "--config", "c.yaml", "--out", "ev"],
+     "argument --real"),
+    (["eval", "--real", "r.csv", "--synth", "", "--config", "c.yaml", "--out", "ev"],
+     "argument --synth"),
+    # refused before the run, which does not exist, is read
+    (["generate", "--run", "r", "--n", "5", "--seed", "1", "--out", ""], "argument --out"),
+    # refused before the report is printed
+    (["accountant", "report", "--sigma", "1", "--gamma", "0.1", "--steps", "10",
+      "--delta", "1e-5", "--curve", ""], "argument --curve: must be a non-empty path, got ''"),
 ], ids=["unknown-flag", "bad-int", "missing-flag", "no-command", "audit-target",
-        "train-seed"])
+        "train-seed", "empty-config", "empty-run", "empty-real", "empty-synth",
+        "generate-empty-out", "empty-curve"])
 def test_malformed_arguments_give_one_error_line(capsys, argv, word):
     assert main(argv) == 1
     out, err = capsys.readouterr()
