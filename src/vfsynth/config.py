@@ -17,7 +17,9 @@ variant, the seed and ASIF's server critic. Top-level keys (see README):
 * ``seed`` — integer base seed; every stream in the run derives from it.
 * ``output_dir`` — run directory to create.
 * ``gan`` — optional ``GanConfig`` overrides; only a missing or null
-  section means the defaults.
+  section means the defaults. The Gumbel temperature (0.2), the identity
+  numeric head and the FD sample cap (2048 rows) are constants of the
+  design: a section that sets one is refused as unknown.
 * ``dp`` — optional ``DpTarget``: ``epsilon``, ``delta``, ``clip``, finite
   numbers; the noise multiplier is calibrated by the accountant before
   training.
@@ -130,11 +132,15 @@ def _schema_from(doc) -> Schema:
     attrs = []
     entries = _require(doc, "attributes", "dataset.schema")
     for i, a in enumerate(_list(entries, "dataset.schema.attributes")):
-        name = _require(a, "name", f"attribute {i}")
+        name = _str(_require(a, "name", f"attribute {i}"), f"attribute {i}: name")
         _check_keys(a, ("name", "kind", "categories"), f"attribute {name!r}")
         kind = _require(a, "kind", f"attribute {name!r}")
         cats = _list(a.get("categories", []), f"attribute {name!r}: categories")
-        attrs.append(Attribute(str(name), str(kind), tuple(str(c) for c in cats)))
+        # YAML reads an unquoted 3 as an integer: it names the category "3"
+        if not all(isinstance(c, str) or type(c) is int for c in cats):
+            raise ConfigError(f"attribute {name!r}: each category must be a string "
+                              f"or an integer, got {cats!r}")
+        attrs.append(Attribute(name, kind, tuple(str(c) for c in cats)))
     return Schema(tuple(attrs), target=doc.get("target"))
 
 
@@ -161,12 +167,20 @@ def _section(cls, doc, where):
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = yaml.safe_load(f)
+        with open(path, "rb") as f:
+            raw = f.read()
+        doc = yaml.safe_load(raw.decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"config {path} is not UTF-8 text: byte "
+                          f"{raw[exc.start]:#04x} on line {line}") from None
+    except yaml.YAMLError as exc:  # one line: the problem and where it is
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"config {path} is not valid YAML: {problem}{where}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a mapping at top level")
     # the dataclasses check their own values; each ValueError becomes a ConfigError

@@ -15,6 +15,7 @@ its first attribute's span to the end of its last.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -172,27 +173,32 @@ def _parse_cell(attr: Attribute, cell: str, line: int):
 def load_csv(path, schema: Schema) -> TabularDataset:
     """Read a comma-separated, headered, UTF-8 file against the schema."""
     try:
-        f = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "rb") as f:
+            raw = f.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != schema.names:
-            raise DataError(
-                f"{path}: header {header} does not match schema attributes "
-                f"{schema.names}"
-            )
-        cells = [[] for _ in schema.attributes]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(schema.attributes):
-                raise DataError(f"line {line_no}: expected {len(schema.attributes)} "
-                                f"cells, got {len(row)}")
-            for attr, cell, sink in zip(schema.attributes, row, cells):
-                sink.append(_parse_cell(attr, cell, line_no))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} is not UTF-8 text: byte {raw[exc.start]:#04x} "
+                        f"on line {line}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != schema.names:
+        raise DataError(
+            f"{path}: header {header} does not match schema attributes "
+            f"{schema.names}"
+        )
+    cells = [[] for _ in schema.attributes]
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(schema.attributes):
+            raise DataError(f"line {line_no}: expected {len(schema.attributes)} "
+                            f"cells, got {len(row)}")
+        for attr, cell, sink in zip(schema.attributes, row, cells):
+            sink.append(_parse_cell(attr, cell, line_no))
     columns = tuple(
         np.array(c, dtype=np.int64 if a.kind in ("integer", "categorical") else np.float64)
         for a, c in zip(schema.attributes, cells)

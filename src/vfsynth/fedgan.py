@@ -26,13 +26,14 @@ critic whose terms come from one routine, :func:`_critic_terms`: D_i^2 with
 the parts ``(D_i^1, D_i^2)`` and D_s with the parts ``(D_s,)``, scoring its
 own inputs. :func:`_generator_terms` gives the generator's loss on a critic
 head, D_i^2 or D_s. Every critic's penalty weight is :data:`LAMBDA_GP` and
-every network's Adam step :data:`LEARNING_RATE`, the WGAN-GP settings. Each
-role steps its own critic: a party D_i^1 and D_i^2 in
-:meth:`Party.critic_update`, the server D_s in :meth:`Server.disc_step`.
-No role holds a step's arrays between calls: :meth:`Trainer.discriminator_step`
-and :meth:`Trainer.generator_step` run each party's passes and keep the tapes.
-Every gradient is a vector in its network's parameter layout (see
-:mod:`vfsynth.nn`).
+every network's Adam step :data:`LEARNING_RATE`, the WGAN-GP settings; the
+Gumbel temperature, the identity numeric head and the FD sample cap are
+:class:`GanConfig` constants, not settings. Each role steps its own critic:
+a party D_i^1 and D_i^2 in :meth:`Party.critic_update`, the server D_s in
+:meth:`Server.disc_step`. No role holds a step's arrays between calls:
+:meth:`Trainer.discriminator_step` and :meth:`Trainer.generator_step` run
+each party's passes and keep the tapes. Every gradient is a vector in its
+network's parameter layout (see :mod:`vfsynth.nn`).
 
 One epoch is ``disc_steps`` discriminator iterations followed by one
 generator iteration; the minibatch is resampled every discriminator
@@ -154,11 +155,7 @@ def check_settings(obj, section: str, least: dict, positive=(), choices=None) ->
             raise ValueError(f"{key} must be >= {least[f.name]}, got {v}")
 
 
-_GAN_POSITIVE = ("latent_dim", "feature_dim", "batch_size", "disc_steps", "epochs",
-                 "gumbel_temperature")
-# the Frechet distance needs two rows; a smaller fd_sample_cap would disable
-# the best-checkpoint selection without saying so
-_GAN_LEAST = {"fd_sample_cap": 2}
+_GAN_POSITIVE = ("latent_dim", "feature_dim", "batch_size", "disc_steps", "epochs")
 # WGAN-GP settings: the gradient-penalty weight of every critic and the Adam
 # step of every network
 LAMBDA_GP = 10.0
@@ -176,13 +173,13 @@ class GanConfig:
     batch_size: int = 64
     disc_steps: int = 5
     epochs: int = 300
-    gumbel_temperature: float = 0.2
-    numeric_activation: str = "identity"  # "tanh" for bounded [-1, 1] encodings
-    fd_sample_cap: int = 2048
+    # constants of the design, not fields: a config that sets one is refused
+    gumbel_temperature = 0.2  # every categorical head's Gumbel-softmax
+    numeric_activation = "identity"  # numeric columns pass through
+    fd_sample_cap = 2048  # the most rows the per-epoch Frechet distance draws
 
     def __post_init__(self):
-        check_settings(self, "gan", _GAN_LEAST, _GAN_POSITIVE,
-                       {"numeric_activation": ("identity", "tanh")})
+        check_settings(self, "gan", {}, _GAN_POSITIVE)
 
     def check_batch(self, n_rows: int, rows: str) -> None:
         """Refuse a batch larger than the ``n_rows`` rows it is drawn from;
@@ -234,7 +231,7 @@ class OutputHead:
     """Output transform on generator logits.
 
     Every column passes through an identity (or tanh) head, then each
-    categorical block is overwritten by a Gumbel-softmax with the configured
+    categorical block is overwritten by a Gumbel-softmax with the given
     temperature, drawn block by block in column order.
     """
 

@@ -423,7 +423,6 @@ TINY_GAN = fg.GanConfig(
     batch_size=8,
     disc_steps=1,
     epochs=2,
-    fd_sample_cap=32,
 )
 SPLIT = d.VerticalSplit(((0, 1), (2,)))
 

@@ -204,6 +204,19 @@ class TestCheckpointFormat:
         with pytest.raises(ck.CheckpointError, match="truncated"):
             ck.read_checkpoint(p)
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda b: b[:8] + struct.pack("<I", 2) + b[12:], "unsupported version 2"),
+        (lambda b: b + b"\x00", "trailing bytes after payload"),
+        (lambda b: b[:-8] + struct.pack("<d", math.nan), "network parameters must be finite"),
+    ], ids=["version-2", "trailing-byte", "nan"])
+    def test_malformed_checkpoint_refused_in_one_line(self, tmp_path, edit, want):
+        p = tmp_path / "m.ckpt"
+        ck.write_checkpoint(p, {"g0": nn.init_mlp([3, 4, 1], RngStream(4))})
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(ck.CheckpointError) as exc:
+            ck.read_checkpoint(p)
+        assert str(exc.value) == f"{p}: {want}"
+
 
 class TestConfig:
     def test_load_valid(self, tmp_path):
@@ -265,6 +278,57 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(with_setting(toy_config(tmp_path), key, value))
         assert str(exc.value) == want
+
+    # a name or category read through str(): name: null named the attribute
+    # 'None', and a null category named a category 'None'
+    @pytest.mark.parametrize("edit,want", [
+        ({"name": None}, "attribute 0: name must be a non-empty string, got None"),
+        ({"name": ""}, "attribute 0: name must be a non-empty string, got ''"),
+        ({"name": 3}, "attribute 0: name must be a non-empty string, got 3"),
+        ({"categories": [None, "v", "w"]}, "attribute 'k': each category must be a "
+         "string or an integer, got [None, 'v', 'w']"),
+        ({"categories": [True, "v", "w"]}, "attribute 'k': each category must be a "
+         "string or an integer, got [True, 'v', 'w']"),
+        ({"categories": [3.0, "v", "w"]}, "attribute 'k': each category must be a "
+         "string or an integer, got [3.0, 'v', 'w']"),
+        ({"categories": [["u"], "v", "w"]}, "attribute 'k': each category must be a "
+         "string or an integer, got [['u'], 'v', 'w']"),
+    ], ids=["name-null", "name-empty", "name-int", "category-null", "category-true",
+            "category-float", "category-list"])
+    def test_attribute_names_and_categories_are_not_coerced(self, tmp_path, edit, want):
+        p = toy_config(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        attrs = doc["dataset"]["schema"]["attributes"]
+        (attrs[0] if "name" in edit else attrs[2]).update(edit)
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == want
+
+    def test_unquoted_integer_categories_load_as_strings(self, tmp_path):
+        p = toy_config(tmp_path)
+        p.write_text(p.read_text().replace("- u\n", "- 3\n").replace("- v\n", "- 4\n"))
+        assert load_config(p).schema.attributes[2].categories == ("3", "4", "w")
+
+    @pytest.mark.parametrize("body,want", [
+        (None, "cannot open config {p}: "),
+        (b"- 1\n- 2\n", "config {p}: expected a mapping at top level"),
+        (b"", "config {p}: expected a mapping at top level"),
+        (b"a: [1, 2\n", "config {p} is not valid YAML: expected ',' or ']', "
+         "but got '<stream end>' at line 2, column 1"),
+        (b"seed: 3\nname: caf\xe9\n", "config {p} is not UTF-8 text: byte 0xe9 on line 2"),
+    ], ids=["missing", "list", "empty", "yaml", "not-utf8"])
+    def test_unreadable_config_refused_in_one_line(self, tmp_path, capsys, body, want):
+        p = tmp_path / "c.yaml"
+        if body is not None:
+            p.write_bytes(body)
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value).startswith(want.format(p=p))
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + want.format(p=p))
+        assert not (tmp_path / "run").exists()
 
     def test_audit_needs_target_or_select(self, tmp_path):
         p = toy_config(tmp_path, extra={"audit": {"shadows": 6}})
@@ -385,9 +449,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", "3"), ("batch_size", 2.5), ("latent_dim", True),
-        ("gen_hidden", 64), ("server_hidden", [8, 0]), ("gumbel_temperature", "1e-4"),
-        ("gumbel_temperature", False), ("gumbel_temperature", float("nan")),
-        ("gumbel_temperature", float("inf")),
+        ("gen_hidden", 64), ("server_hidden", [8, 0]),
     ])
     def test_mistyped_gan_setting_rejected(self, tmp_path, capsys, field, value):
         cfg_path = toy_config(tmp_path)
@@ -397,14 +459,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"gan.{field}" in err
-        if value == "1e-4":  # YAML reads 1e-4 as a string
-            assert "1.0e-4" in err
         assert not (tmp_path / "run").exists()
 
-    # the WGAN-GP penalty weight and learning rates are constants, and the
-    # server loss is not weighted: a config that still sets one is refused
+    # the WGAN-GP penalty weight and learning rates are constants, the server
+    # loss is not weighted, and the output heads and the FD sample cap are
+    # GanConfig constants: a config that still sets one is refused
     @pytest.mark.parametrize("field", ["lambda_gp", "lambda_server", "lambda_gen_server",
-                                       "eta_g", "eta_d", "eta_server"])
+                                       "eta_g", "eta_d", "eta_server", "gumbel_temperature",
+                                       "numeric_activation", "fd_sample_cap"])
     def test_removed_gan_setting_refused(self, tmp_path, capsys, field):
         cfg_path = toy_config(tmp_path)
         doc = yaml.safe_load(cfg_path.read_text())
@@ -417,7 +479,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("clip", float("inf")),
-        ("delta", float("nan")), ("epsilon", True), ("delta", "1e-3"),
+        ("delta", float("nan")), ("clip", float("nan")), ("delta", float("inf")),
+        ("epsilon", True), ("epsilon", False), ("epsilon", "1e-4"), ("delta", "1e-3"),
     ])
     def test_mistyped_dp_setting_rejected(self, tmp_path, capsys, field, value):
         dp = {"epsilon": 10.0, "delta": 1e-3, "clip": 1.0, field: value}
@@ -425,6 +488,8 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"dp.{field}" in err
+        if value == "1e-4":  # YAML reads 1e-4 as a string
+            assert "1.0e-4" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field,value,bound", [
@@ -743,6 +808,25 @@ class TestGenerateCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "manifest.yaml" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["no-manifest", "no-checkpoint"])
+    def test_run_without_its_record_refused(self, tmp_path, capsys, damage):
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == 0
+        capsys.readouterr()
+        run, out = tmp_path / "run", tmp_path / "s.csv"
+        manifest = run / "manifest.yaml"
+        if damage == "no-manifest":
+            manifest.unlink()
+            want = f"error: {run} has no manifest.yaml"
+        else:
+            doc = yaml.safe_load(manifest.read_text())
+            del doc["inventory"]["checkpoints/final.ckpt"]
+            manifest.write_text(yaml.safe_dump(doc))
+            want = "error: checkpoints/final.ckpt is not in the run manifest inventory"
+        assert main(["generate", "--run", str(run), "--n", "5", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
+
 
 def clock_around(monkeypatch, module, name, **kwargs):
     """Log clock reads and calls of ``module.name`` (given ``kwargs``) in
@@ -889,6 +973,19 @@ class TestEvalCommand:
         assert err == ["error: attribute 'a' is constant; cannot standardize"]
         assert not out.exists()
 
+    # the decoder's error once escaped, naming neither the flag nor the file
+    def test_non_utf8_table_refused_by_path(self, tmp_path, capsys):
+        cfg_path = toy_config(tmp_path, n=40)
+        full = Path(load_config(cfg_path).dataset_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(full.read_bytes() + b"1.0,2.0,\xe9\n")
+        out = tmp_path / "ev"
+        assert main(["eval", "--real", str(bad), "--synth", str(full),
+                     "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad} is not UTF-8 text: byte 0xe9 on line 42"]
+        assert not out.exists()
+
     # dataset.schema.target is the one source of the evaluated target
     def test_missing_target_named(self, tmp_path, capsys):
         cfg_path = with_target(toy_config(tmp_path), None)
@@ -945,6 +1042,12 @@ def test_empty_out_refused_before_anything_is_written(tmp_path, capsys, monkeypa
 
 
 class TestAuditCommand:
+    def test_config_without_audit_section_refused(self, tmp_path, capsys):
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(toy_config(tmp_path)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config has no audit section"]
+        assert not out.exists() and not (tmp_path / "run").exists()
+
     def test_audit_end_to_end_small(self, tmp_path):
         cfg_path = toy_config(
             tmp_path,

@@ -108,6 +108,27 @@ class TestLoadCsv:
         with pytest.raises(d.DataError, match=r"^line 3, column 'a': non-finite value$"):
             d.load_csv(p, toy_schema())
 
+    @pytest.mark.parametrize("body,want", [
+        ("", "{p}: empty file"),
+        ("a,b,c\n1.0,3,x\n1.0,3\n", "line 3: expected 3 cells, got 2"),
+        ("a,b,c\n1.0,3.5,x\n", "line 2, column 'b': cannot parse '3.5' as integer"),
+    ], ids=["empty", "cell-count", "integer"])
+    def test_malformed_file_refused_in_one_line(self, tmp_path, body, want):
+        p = tmp_path / "t.csv"
+        p.write_text(body)
+        with pytest.raises(d.DataError) as exc:
+            d.load_csv(p, toy_schema())
+        assert str(exc.value) == want.format(p=p)
+
+    # the decoder's error once escaped: it named no file, and its position
+    # counted from the start of a read chunk
+    def test_non_utf8_file_refused_by_path(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b,c\n1.0,3,x\n1.0,3,\xe9\n")
+        with pytest.raises(d.DataError) as exc:
+            d.load_csv(p, toy_schema())
+        assert str(exc.value) == f"{p} is not UTF-8 text: byte 0xe9 on line 3"
+
     @pytest.mark.skipif(not os.path.exists(WINE_PATH), reason="wine csv not present")
     def test_red_wine_has_1599_records(self):
         ds = d.load_csv(WINE_PATH, wine_schema())

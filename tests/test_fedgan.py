@@ -49,7 +49,6 @@ def small_cfg(**kw):
         batch_size=8,
         disc_steps=2,
         epochs=2,
-        fd_sample_cap=64,
     )
     defaults.update(kw)
     return fg.GanConfig(**defaults)
@@ -94,6 +93,11 @@ class TestTrainBasics:
             assert same_params(params_of(g1), params_of(g2))
         for r1, r2 in zip(m1.log.records, m2.log.records):
             assert r1 == r2
+
+    def test_unknown_variant_refused(self):
+        data, split = toy_table()
+        with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+            fg.Trainer("bogus", data, split, small_cfg(), None, RngStream(1))
 
     def test_log_has_one_record_per_epoch(self):
         data, split = toy_table()
@@ -179,8 +183,7 @@ class TestQualityFd:
         cfg = load_config(root / "configs" / "winequality-red.yaml")
         ds = d.load_csv(root / cfg.dataset_path, cfg.schema)
         data = d.encode(ds, d.fit_encoder(ds))
-        trainer = fg.Trainer(fg.VFLGAN, data, cfg.split, small_cfg(fd_sample_cap=2048),
-                             None, RngStream(5, "fd"))
+        trainer = fg.Trainer(fg.VFLGAN, data, cfg.split, small_cfg(), None, RngStream(5, "fd"))
         trainer.step_epoch()
         sample = trainer.sample(data.n_rows, trainer.rng.child("eval", 1))
         want = frechet_distance(dataset_stats(data), stats_from_matrix(sample.matrix))
@@ -190,17 +193,25 @@ class TestQualityFd:
 class TestGanConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("fd_sample_cap", 1), ("fd_sample_cap", 0), ("latent_dim", 0), ("feature_dim", -1),
-         ("batch_size", 0), ("disc_steps", 0), ("gumbel_temperature", 0.0), ("epochs", -1),
-         ("epochs", 0)],
+        [("latent_dim", 0), ("feature_dim", -1), ("batch_size", 0), ("disc_steps", 0),
+         ("epochs", -1), ("epochs", 0)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = small_cfg(epochs=1, fd_sample_cap=2)
-        assert cfg.epochs == 1 and cfg.fd_sample_cap == 2
+        assert small_cfg(epochs=1).epochs == 1
+
+    # the design fixes them: class constants, not fields a run can vary
+    def test_head_and_fd_cap_are_constants(self):
+        names = ("gumbel_temperature", "numeric_activation", "fd_sample_cap")
+        for owner in (fg.GanConfig, small_cfg()):
+            assert [getattr(owner, n) for n in names] == [0.2, "identity", 2048]
+        assert not set(names) & {f.name for f in fields(fg.GanConfig)}
+        for name in names:
+            with pytest.raises(TypeError, match=name):
+                small_cfg(**{name: getattr(fg.GanConfig, name)})
 
 
 # each config section, the arguments it cannot go without, and its keys
@@ -230,7 +241,7 @@ class TestCheckSettings:
         with pytest.raises(ValueError, match=rf"^{section}\.{f.name} must be "):
             cls(**{**base, f.name: True})
 
-    # gan and dp have float keys; audit has none yet
+    # dp has float keys; gan and audit have none
     FLOATS = [(s, cls, base, f) for s, cls, base, f in SECTION_KEYS if f.type == "float"]
 
     @pytest.mark.parametrize("section,cls,base,f", FLOATS,
